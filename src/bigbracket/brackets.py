@@ -3,8 +3,9 @@
 Even charts carry the bracket {x*_a, x^b} = delta_a^b extended as a
 biderivation; odd charts carry the Gerstenhaber bracket whose sign
 convention is pinned by d_pi = {pi, .} acting on multivector fields as
-[pi, .].  Both split the first argument into parity-homogeneous components
-and apply explicit partial-derivative formulas.
+[pi, .].  One routine serves both: it splits the first argument into
+parity-homogeneous components and applies the partial-derivative formula,
+with the chart's parity selecting one sign from a table.
 """
 from __future__ import annotations
 
@@ -19,54 +20,37 @@ def _require_darboux(p: SuperPolynomial) -> DarbouxChart:
     return chart
 
 
+# Sign of the momentum-derivative term, indexed [bracket parity][fp][a]:
+# (-1)^{a(fp+1)} on even charts, -(-1)^{fp(a+1)} on odd charts.
+_MOMENTUM_SIGN = {EVEN: ((1, -1), (1, 1)), ODD: ((-1, -1), (1, -1))}
+
+
 def canonical_bracket(p: SuperPolynomial, q: SuperPolynomial, chart=None) -> SuperPolynomial:
-    """Canonical bracket of the chart's parity (even Poisson or Gerstenhaber)."""
+    """Canonical bracket of the chart's parity (even Poisson or Gerstenhaber).
+
+    Both parities share one sum over Darboux pairs (pos, mom) and the parity
+    components f of p: sign1 * df/dmom * dq/dpos + sign2 * df/dpos * dq/dmom,
+    where sign2 = -(-1)^{a fp} on either chart and sign1 comes from the table.
+    """
     if chart is None:
         chart = _require_darboux(p)
     if p.chart is not chart or q.chart is not chart:
         raise ChartError("bracket arguments live on different charts")
-    if chart.bracket_parity == EVEN:
-        return _even_bracket(p, q, chart)
-    return _odd_bracket(p, q, chart)
-
-
-def _even_bracket(p, q, chart):
     out = SuperPolynomial.zero(chart)
     for fp, f in zip((0, 1), p.parity_components()):
         if f.is_zero():
             continue
+        momentum_sign = _MOMENTUM_SIGN[chart.bracket_parity][fp]
         for pos, mom in chart.pairs:
             a = pos.parity
             df_dm = f.partial(mom)
             df_dx = f.partial(pos)
             if not df_dm.is_zero():
-                s1 = -1 if (a * (fp + 1)) % 2 else 1
                 term = df_dm * q.partial(pos)
-                out = out + (term if s1 > 0 else -term)
+                out = out + (term if momentum_sign[a] > 0 else -term)
             if not df_dx.is_zero():
-                s2 = 1 if (a * fp) % 2 else -1     # -(-1)^{a*fp}
                 term = df_dx * q.partial(mom)
-                out = out + (term if s2 > 0 else -term)
-    return out
-
-
-def _odd_bracket(p, q, chart):
-    out = SuperPolynomial.zero(chart)
-    for fp, f in zip((0, 1), p.parity_components()):
-        if f.is_zero():
-            continue
-        for pos, mom in chart.pairs:
-            a = pos.parity
-            df_dm = f.partial(mom)
-            df_dx = f.partial(pos)
-            if not df_dm.is_zero():
-                s1 = 1 if (fp * (a + 1)) % 2 else -1   # -(-1)^{fp*(a+1)}
-                term = df_dm * q.partial(pos)
-                out = out + (term if s1 > 0 else -term)
-            if not df_dx.is_zero():
-                s2 = 1 if (fp * a) % 2 else -1         # -(-1)^{fp*a}
-                term = df_dx * q.partial(mom)
-                out = out + (term if s2 > 0 else -term)
+                out = out + (term if (a * fp) % 2 else -term)     # -(-1)^{a*fp}
     return out
 
 

@@ -9,15 +9,17 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from . import courant as crt
-from .algebroid import (SpecError, brst_theta, check_bialgebroid,
-                        check_lie_algebroid, check_proto, double_differential,
-                        swap_proto)
+from .algebroid import (ProtoBialgebroidSpec, SpecError, brst_theta,
+                        check_bialgebroid, check_lie_algebroid, check_proto,
+                        double_differential, swap_proto)
 from .chart import ChartError
-from .necklace import (AssemblyError, RecordedConstants, TruncationInstability,
-                       build_structures, global_assembly, mode_cohomology,
-                       modular_and_volume, structure_identities)
+from .necklace import (AssemblyError, RecordedConstants, StructureIdentityError,
+                       TruncationInstability, build_structures, global_assembly,
+                       mode_cohomology, modular_and_volume, schouten_square,
+                       structure_identities)
 from .parsing import ParseError, parse_poly
 from .poly import SuperPolynomial
 from .report import Report
@@ -26,14 +28,37 @@ from .specfile import DocumentError, Materialized, load_document, materialize
 USAGE_EXIT = 2
 
 
-def _load(args) -> Materialized:
+def _document(args):
+    """The document named by --preset or --spec, or None when neither is given."""
     if args.preset:
-        doc = load_document(args.preset)
-    elif args.spec:
-        doc = load_document(args.spec)
-    else:
+        return load_document(args.preset)
+    if args.spec:
+        if not Path(args.spec).is_file():
+            raise DocumentError(f"spec file {args.spec!r} does not exist or is not a file")
+        return load_document(args.spec)
+    return None
+
+
+def _load(args) -> Materialized:
+    doc = _document(args)
+    if doc is None:
         raise DocumentError("one of --preset or --spec is required")
     return materialize(doc)
+
+
+def _twisted(mat: Materialized, omega_text=None) -> "crt.TwistedStructure":
+    """The twisted standard structure of an exact-courant document.
+
+    phi and omega are read here only; omega_text overrides the document's.
+    """
+    if mat.doc.kind != "exact-courant":
+        raise DocumentError("twist applies to exact-courant documents")
+    n = len(mat.doc.base_names)
+    chart = crt.standard_proto(n).a_side.chart
+    phi = parse_poly(mat.doc.scalars.get("phi", "0"), chart)
+    omega_text = omega_text or mat.doc.scalars.get("omega")
+    omega = parse_poly(omega_text, chart) if omega_text is not None else None
+    return crt.twist_exact(phi, omega=omega, dim=n)
 
 
 def _echo(args, name) -> str:
@@ -94,43 +119,14 @@ def cmd_verify_proto(args) -> Report:
     return report
 
 
-def _proto_for_courant(mat: Materialized):
-    from .algebroid import ProtoBialgebroidSpec
+def _proto_for_courant(mat: Materialized) -> ProtoBialgebroidSpec:
     if mat.doc.kind == "exact-courant":
-        std = crt.standard_structure(len(mat.doc.base_names))
-        chart = std.chart
-        phi = parse_poly(mat.doc.scalars.get("phi", "0"), chart)
-        omega = None
-        if "omega" in mat.doc.scalars:
-            omega = parse_poly(mat.doc.scalars["omega"], chart)
-        twisted = crt.twist_exact(phi, omega=omega, dim=len(mat.doc.base_names))
-        active = twisted.structure
-        return ProtoBialgebroidSpec(
-            _spec_of_structure(active), _dual_of_structure(active), twisted.phi, None)
+        return _twisted(mat).proto
     if mat.proto is not None:
         return mat.proto
     if mat.action is not None:
-        theta = brst_theta(mat.action)
-        spec = mat.action.action_algebroid()
-        from .algebroid import ProtoBialgebroidSpec
-        return ProtoBialgebroidSpec.build(spec)
+        return ProtoBialgebroidSpec.build(mat.action.action_algebroid())
     raise DocumentError("document kind does not define a cubic hamiltonian")
-
-
-def _spec_of_structure(std: "crt.CourantStructure"):
-    from .algebroid import AlgebroidSpec
-    n = len(std.bundle.base_names)
-    return AlgebroidSpec.build(std.bundle.base_names, std.bundle.fiber_names,
-                               {(k + 1, k + 1): 1 for k in range(n)}, {},
-                               bundle=std.bundle)
-
-
-def _dual_of_structure(std: "crt.CourantStructure"):
-    from .algebroid import AlgebroidSpec, dual_chart_for
-    spec = _spec_of_structure(std)
-    dual = dual_chart_for(spec)
-    return AlgebroidSpec.build(spec.base_names, tuple(f.name for f in dual.fiber),
-                               {}, {}, bundle=dual)
 
 
 def cmd_double(args) -> Report:
@@ -172,13 +168,7 @@ def cmd_courant_verify(args) -> Report:
 
 def _structure_of(mat: Materialized) -> "crt.CourantStructure":
     if mat.doc.kind == "exact-courant":
-        n = len(mat.doc.base_names)
-        std = crt.standard_structure(n)
-        phi = parse_poly(mat.doc.scalars.get("phi", "0"), std.chart)
-        omega = None
-        if "omega" in mat.doc.scalars:
-            omega = parse_poly(mat.doc.scalars["omega"], std.chart)
-        return crt.twist_exact(phi, omega=omega, dim=n).structure
+        return _twisted(mat).structure
     if mat.proto is not None:
         return crt.structure_from_proto(mat.proto)
     if mat.action is not None:
@@ -218,17 +208,7 @@ def cmd_shla_check(args) -> Report:
 def cmd_twist(args) -> Report:
     mat = _load(args)
     report = Report(_echo(args, "twist"))
-    if mat.doc.kind != "exact-courant":
-        raise DocumentError("twist applies to exact-courant documents")
-    n = len(mat.doc.base_names)
-    std = crt.standard_structure(n)
-    phi = parse_poly(mat.doc.scalars.get("phi", "0"), std.chart)
-    omega = None
-    if args.omega:
-        omega = parse_poly(args.omega, std.chart)
-    elif "omega" in mat.doc.scalars:
-        omega = parse_poly(mat.doc.scalars["omega"], std.chart)
-    twisted = crt.twist_exact(phi, omega=omega, dim=n)
+    twisted = _twisted(mat, args.omega)
     for check in crt.verify_axioms(twisted.structure).checks:
         report.add_check(check)
     diff = twisted.phi - twisted.phi_raw.substitute(twisted.structure.chart, {})
@@ -239,14 +219,19 @@ def cmd_twist(args) -> Report:
     return report
 
 
+def _rational(text, what) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DocumentError(f"{what} must be a rational number, got {text!r}") from None
+
+
 def _necklace_parameter(args):
     if args.c is not None:
-        return Fraction(args.c)
-    source = args.preset or args.spec
-    if source:
-        doc = load_document(source)
-        if doc.kind == "necklace" and "c" in doc.scalars:
-            return Fraction(doc.scalars["c"])
+        return _rational(args.c, "c")
+    doc = _document(args)
+    if doc is not None and doc.kind == "necklace" and "c" in doc.scalars:
+        return _rational(doc.scalars["c"], "c")
     raise DocumentError("a family parameter is required (--c or a necklace document)")
 
 
@@ -278,7 +263,7 @@ def cmd_cohomology(args) -> Report:
 def cmd_invariants(args) -> Report:
     c = _necklace_parameter(args)
     report = Report(f"invariants --c {c}")
-    ids = structure_identities(c, Fraction(args.cprime), args.truncate)
+    ids = structure_identities(c, _rational(args.cprime, "cprime"), args.truncate)
     for name, ok in ids.items():
         report.add(name, ok)
     field, desc, value = modular_and_volume(c)
@@ -286,9 +271,18 @@ def cmd_invariants(args) -> Report:
     if value is not None:
         report.add_info("symplectic-volume", f"{desc} = {value!r}")
     structure = build_structures(c)
-    from .necklace import schouten_square
     report.add("structure-is-poisson", schouten_square(structure.pi_c).is_zero())
     return report
+
+
+def _at_least(low):
+    """argparse type: an integer no smaller than `low`."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shla-check")
     common(p)
-    p.add_argument("--n", type=int, default=4, help="check identities up to this arity")
+    p.add_argument("--n", type=_at_least(1), default=4,
+                   help="check identities up to this arity")
     p.set_defaults(fn=cmd_shla_check)
 
     p = sub.add_parser("twist")
@@ -334,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology")
     common(p)
     p.add_argument("--c", help="rational family parameter (or use a necklace document)")
-    p.add_argument("--modes", type=int, default=5)
-    p.add_argument("--truncate", type=int, default=12)
+    p.add_argument("--modes", type=_at_least(0), default=5)
+    p.add_argument("--truncate", type=_at_least(4), default=12)
     p.set_defaults(fn=cmd_cohomology)
 
     p = sub.add_parser("invariants")
@@ -357,7 +352,7 @@ def main(argv=None) -> int:
     try:
         report = args.fn(args)
     except (DocumentError, ParseError, SpecError, ChartError, ValueError,
-            AssemblyError, TruncationInstability) as exc:
+            AssemblyError, StructureIdentityError, TruncationInstability) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     sys.stdout.write(report.render(args.format))

@@ -50,12 +50,17 @@ def structure_from_proto(proto: ProtoBialgebroidSpec) -> CourantStructure:
     return CourantStructure(proto.theta())
 
 
-def standard_structure(n: int) -> CourantStructure:
-    """Tangent bundle of R^n doubled against the zero dual structure."""
+def standard_proto(n: int) -> ProtoBialgebroidSpec:
+    """Tangent bundle of R^n (identity anchor) against the zero dual structure."""
     base = tuple(f"x{k+1}" for k in range(n))
     fibers = tuple(f"xi{k+1}" for k in range(n))
     a = AlgebroidSpec.build(base, fibers, {(k + 1, k + 1): 1 for k in range(n)}, {})
-    return structure_from_proto(ProtoBialgebroidSpec.build(a))
+    return ProtoBialgebroidSpec.build(a)
+
+
+def standard_structure(n: int) -> CourantStructure:
+    """Tangent bundle of R^n doubled against the zero dual structure."""
+    return structure_from_proto(standard_proto(n))
 
 
 class CourantSection:
@@ -718,6 +723,7 @@ class TwistedStructure:
     phi: SuperPolynomial            # the active cubic term
     omega: SuperPolynomial | None   # gauge two-form, when given
     phi_raw: SuperPolynomial        # cubic term before gauging
+    proto: ProtoBialgebroidSpec     # identity anchor, zero dual side, active phi
 
     def splitting_shift(self, e: CourantSection) -> CourantSection:
         """Section map of the splitting change: X + xi -> X + xi - i_X omega."""
@@ -765,11 +771,11 @@ def twist_exact(phi: SuperPolynomial, omega: SuperPolynomial | None = None,
     """
     if dim is None:
         raise SpecError("dimension required")
-    std = standard_structure(dim)
-    chart = std.chart
-    base_map = {}
-    phi = phi.substitute(chart, base_map) if phi.chart is not chart else phi
-    allowed = set(std.bundle.base) | set(std.bundle.fiber)
+    std = standard_proto(dim)
+    bundle = std.a_side.bundle
+    chart = bundle.chart
+    phi = phi.substitute(chart, {}) if phi.chart is not chart else phi
+    allowed = set(bundle.base) | set(bundle.fiber)
     if not phi.uses_only(allowed):
         raise SpecError("twist must use base and fiber coordinates only")
     for (_e, d, _k) in phi.gradings():
@@ -783,11 +789,9 @@ def twist_exact(phi: SuperPolynomial, omega: SuperPolynomial | None = None,
         for (_e, d, _k) in omega.gradings():
             if d != 2:
                 raise SpecError("gauge must be a two-form (delta degree 2)")
-        active = phi + de_rham_on_fibers(std.bundle, omega)
-    theta = ThetaHamiltonian(std.bundle, std.theta.mu, std.theta.gamma_star,
-                             active, SuperPolynomial.zero(chart))
-    theta.validate_bidegrees()
-    return TwistedStructure(CourantStructure(theta), active, omega, phi)
+        active = phi + de_rham_on_fibers(bundle, omega)
+    proto = ProtoBialgebroidSpec(std.a_side, std.astar_side, active, None)
+    return TwistedStructure(structure_from_proto(proto), active, omega, phi, proto)
 
 
 def is_exact_difference(bundle: CotangentOfParityReversed, form: SuperPolynomial) -> bool:

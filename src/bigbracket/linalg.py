@@ -11,7 +11,11 @@ from .rationals import ZERO, ONE
 
 
 def _rref(rows, ncols):
-    """Reduced row echelon form in place; returns pivot column list."""
+    """Reduced row echelon form in place; returns pivot column list.
+
+    The entries may come from any field whose elements support truthiness,
+    `1 / x`, `*` and `-`: Gaussian rationals or PolyFrac.
+    """
     pivots = []
     r = 0
     for c in range(ncols):
@@ -23,7 +27,7 @@ def _rref(rows, ncols):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
+        inv = 1 / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c]:
@@ -154,44 +158,21 @@ class PolyFrac:
             raise ZeroDivisionError
         return PolyFrac(self.num * other.den, self.den * other.num)
 
+    def __rtruediv__(self, other):
+        return PolyFrac(self.den * other, self.num)
+
     def __neg__(self):
         return PolyFrac(-self.num, self.den)
 
 
 def solve_over_fractions(matrix, rhs):
-    """Gaussian elimination of M x = b over the base rational-function field.
+    """One solution of M x = b over the base rational-function field, or None.
 
-    matrix rows contain PolyFrac entries.  Returns a solution list or None.
+    matrix and rhs hold PolyFrac entries; free unknowns come back as the
+    PolyFrac zero.
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for k in range(r, m):
-            if rows[k][c]:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for k in range(m):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for row in rows:
-        if row[n] and all(not x for x in row[:n]):
-            return None
-    some = matrix[0][0]
-    xs = [PolyFrac(SuperPolynomial.zero(some.num.chart)) for _ in range(n)]
-    for rr, c in enumerate(pivots):
-        xs[c] = rows[rr][n]
-    return xs
+    x = solve(matrix, rhs)
+    if x is None:
+        return None
+    zero = PolyFrac(SuperPolynomial.zero(matrix[0][0].num.chart))
+    return [v if isinstance(v, PolyFrac) else zero for v in x]

@@ -10,7 +10,7 @@ cohomology and recorded two-disk constants through the long exact sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .brackets import canonical_bracket
@@ -35,12 +35,6 @@ class NecklaceStructure:
     chart: object
     pi_c: SuperPolynomial
     pi: SuperPolynomial
-
-    def is_symplectic(self):
-        return abs(self.c) > 1
-
-    def is_necklace(self):
-        return abs(self.c) < 1
 
 
 def build_structures(c) -> NecklaceStructure:
@@ -170,48 +164,25 @@ class CohomologyReport:
         return (self.dims == other.dims and self.generators == other.generators)
 
 
-def _vector_name_function(m):
-    if m == 0:
-        return "1"
-    if m == 1:
-        return "I"
-    return f"I^{m}"
+# Basis suffix of each block of a mode vector, by form degree: functions,
+# one-fields (d_I block, then d_theta block) and two-fields.
+_BLOCK_SUFFIXES = (("",), ("d_I", "d_theta"), ("d_I^d_theta",))
 
 
-def _format_one_field(vec, size):
+def _format_generator(vec, degree):
+    """Text of a mode vector: each basis element is an I-power times a suffix."""
+    suffixes = _BLOCK_SUFFIXES[degree]
+    size = len(vec) // len(suffixes)
     parts = []
-    for m in range(size):
-        if vec[m]:
-            coeff = "" if vec[m] == ONE else f"({vec[m]})*"
-            body = "d_I" if m == 0 else f"{_vector_name_function(m)}*d_I"
-            parts.append(f"{coeff}{body}")
-    for m in range(size):
-        if vec[size + m]:
-            coeff = "" if vec[size + m] == ONE else f"({vec[size + m]})*"
-            body = "d_theta" if m == 0 else f"{_vector_name_function(m)}*d_theta"
-            parts.append(f"{coeff}{body}")
-    return " + ".join(parts) if parts else "0"
-
-
-def _format_function(vec):
-    parts = []
-    for m, x in enumerate(vec):
-        if x:
-            coeff = "" if x == ONE and m else ("1" if m == 0 and x == ONE else f"({x})*")
-            if m == 0:
-                parts.append("1" if x == ONE else f"({x})")
-            else:
-                parts.append(f"{coeff}{_vector_name_function(m)}" if x != ONE
-                             else _vector_name_function(m))
-    return " + ".join(parts) if parts else "0"
-
-
-def _format_two_field(vec):
-    parts = []
-    for m, x in enumerate(vec):
-        if x:
-            body = "d_I^d_theta" if m == 0 else f"{_vector_name_function(m)}*d_I^d_theta"
-            parts.append(body if x == ONE else f"({x})*{body}")
+    for block, suffix in enumerate(suffixes):
+        for m in range(size):
+            x = vec[block * size + m]
+            if x:
+                power = "" if m == 0 else ("I" if m == 1 else f"I^{m}")
+                factors = [f for f in (power, suffix) if f]
+                if x != ONE:
+                    factors.insert(0, f"({x})")
+                parts.append("*".join(factors) or "1")
     return " + ".join(parts) if parts else "0"
 
 
@@ -239,7 +210,7 @@ def _mode_cohomology_once(c, n, N):
     sub_d0 = [[cols0[m][r] for m in range(M + 1)] for r in range(2 * size)]
     kern0 = nullspace(sub_d0, M + 1)
     h0 = len(kern0)
-    gens0 = tuple(_format_function(v + [ZERO] * (size - (M + 1))) for v in kern0)
+    gens0 = tuple(_format_generator(v, 0) for v in kern0)
 
     # degree-1: cocycles supported in the trusted degrees, modulo the part of
     # the image landing there (primitives may use the full truncated space)
@@ -258,7 +229,7 @@ def _mode_cohomology_once(c, n, N):
     reps1 = _quotient_generators([_swap_blocks(v) for v in cocycles1],
                                  [_swap_blocks(v) for v in image1])
     h1 = len(reps1)
-    gens1 = tuple(_format_one_field(_swap_blocks(v), size) for v in reps1)
+    gens1 = tuple(_format_generator(_swap_blocks(v), 1) for v in reps1)
 
     # degree-2: everything of degree <= M is a cocycle
     cocycles2 = []
@@ -271,7 +242,7 @@ def _mode_cohomology_once(c, n, N):
         set(range(M + 1)))
     reps2 = _quotient_generators(cocycles2, image2)
     h2 = len(reps2)
-    gens2 = tuple(_format_two_field(v) for v in reps2)
+    gens2 = tuple(_format_generator(v, 2) for v in reps2)
 
     return CohomologyReport(
         dims=(h0, h1, h2), generators=(gens0, gens1, gens2),
@@ -421,12 +392,15 @@ def structure_identities(c, c_prime=Fraction(1, 2), N: int = 12):
     """Exact identities tying the family together, plus the no-rescaling facts.
 
     Verifies [pi_c, E] = pi for the Euler field E = (s d_s + t d_t)/(2(c-1)),
-    the affine relation pi_c - pi_c' = (c - c') pi, and that neither pi_c nor
-    the rotation field is exact in the truncated zero mode.
+    the affine relation pi_c - pi_c' = (c - c') pi, and, for |c| < 1, that
+    neither pi_c nor the rotation field is exact in the truncated zero mode.
+    The |c| > 1 members get the first two identities only.
     """
     c = Fraction(c)
-    if c == 1:
-        raise StructureIdentityError("the Euler primitive is undefined at c = 1")
+    if abs(c) == 1:
+        raise StructureIdentityError(
+            "the |c| = 1 members are outside the identities "
+            "(the Euler primitive is undefined at c = 1)")
     structure = build_structures(c)
     chart = structure.chart
     s = SuperPolynomial.variable(chart, "s")
@@ -442,13 +416,14 @@ def structure_identities(c, c_prime=Fraction(1, 2), N: int = 12):
     diff = structure.pi_c - other.pi_c.substitute(chart, {})
     scale = GaussianRational(Fraction(c - c_prime))
     results["affine-family"] = (diff - structure.pi.scale(scale)).is_zero()
+    if abs(c) > 1:
+        return results          # the mode model covers the degenerate members only
 
     comp = mode_matrices(c, 0, N)
     size = N + 1
     # pi_c in action-angle form is the degree-1 two-field
     target2 = [ZERO] * size
     target2[1] = ONE
-    cols1 = [[comp.d1[r][cidx] for r in range(size)] for cidx in range(2 * size)]
     results["pi_c-not-exact"] = solve([list(r) for r in comp.d1], target2) is None
     # the rotation field is the constant eta one-field
     target1 = [ZERO] * (2 * size)

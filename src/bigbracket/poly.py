@@ -64,29 +64,6 @@ def mono_mul(m1, m2):
     return (evens, tuple(merged)), sign
 
 
-def normal_order(even_part, odd_sequence):
-    """Sort an arbitrary odd factor sequence, returning (monomial, sign).
-
-    Returns None when some odd variable repeats.  The sign is the Koszul sign
-    of the sorting permutation.
-    """
-    seq = list(odd_sequence)
-    sign = 1
-    # insertion sort; each adjacent swap of odd symbols contributes -1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            if seq[j - 1] == seq[j]:
-                return None
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(seq, seq[1:]):
-        if a == b:
-            return None
-    return (tuple(sorted(even_part)), tuple(seq)), sign
-
-
 def mono_parity(mono) -> int:
     # only odd variables carry parity; even exponents contribute nothing
     return len(mono[1]) % 2

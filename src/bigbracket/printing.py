@@ -8,7 +8,6 @@ forms.
 from __future__ import annotations
 
 from .poly import SuperPolynomial, mono_sort_key
-from .rationals import GaussianRational
 
 
 def _format_bare_monomial(chart, mono) -> str:
@@ -20,13 +19,6 @@ def _format_bare_monomial(chart, mono) -> str:
     for idx in odds:
         factors.append(chart.variables[idx].name)
     return "*".join(factors)
-
-
-def _coeff_text(c: GaussianRational) -> str:
-    # parenthesize genuinely complex coefficients so the text reparses
-    if c.re and c.im:
-        return str(c)
-    return str(c)
 
 
 def format_poly(p: SuperPolynomial) -> str:
@@ -43,11 +35,11 @@ def format_poly(p: SuperPolynomial) -> str:
         elif not coeff.re and coeff.im < 0:
             negative, coeff = True, -coeff
         if not body:
-            text = _coeff_text(coeff)
+            text = str(coeff)
         elif coeff == 1:
             text = body
         else:
-            text = f"{_coeff_text(coeff)}*{body}"
+            text = f"{coeff}*{body}"
         if not pieces:
             pieces.append(f"-{text}" if negative else text)
         else:

@@ -101,8 +101,6 @@ def parse_document(text: str) -> SpecDocument:
             scalars[lhs] = rhs
     if kind is None:
         raise DocumentError("missing 'kind:' header")
-    if kind in ("necklace",) and rank == 0:
-        rank = 0
     return SpecDocument(kind, base, rank, entries, scalars)
 
 
@@ -132,15 +130,13 @@ def _parse_entry(text, chart, label):
         raise DocumentError(f"{label}: {exc}") from None
 
 
-def _collect_table(doc, name, arity3, chart, completed_counter, violations, label):
+def _collect_table(doc, name, chart, violations, label):
     """Parse and antisymmetrize a structure table from document entries."""
     raw = {}
     for (tname, idx), text in doc.entries.items():
         if tname != name:
             continue
         raw[idx] = _parse_entry(text, chart, f"{label}{list(idx)}")
-    if not arity3:
-        return {idx: p for idx, p in raw.items()}, 0
     completed = 0
     table = {}
     for (a, b, c), poly in raw.items():
@@ -166,8 +162,6 @@ class Materialized:
     doc: SpecDocument
     proto: ProtoBialgebroidSpec | None = None
     action: LieAlgebraAction | None = None
-    phi_text: str | None = None
-    omega_text: str | None = None
 
     @property
     def violations(self):
@@ -186,7 +180,7 @@ def materialize(doc: SpecDocument) -> Materialized:
         return Materialized(doc)
     if doc.kind == "brst":
         chart = cotangent_chart(doc.base_names, tuple(f"xi{k+1}" for k in range(doc.rank))).chart
-        lie, _ = _collect_table(doc, "lie", True, chart, 0, doc.violations, "lie")
+        lie, _ = _collect_table(doc, "lie", chart, doc.violations, "lie")
         rho = {}
         for (tname, idx), text in doc.entries.items():
             if tname == "rho":
@@ -201,7 +195,7 @@ def materialize(doc: SpecDocument) -> Materialized:
     for (tname, idx), text in doc.entries.items():
         if tname == "A":
             anchor[idx] = _parse_entry(text, chart, f"A{list(idx)}")
-    structure, comp1 = _collect_table(doc, "C", True, chart, 0, doc.violations, "C")
+    structure, comp1 = _collect_table(doc, "C", chart, doc.violations, "C")
     doc.completed = comp1
     if doc.violations:
         return Materialized(doc)
@@ -213,7 +207,7 @@ def materialize(doc: SpecDocument) -> Materialized:
     for (tname, idx), text in doc.entries.items():
         if tname == "Abar":
             anchor_d[idx] = _parse_entry(text, dchart, f"Abar{list(idx)}")
-    structure_d, comp2 = _collect_table(doc, "Cbar", True, dchart, 0, doc.violations, "Cbar")
+    structure_d, comp2 = _collect_table(doc, "Cbar", dchart, doc.violations, "Cbar")
     doc.completed += comp2
     if doc.violations:
         return Materialized(doc)
@@ -226,6 +220,4 @@ def materialize(doc: SpecDocument) -> Materialized:
     if "psi" in doc.scalars:
         psi = _parse_entry(doc.scalars["psi"], dchart, "psi")
     proto = ProtoBialgebroidSpec(a_side, astar, phi, psi)
-    return Materialized(doc, proto=proto,
-                        phi_text=doc.scalars.get("phi"),
-                        omega_text=doc.scalars.get("omega"))
+    return Materialized(doc, proto=proto)

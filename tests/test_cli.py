@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from bigbracket.cli import main
 
 
@@ -161,3 +163,40 @@ def test_golden_text_reports():
     assert out == GOLDEN_SU2
     _, out, _ = run(["invariants", "--c", "0"])
     assert out == GOLDEN_INVARIANTS
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--c", "1"],
+    ["invariants", "--c", "1/0"],
+    ["shla-check", "--preset", "standard-R1", "--n", "0"],
+    ["cohomology", "--c", "0", "--modes", "-1"],
+    ["cohomology", "--c", "0", "--truncate", "3"],
+    ["verify-algebroid", "--spec", "/nonexistent"],
+])
+def test_bad_input_is_a_usage_error(argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err or "usage:" in err
+    assert "Traceback" not in err
+
+
+def test_missing_spec_file_is_named_as_such():
+    _, _, err = run(["verify-algebroid", "--spec", "/nonexistent"])
+    assert "does not exist" in err
+    assert "unknown preset" not in err
+
+
+def test_necklace_document_with_zero_denominator(tmp_path):
+    doc = tmp_path / "neck.spec"
+    doc.write_text("kind: necklace\nc = 1/0\n")
+    code, out, err = run(["invariants", "--spec", str(doc)])
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_invariants_reports_volume_of_symplectic_member():
+    code, out, _ = run(["invariants", "--c", "3"])
+    assert code == 0
+    assert "symplectic-volume: pass (2*pi*ln(2) = " in out
+    assert "euler-primitive: pass" in out and "affine-family: pass" in out
+    assert "not-exact" not in out and "modular-cocycle" not in out

@@ -7,7 +7,7 @@ from bigbracket.brackets import canonical_bracket
 from bigbracket.linalg import solve
 from bigbracket.necklace import (AssemblyError, CohomologyReport,
                                  RecordedConstants, StructureIdentityError,
-                                 bruhat_w_chart,
+                                 _format_generator, bruhat_w_chart,
                                  build_structures, disk_chart, global_assembly,
                                  mode_cohomology, mode_matrices,
                                  modular_and_volume, poisson_bracket_of,
@@ -120,6 +120,52 @@ def test_mode_zero_cohomology_with_generators():
     assert rep.generators[0] == ("1",)
     assert set(rep.generators[1]) == {"d_theta", "I*d_I"}
     assert rep.generators[2] == ("I*d_I^d_theta",)
+
+
+# Generator text recorded from the per-degree formatters that the single
+# formatter replaced: (coefficient, basis degree m) -> text of the function,
+# the d_I one-field, the d_theta one-field and the two-field.
+_COEFFS = {"1": ONE, "-1/3": GaussianRational(Fraction(-1, 3)),
+           "i": GaussianRational(0, 1), "1+i": GaussianRational(1, 1)}
+_PINNED_GENERATOR_TEXT = {
+    ("1", 0): ("1", "d_I", "d_theta", "d_I^d_theta"),
+    ("1", 1): ("I", "I*d_I", "I*d_theta", "I*d_I^d_theta"),
+    ("1", 2): ("I^2", "I^2*d_I", "I^2*d_theta", "I^2*d_I^d_theta"),
+    ("-1/3", 0): ("(-1/3)", "(-1/3)*d_I", "(-1/3)*d_theta", "(-1/3)*d_I^d_theta"),
+    ("-1/3", 1): ("(-1/3)*I", "(-1/3)*I*d_I", "(-1/3)*I*d_theta", "(-1/3)*I*d_I^d_theta"),
+    ("-1/3", 2): ("(-1/3)*I^2", "(-1/3)*I^2*d_I", "(-1/3)*I^2*d_theta", "(-1/3)*I^2*d_I^d_theta"),
+    ("i", 0): ("(i)", "(i)*d_I", "(i)*d_theta", "(i)*d_I^d_theta"),
+    ("i", 1): ("(i)*I", "(i)*I*d_I", "(i)*I*d_theta", "(i)*I*d_I^d_theta"),
+    ("i", 2): ("(i)*I^2", "(i)*I^2*d_I", "(i)*I^2*d_theta", "(i)*I^2*d_I^d_theta"),
+    ("1+i", 0): ("((1+i))", "((1+i))*d_I", "((1+i))*d_theta", "((1+i))*d_I^d_theta"),
+    ("1+i", 1): ("((1+i))*I", "((1+i))*I*d_I", "((1+i))*I*d_theta", "((1+i))*I*d_I^d_theta"),
+    ("1+i", 2): ("((1+i))*I^2", "((1+i))*I^2*d_I", "((1+i))*I^2*d_theta", "((1+i))*I^2*d_I^d_theta"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_GENERATOR_TEXT))
+def test_generator_text_for_every_coefficient_and_degree(key):
+    name, m = key
+    function, d_i, d_theta, two = _PINNED_GENERATOR_TEXT[key]
+    vec = [ZERO] * 3
+    vec[m] = _COEFFS[name]
+    assert _format_generator(vec, 0) == function
+    assert _format_generator(vec, 2) == two
+    assert _format_generator(vec + [ZERO] * 3, 1) == d_i
+    assert _format_generator([ZERO] * 3 + vec, 1) == d_theta
+
+
+def test_generator_text_of_mixed_vectors():
+    i = GaussianRational(0, 1)
+    third = GaussianRational(Fraction(-1, 3))
+    assert _format_generator([ZERO] * 3, 0) == "0"
+    assert _format_generator([ONE, third, i], 0) == "1 + (-1/3)*I + (i)*I^2"
+    assert _format_generator([ONE, third, i], 2) == (
+        "d_I^d_theta + (-1/3)*I*d_I^d_theta + (i)*I^2*d_I^d_theta")
+    assert _format_generator([ONE, third, i, GaussianRational(1, 1), ZERO, ONE], 1) == (
+        "d_I + (-1/3)*I*d_I + (i)*I^2*d_I + ((1+i))*d_theta + I^2*d_theta")
+    assert _format_generator([ZERO] * 6, 1) == "0"
+    assert _format_generator([ZERO] * 3, 2) == "0"
 
 
 def test_degree_restricted_zero_mode_is_acyclic_above_one():
