@@ -3,14 +3,14 @@
 Even charts carry the bracket {x*_a, x^b} = delta_a^b extended as a
 biderivation; odd charts carry the Gerstenhaber bracket whose sign
 convention is pinned by d_pi = {pi, .} acting on multivector fields as
-[pi, .].  One routine serves both: it splits the first argument into
-parity-homogeneous components and applies the partial-derivative formula,
-with the chart's parity selecting one sign from a table.
+[pi, .].  One routine serves both: a single gradient sweep over the first
+argument feeds the partial-derivative formula, with the chart's parity
+selecting one sign from a table.
 """
 from __future__ import annotations
 
 from .chart import DarbouxChart, ChartError, EVEN, ODD
-from .poly import SuperPolynomial
+from .poly import SuperPolynomial, mono_mul
 
 
 def _require_darboux(p: SuperPolynomial) -> DarbouxChart:
@@ -31,27 +31,38 @@ def canonical_bracket(p: SuperPolynomial, q: SuperPolynomial, chart=None) -> Sup
     Both parities share one sum over Darboux pairs (pos, mom) and the parity
     components f of p: sign1 * df/dmom * dq/dpos + sign2 * df/dpos * dq/dmom,
     where sign2 = -(-1)^{a fp} on either chart and sign1 comes from the table.
+    One sweep over p yields every nonzero df; q is differentiated at most
+    once per conjugate needed, and all products accumulate into one dict.
     """
     if chart is None:
         chart = _require_darboux(p)
     if p.chart is not chart or q.chart is not chart:
         raise ChartError("bracket arguments live on different charts")
-    out = SuperPolynomial.zero(chart)
-    for fp, f in zip((0, 1), p.parity_components()):
-        if f.is_zero():
+    momentum_sign = _MOMENTUM_SIGN[chart.bracket_parity]
+    variables = chart.variables
+    dq_of = {}
+    out = {}
+    for (fp, j), df in p.gradient().items():
+        other, is_momentum = chart.conjugate[j]
+        dq = dq_of.get(other.index)
+        if dq is None:
+            dq = dq_of[other.index] = q.partial(other).terms
+        if not dq:
             continue
-        momentum_sign = _MOMENTUM_SIGN[chart.bracket_parity][fp]
-        for pos, mom in chart.pairs:
-            a = pos.parity
-            df_dm = f.partial(mom)
-            df_dx = f.partial(pos)
-            if not df_dm.is_zero():
-                term = df_dm * q.partial(pos)
-                out = out + (term if momentum_sign[a] > 0 else -term)
-            if not df_dx.is_zero():
-                term = df_dx * q.partial(mom)
-                out = out + (term if (a * fp) % 2 else -term)     # -(-1)^{a*fp}
-    return out
+        if is_momentum:
+            sign = momentum_sign[fp][other.parity]
+        else:
+            sign = 1 if (variables[j].parity * fp) % 2 else -1    # -(-1)^{a*fp}
+        for m1, c1 in df.items():
+            for m2, c2 in dq.items():
+                prod = mono_mul(m1, m2)
+                if prod is None:
+                    continue
+                mono, s = prod
+                c = c1 * c2 if s == sign else -(c1 * c2)
+                acc = out.get(mono)
+                out[mono] = c if acc is None else acc + c
+    return SuperPolynomial(chart, out)     # drops the coefficients that cancelled
 
 
 def hamiltonian_lift(components, chart: DarbouxChart) -> SuperPolynomial:

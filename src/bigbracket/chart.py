@@ -92,6 +92,11 @@ class DarbouxChart(Chart):
         super().__init__(variables)
         self.pairs = tuple(pairs)            # tuples (position, momentum)
         self.bracket_parity = bracket_parity
+        # variable index -> (conjugate variable, whether the indexed one is a momentum)
+        self.conjugate = {}
+        for pos, mom in self.pairs:
+            self.conjugate[pos.index] = (mom, False)
+            self.conjugate[mom.index] = (pos, True)
         seen = set()
         for pos, mom in self.pairs:
             if self.by_name.get(pos.name) is not pos or self.by_name.get(mom.name) is not mom:

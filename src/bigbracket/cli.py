@@ -6,10 +6,10 @@ error.  Output is deterministic; timing is printed to stderr on request.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from . import courant as crt
 from .algebroid import (ProtoBialgebroidSpec, SpecError, brst_theta,
@@ -23,18 +23,33 @@ from .necklace import (AssemblyError, RecordedConstants, StructureIdentityError,
 from .parsing import ParseError, parse_poly
 from .poly import SuperPolynomial
 from .report import Report
-from .specfile import DocumentError, Materialized, load_document, materialize
+from .specfile import (DocumentError, Materialized, load_document, load_preset,
+                       materialize)
 
 USAGE_EXIT = 2
+
+# Options taking a rational that may be negative.  argparse reads a following
+# word such as -1/2 as an option (it only recognises -3 or -0.5 as numbers),
+# so `--c -1/2` is joined into `--c=-1/2` before parsing.
+_RATIONAL_OPTIONS = ("--c", "--cprime")
+_NEGATIVE_WORD = re.compile(r"-[0-9.]")
+
+
+def _join_negative_values(argv):
+    out = []
+    for word in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_WORD.match(word):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
 
 
 def _document(args):
     """The document named by --preset or --spec, or None when neither is given."""
     if args.preset:
-        return load_document(args.preset)
+        return load_preset(args.preset)
     if args.spec:
-        if not Path(args.spec).is_file():
-            raise DocumentError(f"spec file {args.spec!r} does not exist or is not a file")
         return load_document(args.spec)
     return None
 
@@ -345,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return USAGE_EXIT if exc.code else 0
     started = time.perf_counter()

@@ -265,6 +265,31 @@ class SuperPolynomial:
                         break
         return SuperPolynomial(self.chart, out)
 
+    def gradient(self):
+        """Every nonzero left partial, in one pass over the terms.
+
+        Returns {(fp, j): {mono: coeff}}: the left derivative by variable j
+        of the parity-fp component.  Striking one factor of variable j is
+        injective on the monomials that contain it, so no two terms land on
+        the same entry and no coefficient cancels.
+        """
+        out = {}
+        for (evens, odds), coeff in self.terms.items():
+            fp = len(odds) % 2
+            for pos, (j, k) in enumerate(evens):
+                if k > 1:
+                    mono = (evens[:pos] + ((j, k - 1),) + evens[pos + 1:], odds)
+                    c = coeff * k
+                else:
+                    mono = (evens[:pos] + evens[pos + 1:], odds)
+                    c = coeff
+                out.setdefault((fp, j), {})[mono] = c
+            for pos, j in enumerate(odds):
+                # moving the left derivative past `pos` odd factors
+                mono = (evens, odds[:pos] + odds[pos + 1:])
+                out.setdefault((fp, j), {})[mono] = coeff if pos % 2 == 0 else -coeff
+        return out
+
     # -- gradings ----------------------------------------------------------
 
     def gradings(self):

@@ -111,11 +111,12 @@ def load_preset(name: str) -> SpecDocument:
     return parse_document(data)
 
 
-def load_document(path_or_preset: str) -> SpecDocument:
-    p = Path(path_or_preset)
-    if p.exists():
-        return parse_document(p.read_text())
-    return load_preset(path_or_preset)
+def load_document(path: str) -> SpecDocument:
+    """The document in the file at `path`; shipped presets go through load_preset."""
+    p = Path(path)
+    if not p.is_file():
+        raise DocumentError(f"spec file {path!r} does not exist or is not a file")
+    return parse_document(p.read_text())
 
 
 # ---------------------------------------------------------------------------

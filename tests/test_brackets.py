@@ -6,9 +6,12 @@ from hypothesis import given, strategies as st
 
 from bigbracket.brackets import (canonical_bracket, derived_bracket,
                                  hamiltonian_lift, legendre)
-from bigbracket.chart import ChartError, cotangent_chart, darboux_chart, ODD
+from bigbracket.chart import ChartError, cotangent_chart, darboux_chart, plain_chart, ODD
+from bigbracket.courant import standard_proto, twist_exact
+from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
+from bigbracket.specfile import load_preset, materialize
 
 from conftest import random_homogeneous, random_poly
 from oracles import slow_bracket
@@ -125,6 +128,86 @@ def test_leibniz_in_second_argument(seed):
 def test_chart_mismatch_is_an_error():
     with pytest.raises(ChartError):
         canonical_bracket(v("x1"), SuperPolynomial.variable(OC, "s"), CH)
+
+
+# -- the single-sweep kernel on larger inputs ----------------------------------
+
+@given(seeds(), st.sampled_from([CH, OC]))
+def test_bracket_matches_oracle_on_larger_mixed_inputs(seed, chart):
+    rng = random.Random(seed)
+    p = random_poly(chart, rng, max_terms=6)
+    q = random_poly(chart, rng, max_terms=6)
+    assert canonical_bracket(p, q) == slow_bracket(p, q)
+    assert canonical_bracket(q, p) == slow_bracket(q, p)
+
+
+def test_bracket_with_cancelling_gradient_terms():
+    """Products of different gradient entries landing on one monomial.
+
+    The Euler hamiltonian E = x1 xs1 + x2 xs2 scales a monomial by its
+    position degree minus its momentum degree; every pair of E contributes
+    +-f, and the accumulated coefficient drops to zero and comes back.
+    """
+    euler = v("x1") * v("xs1") + v("x2") * v("xs2")
+    balanced = v("x1") * v("xs1") * v("x2") * v("xs2")
+    assert canonical_bracket(euler, balanced).is_zero()
+    assert slow_bracket(euler, balanced).is_zero()
+    lopsided = v("x1") * v("x1") * v("xs1") * v("x2")
+    assert canonical_bracket(euler, lopsided) == lopsided.scale(2)
+    assert canonical_bracket(euler, lopsided) == slow_bracket(euler, lopsided)
+    # odd chart: [E, f] with E = s sigma + t tau, partly cancelling
+    s, t = SuperPolynomial.variable(OC, "s"), SuperPolynomial.variable(OC, "t")
+    sig, tau = SuperPolynomial.variable(OC, "sigma"), SuperPolynomial.variable(OC, "tau")
+    e_odd = s * sig + t * tau
+    for f in (s * t * sig * tau, s * s * sig, t * sig * tau):
+        assert canonical_bracket(e_odd, f) == slow_bracket(e_odd, f)
+
+
+def test_zero_arguments():
+    rng = random.Random(4)
+    for chart in (CH, OC):
+        z = SuperPolynomial.zero(chart)
+        p = random_poly(chart, rng, max_terms=6)
+        one = SuperPolynomial.constant(chart, 1)
+        assert canonical_bracket(z, p).is_zero()
+        assert canonical_bracket(p, z).is_zero()
+        assert canonical_bracket(z, z).is_zero()
+        assert canonical_bracket(one, p).is_zero()
+        assert canonical_bracket(p, one).is_zero()
+
+
+def test_bracket_without_darboux_chart_is_an_error():
+    plain = plain_chart([("y", 0, 0, 0)])
+    y = SuperPolynomial.variable(plain, "y")
+    with pytest.raises(ChartError):
+        canonical_bracket(y, y)
+    with pytest.raises(ChartError):
+        canonical_bracket(v("x1"), SuperPolynomial.variable(OC, "s"))
+
+
+def _preset_theta(name):
+    mat = materialize(load_preset(name))
+    if mat.doc.kind == "exact-courant":
+        phi = parse_poly(mat.doc.scalars["phi"], standard_proto(3).a_side.chart)
+        return twist_exact(phi, dim=3).structure.theta.total
+    return mat.proto.theta().total
+
+
+@pytest.mark.parametrize("name", ["su2-bialgebra", "exact-twist-R3"])
+def test_shipped_thetas_self_commute(name):
+    theta = _preset_theta(name)
+    assert len(theta.terms) > 3
+    assert canonical_bracket(theta, theta).is_zero()
+
+
+def test_broken_theta_keeps_its_anomaly():
+    theta = _preset_theta("su2-bialgebra")
+    chart = theta.chart
+    xi1, xi2, xis1 = (SuperPolynomial.variable(chart, n) for n in ("xi1", "xi2", "xis1"))
+    broken = theta + xi1 * xi2 * xis1
+    anomaly = canonical_bracket(broken, broken)
+    assert not anomaly.is_zero()
+    assert anomaly == slow_bracket(broken, broken)
 
 
 # -- hamiltonian lift ---------------------------------------------------------

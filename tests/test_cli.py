@@ -200,3 +200,50 @@ def test_invariants_reports_volume_of_symplectic_member():
     assert "symplectic-volume: pass (2*pi*ln(2) = " in out
     assert "euler-primitive: pass" in out and "affine-family: pass" in out
     assert "not-exact" not in out and "modular-cocycle" not in out
+
+
+@pytest.mark.parametrize("separate, joined", [
+    (["invariants", "--c", "-1/2"], ["invariants", "--c=-1/2"]),
+    (["invariants", "--c", "-1/2", "--cprime", "-3/4"],
+     ["invariants", "--c=-1/2", "--cprime=-3/4"]),
+    (["invariants", "--c", "1/3", "--cprime", "-0.25"],
+     ["invariants", "--c=1/3", "--cprime=-0.25"]),
+    (["cohomology", "--c", "-1/2", "--modes", "2", "--truncate", "8"],
+     ["cohomology", "--c=-1/2", "--modes", "2", "--truncate", "8"]),
+])
+def test_negative_rational_as_separate_word(separate, joined):
+    code, out, err = run(separate)
+    assert code == 0, err
+    assert (code, out) == run(joined)[:2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--c", "-x"],
+    ["invariants", "--c", "-1/0"],
+    ["invariants", "--c", "0", "--cprime", "-1/0"],
+    ["invariants", "--c"],
+    ["cohomology", "--c", "-", "--modes", "2"],
+])
+def test_malformed_negative_rational_is_a_usage_error(argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err or "usage:" in err
+
+
+def test_preset_ignores_same_named_file_in_working_directory(tmp_path, monkeypatch):
+    (tmp_path / "tangent-R1").write_text("""
+kind: algebroid
+base: x1 x2
+rank: 2
+A[1][1] = 1
+A[2][2] = 1
+C[1][2][1] = 1
+""")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["verify-algebroid", "--preset", "tangent-R1"])
+    assert code == 0
+    assert out.startswith("command: verify-algebroid --preset tangent-R1\n")
+    assert "result: PASS" in out
+    code, out, _ = run(["verify-algebroid", "--spec", "tangent-R1"])
+    assert code == 1 and "check {mu,mu}: fail" in out

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bigbracket.chart import ChartError, cotangent_chart
+from bigbracket.chart import ChartError, cotangent_chart, darboux_chart, ODD
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
 
@@ -13,6 +13,7 @@ from oracles import slow_multiply
 
 CC = cotangent_chart(["x1", "x2"], ["xi1", "xi2"])
 CH = CC.chart
+OC = darboux_chart([("s", 0, "sigma"), ("t", 0, "tau")], ODD)
 
 
 def v(name):
@@ -133,3 +134,32 @@ def test_graded_leibniz_for_partials(p, q, r):
             sign = -1 if (var.parity * pp.parity()) % 2 else 1
             rhs = pp.partial(var) * q + (pp * q.partial(var)).scale(sign)
             assert lhs == rhs
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([CH, OC]))
+def test_gradient_matches_partials(seed, chart):
+    """One sweep yields exactly the partials of each parity component."""
+    rng = random.Random(seed)
+    p = random_poly(chart, rng, max_terms=6)
+    grad = p.gradient()
+    for fp, component in enumerate(p.parity_components()):
+        for var in chart.variables:
+            want = component.partial(var)
+            got = grad.get((fp, var.index), {})
+            assert got == want.terms
+            assert (fp, var.index) not in grad or got
+    assert all(fp in (0, 1) and 0 <= j < len(chart.variables) for fp, j in grad)
+
+
+def test_gradient_of_constants_and_zero():
+    assert SuperPolynomial.zero(CH).gradient() == {}
+    assert SuperPolynomial.constant(CH, 5).gradient() == {}
+
+
+def test_gradient_signs_and_exponents():
+    w = v("x1") * v("x1") * v("xi1") * v("xi2")
+    grad = w.gradient()
+    assert set(grad) == {(0, CH.var(n).index) for n in ("x1", "xi1", "xi2")}
+    assert grad[(0, CH.var("x1").index)] == (v("x1") * v("xi1") * v("xi2")).scale(2).terms
+    assert grad[(0, CH.var("xi1").index)] == (v("x1") * v("x1") * v("xi2")).terms
+    assert grad[(0, CH.var("xi2").index)] == (-(v("x1") * v("x1") * v("xi1"))).terms
