@@ -46,7 +46,7 @@ class AlgebroidSpec:
     fiber_names: tuple
     anchor: tuple          # anchor[a][i] : SuperPolynomial on the big chart
     structure: tuple       # structure[a][b][c]
-    bundle: CotangentOfParityReversed = field(init=False, repr=False)
+    bundle: CotangentOfParityReversed = field(default=None, repr=False)
 
     @staticmethod
     def build(base_names, fiber_names, anchor_entries=None, structure_entries=None,
@@ -65,10 +65,15 @@ class AlgebroidSpec:
         zero = SuperPolynomial.zero(chart)
         A = [[zero for _ in range(n)] for _ in range(r)]
         for (a, i), val in (anchor_entries or {}).items():
+            if not (1 <= a <= r and 1 <= i <= n):
+                raise SpecError(f"anchor entry ({a},{i}) is out of range for rank {r} "
+                                f"over {n} base coordinates")
             A[a - 1][i - 1] = _as_poly(val, chart)
         C = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
         given = {}
         for (a, b, c), val in (structure_entries or {}).items():
+            if not all(1 <= k <= r for k in (a, b, c)):
+                raise SpecError(f"structure entry ({a},{b},{c}) is out of range for rank {r}")
             given[(a - 1, b - 1, c - 1)] = _as_poly(val, chart)
         for (a, b, c), val in given.items():
             if a == b and not val.is_zero():
@@ -83,13 +88,14 @@ class AlgebroidSpec:
             C[b][a][c] = -val if mirror is None else mirror
         spec = AlgebroidSpec(base_names, fiber_names,
                              tuple(tuple(row) for row in A),
-                             tuple(tuple(tuple(col) for col in plane) for plane in C))
-        spec.bundle = bundle
+                             tuple(tuple(tuple(col) for col in plane) for plane in C),
+                             bundle)
         spec.validate()
         return spec
 
     def __post_init__(self):
-        self.bundle = cotangent_chart(self.base_names, self.fiber_names)
+        if self.bundle is None:
+            self.bundle = cotangent_chart(self.base_names, self.fiber_names)
 
     @property
     def chart(self):

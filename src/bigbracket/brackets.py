@@ -38,6 +38,8 @@ def canonical_bracket(p: SuperPolynomial, q: SuperPolynomial, chart=None) -> Sup
         chart = _require_darboux(p)
     if p.chart is not chart or q.chart is not chart:
         raise ChartError("bracket arguments live on different charts")
+    if not p.terms or not q.terms:
+        return SuperPolynomial(chart)
     momentum_sign = _MOMENTUM_SIGN[chart.bracket_parity]
     variables = chart.variables
     dq_of = {}
@@ -117,12 +119,14 @@ def legendre(p: SuperPolynomial, source: DarbouxChart, target: DarbouxChart) -> 
 
 
 def derived_bracket(theta: SuperPolynomial, a: SuperPolynomial, b: SuperPolynomial,
-                    chart=None) -> SuperPolynomial:
+                    chart=None, theta_bracket=None) -> SuperPolynomial:
     """Derived product a o b = (-1)^{a~+1} {{theta, a}, b}.
 
     For odd arguments (in particular every total-degree-1 function) this is
     {{theta,a},b}, the form entering the Courant bracket.  The self-commuting
     of theta is not required here; callers probe anomalies on purpose.
+    `theta_bracket(p)` must return {theta, p}; a caller that keeps those
+    brackets passes its lookup, otherwise each one is computed here.
     """
     if chart is None:
         chart = _require_darboux(theta)
@@ -130,6 +134,8 @@ def derived_bracket(theta: SuperPolynomial, a: SuperPolynomial, b: SuperPolynomi
     for ap, a_part in zip((0, 1), a.parity_components()):
         if a_part.is_zero():
             continue
-        term = canonical_bracket(canonical_bracket(theta, a_part, chart), b, chart)
+        inner = (canonical_bracket(theta, a_part, chart) if theta_bracket is None
+                 else theta_bracket(a_part))
+        term = canonical_bracket(inner, b, chart)
         out = out + (term if ap == 1 else -term)
     return out

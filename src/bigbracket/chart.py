@@ -161,27 +161,21 @@ class CotangentOfParityReversed:
     base_names: tuple
     fiber_names: tuple
     chart: DarbouxChart = field(init=False)
+    # the chart variables of each block, looked up once
+    base: tuple = field(init=False, repr=False, compare=False)
+    base_momenta: tuple = field(init=False, repr=False, compare=False)
+    fiber: tuple = field(init=False, repr=False, compare=False)
+    fiber_momenta: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = [(x, EVEN, momentum_name(x)) for x in self.base_names]
         pairs += [(f, ODD, momentum_name(f)) for f in self.fiber_names]
-        object.__setattr__(self, "chart", darboux_chart(pairs, EVEN))
-
-    @property
-    def base(self):
-        return [self.chart.var(x) for x in self.base_names]
-
-    @property
-    def base_momenta(self):
-        return [self.chart.var(momentum_name(x)) for x in self.base_names]
-
-    @property
-    def fiber(self):
-        return [self.chart.var(f) for f in self.fiber_names]
-
-    @property
-    def fiber_momenta(self):
-        return [self.chart.var(momentum_name(f)) for f in self.fiber_names]
+        chart = darboux_chart(pairs, EVEN)
+        self.chart = chart
+        self.base = tuple(chart.var(x) for x in self.base_names)
+        self.base_momenta = tuple(chart.var(momentum_name(x)) for x in self.base_names)
+        self.fiber = tuple(chart.var(f) for f in self.fiber_names)
+        self.fiber_momenta = tuple(chart.var(momentum_name(f)) for f in self.fiber_names)
 
 
 def cotangent_chart(base_names, fiber_names) -> CotangentOfParityReversed:

@@ -30,15 +30,20 @@ USAGE_EXIT = 2
 
 # Options taking a rational that may be negative.  argparse reads a following
 # word such as -1/2 as an option (it only recognises -3 or -0.5 as numbers),
-# so `--c -1/2` is joined into `--c=-1/2` before parsing.
-_RATIONAL_OPTIONS = ("--c", "--cprime")
+# so `--c -1/2` is joined into `--c=-1/2` before parsing.  A word names one of
+# them when argparse would resolve it so: `--c` exactly, or a prefix of
+# `--cprime` longer than `--c` (no other option starts with `--cp`).
 _NEGATIVE_WORD = re.compile(r"-[0-9.]")
+
+
+def _names_rational_option(word) -> bool:
+    return word == "--c" or (len(word) > len("--c") and "--cprime".startswith(word))
 
 
 def _join_negative_values(argv):
     out = []
     for word in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_WORD.match(word):
+        if out and _names_rational_option(out[-1]) and _NEGATIVE_WORD.match(word):
             out[-1] = f"{out[-1]}={word}"
         else:
             out.append(word)

@@ -95,7 +95,7 @@ def mono_sort_key(mono):
 class SuperPolynomial:
     """Exact sparse polynomial attached to a chart; zero coefficients never stored."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_hash")
 
     def __init__(self, chart: Chart, terms=None):
         self.chart = chart
@@ -398,7 +398,12 @@ class SuperPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.chart), frozenset(self.terms.items())))
+        # terms never change after construction, so the hash is kept
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((id(self.chart), frozenset(self.terms.items())))
+            return self._hash
 
     def __str__(self):
         from .printing import format_poly

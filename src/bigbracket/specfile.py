@@ -70,6 +70,8 @@ def parse_document(text: str) -> SpecDocument:
                 base = tuple(value.split())
             elif key in _INT_KEYS:
                 rank = int(value)
+                if rank < 0:
+                    raise DocumentError(f"line {lineno}: {key} must not be negative")
             elif key == "name":
                 scalars["name"] = value
             else:
@@ -88,10 +90,11 @@ def parse_document(text: str) -> SpecDocument:
             idx = []
             rest = idx_text
             while rest:
-                if not rest.startswith("["):
+                close = rest.find("]")
+                number = rest[1:close].strip() if close > 0 and rest[0] == "[" else ""
+                if not number.isdigit():
                     raise DocumentError(f"line {lineno}: malformed index in {lhs!r}")
-                close = rest.index("]")
-                idx.append(int(rest[1:close]))
+                idx.append(int(number))
                 rest = rest[close + 1:]
             if len(idx) != _TABLE_ARITY[name]:
                 raise DocumentError(

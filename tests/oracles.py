@@ -3,11 +3,16 @@
 Multiplication sorts explicit symbol sequences with a bubble sort counting
 odd transpositions; the brackets are defined by the generator table plus the
 graded Leibniz recursion, never touching the partial-derivative formulas of
-the package.
+the package.  The section oracles rebuild every product from the bracket
+kernel with no memo: nothing is kept between calls.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
+from bigbracket.brackets import canonical_bracket, derived_bracket
 from bigbracket.chart import DarbouxChart, EVEN, ODD
+from bigbracket.courant import CourantSection
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
 
@@ -130,3 +135,35 @@ def slow_bracket(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
                 acc = acc + term
             out = out + acc.scale(c1 * c2)
     return out
+
+
+def slow_section(structure, poly: SuperPolynomial) -> CourantSection:
+    """The section embedding as `poly`, decomposed afresh by partials."""
+    bundle = structure.bundle
+    vec, cov = {}, {}
+    for a, (xi, xis) in enumerate(zip(bundle.fiber, bundle.fiber_momenta)):
+        vcomp, ccomp = poly.partial(xis), poly.partial(xi)
+        if not vcomp.is_zero():
+            vec[a + 1] = vcomp
+        if not ccomp.is_zero():
+            cov[a + 1] = ccomp
+    section = CourantSection(structure, vec, cov)
+    assert section.embedded == poly, "not the embedding of a section"
+    return section
+
+
+def slow_circ(e1: CourantSection, e2: CourantSection) -> CourantSection:
+    s = e1.structure
+    return slow_section(s, derived_bracket(s.theta.total, e1.embedded, e2.embedded))
+
+
+def slow_skew(e1: CourantSection, e2: CourantSection) -> CourantSection:
+    diff = slow_circ(e1, e2).embedded - slow_circ(e2, e1).embedded
+    return slow_section(e1.structure, diff.scale(GaussianRational(Fraction(1, 2))))
+
+
+def slow_t_tensor(e1, e2, e3) -> SuperPolynomial:
+    total = (canonical_bracket(slow_skew(e1, e2).embedded, e3.embedded)
+             + canonical_bracket(slow_skew(e2, e3).embedded, e1.embedded)
+             + canonical_bracket(slow_skew(e3, e1).embedded, e2.embedded))
+    return total.scale(GaussianRational(Fraction(1, 6)))

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -210,6 +211,10 @@ def test_invariants_reports_volume_of_symplectic_member():
      ["invariants", "--c=1/3", "--cprime=-0.25"]),
     (["cohomology", "--c", "-1/2", "--modes", "2", "--truncate", "8"],
      ["cohomology", "--c=-1/2", "--modes", "2", "--truncate", "8"]),
+    (["invariants", "--c", "0", "--cp", "-3/4"], ["invariants", "--c", "0", "--cprime=-3/4"]),
+    (["invariants", "--c", "0", "--cpr", "-3/4"], ["invariants", "--c", "0", "--cprime=-3/4"]),
+    (["invariants", "--cprim", "-1/3", "--c", "-1/5"],
+     ["invariants", "--cprime=-1/3", "--c=-1/5"]),
 ])
 def test_negative_rational_as_separate_word(separate, joined):
     code, out, err = run(separate)
@@ -247,3 +252,114 @@ C[1][2][1] = 1
     assert "result: PASS" in out
     code, out, _ = run(["verify-algebroid", "--spec", "tangent-R1"])
     assert code == 1 and "check {mu,mu}: fail" in out
+
+
+@pytest.mark.parametrize("entry", ["A[1][2] = x1", "A[0][1] = 1", "A[3][1] = 1",
+                                   "C[1][2][3] = 1", "C[0][1][1] = 1"])
+def test_out_of_range_table_index_is_a_usage_error(tmp_path, entry):
+    doc = tmp_path / "doc.spec"
+    doc.write_text(f"kind: algebroid\nbase: x1\nrank: 2\n{entry}\n")
+    code, out, err = run(["verify-algebroid", "--spec", str(doc)])
+    assert (code, out) == (2, "")
+    assert "error:" in err and "out of range" in err
+
+
+# -- no argv ends in a traceback -------------------------------------------------
+
+_FUZZ_DOCUMENTS = {
+    "plane.spec": "kind: bialgebroid\nbase: x1 x2\nrank: 2\nA[1][1] = 1\nA[2][2] = x1\n",
+    "probe.spec": "kind: exact-courant\nbase: x1 x2\nrank: 2\nphi = x1*xi1*xi2\n",
+    "line.spec": "kind: exact-courant\nbase: x1\nrank: 1\n",
+    "brst.spec": "kind: brst\nbase: x y\nrank: 1\nrho[1][1] = -y\nrho[1][2] = x\n",
+    "neck.spec": "kind: necklace\nc = 1/3\n",
+    "anchor-range.spec": "kind: algebroid\nbase: x1\nrank: 2\nA[1][2] = x1\n",
+    "anchor-zero.spec": "kind: algebroid\nbase: x1\nrank: 1\nA[0][1] = 1\n",
+    "structure-range.spec": "kind: bialgebroid\nbase: x1\nrank: 2\nC[1][2][3] = 1\n",
+    "rho-range.spec": "kind: brst\nbase: x\nrank: 1\nrho[2][1] = x\n",
+    "bad-index.spec": "kind: algebroid\nbase: x1\nrank: 1\nA[1][x] = 1\n",
+    "open-index.spec": "kind: algebroid\nbase: x1\nrank: 1\nA[1][1 = 1\n",
+    "bad-rank.spec": "kind: algebroid\nbase: x1\nrank: two\n",
+    "negative-rank.spec": "kind: algebroid\nbase: x1\nrank: -1\n",
+    "bad-poly.spec": "kind: algebroid\nbase: x1\nrank: 1\nA[1][1] = x1 +\n",
+    "foreign-variable.spec": "kind: algebroid\nbase: x1\nrank: 1\nA[1][1] = y\n",
+    "bad-phi.spec": "kind: exact-courant\nbase: x1 x2\nrank: 2\nphi = x1\n",
+    "bad-c.spec": "kind: necklace\nc = 1/0\n",
+    "no-kind.spec": "base: x1\nrank: 1\n",
+    "empty.spec": "",
+}
+
+# option -> (well-formed values, malformed values)
+_FUZZ_VALUES = {
+    "--preset": (["standard-R1", "tangent-R1", "tangent-R2", "su2-bialgebra",
+                  "brst-so2-on-R2"], ["nope", "", "-1"]),
+    "--format": (["text", "json"], ["xml", ""]),
+    "--section": (["xis1", "xis1 + x1*xi1", "xi1", "i*xis2", "xis1 - xi2"],
+                  ["xi1*xi2", "x1", "xis1 +", "(", "", "1/0*xis1", "xis9"]),
+    "--n": (["1", "2"], ["0", "-1", "x", "1.5", ""]),
+    "--omega": (["x1*xi1*xi2", "xi1*xi2"], ["x1", "+", ""]),
+    "--c": (["0", "1/3", "-1/2", "3", "-5/4"], ["1", "-1", "1/0", "x", "", "-", "--c"]),
+    "--cprime": (["1/2", "-3/4", "0"], ["1", "x", "1/0"]),
+    "--modes": (["0", "1"], ["-1", "x"]),
+    "--truncate": (["4", "5"], ["3", "0", "-2", "x"]),
+}
+
+
+def _fuzz_value(rng, option):
+    good, bad = _FUZZ_VALUES[option]
+    return rng.choice(good if rng.random() < 0.75 else bad)
+
+
+# each subcommand's own options besides --preset, --spec, --format and --timing
+_FUZZ_OWN_OPTIONS = {
+    "verify-algebroid": (), "verify-bialgebroid": (), "verify-proto": (), "double": (),
+    "courant-verify": (), "dirac-check": ("--section",), "shla-check": ("--n",),
+    "twist": ("--omega",), "cohomology": ("--c", "--modes", "--truncate"),
+    "invariants": ("--c", "--cprime", "--truncate"),
+}
+_FUZZ_STRAYS = ("--bogus", "-h", "--", "x", "--spec", "--section", "--c")
+# options that make a sweep grow; the seeded values keep it small
+_FUZZ_BOUNDED = {"shla-check": ("--n",), "cohomology": ("--modes", "--truncate")}
+# options a run of the subcommand usually needs
+_FUZZ_USUAL = {"dirac-check": "--section", "cohomology": "--c", "invariants": "--c"}
+
+
+def _fuzz_argv(rng, specs):
+    command = rng.choice(list(_FUZZ_OWN_OPTIONS)) if rng.random() > 0.05 else "bogus"
+    argv = [command]
+    source = rng.random()
+    if source < 0.45:
+        argv += ["--preset", _fuzz_value(rng, "--preset")]
+    elif source < 0.9:
+        argv += ["--spec", rng.choice(specs)]
+    for option in _FUZZ_BOUNDED.get(command, ()):
+        argv += [option, _fuzz_value(rng, option)]
+    if command in _FUZZ_USUAL and rng.random() < 0.8:
+        argv += [_FUZZ_USUAL[command], _fuzz_value(rng, _FUZZ_USUAL[command])]
+    own = _FUZZ_OWN_OPTIONS.get(command, ()) + ("--format", "--timing")
+    for _ in range(rng.randint(0, 3)):
+        option = rng.choice(own) if rng.random() < 0.85 else rng.choice(_FUZZ_STRAYS)
+        if option in ("--n", "--modes", "--truncate") and command in _FUZZ_BOUNDED:
+            continue
+        argv += [option] if option not in _FUZZ_VALUES else [option, _fuzz_value(rng, option)]
+    if rng.random() < 0.1:
+        del argv[rng.randrange(len(argv))]
+    return argv
+
+
+def test_no_argv_raises(tmp_path):
+    """Seeded argv lists from the real subcommands, options and malformed values."""
+    specs = [str(tmp_path / "missing.spec"), str(tmp_path)]
+    for name, text in _FUZZ_DOCUMENTS.items():
+        (tmp_path / name).write_text(text)
+        specs.append(str(tmp_path / name))
+    rng = random.Random(7)
+    codes = []
+    for _ in range(400):
+        argv = _fuzz_argv(rng, specs)
+        try:
+            code = run(argv)[0]
+        except Exception as exc:     # name the argv that escaped the exit-code contract
+            raise AssertionError(f"{argv} raised {type(exc).__name__}: {exc}") from exc
+        assert code in (0, 1, 2), (argv, code)
+        codes.append(code)
+    assert {0, 1, 2} <= set(codes)

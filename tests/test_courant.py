@@ -1,21 +1,23 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from bigbracket.algebroid import SpecError
+from bigbracket.algebroid import SpecError, ThetaHamiltonian
 from bigbracket.brackets import canonical_bracket
 from bigbracket.cartan import base_field, de_rham, interior, lie_derivative
 from bigbracket.chart import pi_tangent_chart
-from bigbracket.courant import (CourantSection, anchor_apply, basis_sections,
-                                check_dirac, circ, d_operator, de_rham_on_fibers,
-                                generator_family, is_exact_difference, jacobiator,
-                                k_expression, pairing, skew_bracket,
-                                standard_structure, structure_from_proto,
-                                t_tensor, twist_exact, verify_axioms)
+from bigbracket.courant import (CourantSection, CourantStructure, anchor_apply,
+                                basis_sections, check_dirac, circ, d_operator,
+                                de_rham_on_fibers, generator_family, is_exact_difference,
+                                jacobiator, k_expression, pairing, skew_bracket,
+                                standard_structure, structure_from_proto, t_tensor,
+                                twist_exact, verify_axioms)
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
 
+from oracles import slow_circ, slow_skew, slow_t_tensor
 from test_algebroid import poisson_r2, su2_bialgebra
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -412,3 +414,74 @@ def test_ternary_map_is_totally_antisymmetric():
         assert t_tensor(e2, e1, e3) == -base
         assert t_tensor(e1, e3, e2) == -base
         assert t_tensor(e2, e3, e1) == base
+
+
+# -- the per-structure memo, against products rebuilt with no memo ---------------
+
+@pytest.mark.parametrize("proto", [su2_bialgebra, poisson_r2], ids=["su2-bialgebra", "poisson-R2"])
+def test_memoized_products_match_oracle(proto):
+    structure = structure_from_proto(proto())
+    fam = generator_family(structure)
+    for _ in range(2):      # the second sweep reads every product from the memo
+        for e1 in fam:
+            for e2 in fam:
+                assert circ(e1, e2).embedded == slow_circ(e1, e2).embedded
+                assert skew_bracket(e1, e2).embedded == slow_skew(e1, e2).embedded
+    nonzero = False
+    for e1, e2, e3 in product(fam, repeat=3):
+        expected = slow_t_tensor(e1, e2, e3)
+        assert t_tensor(e1, e2, e3) == expected
+        nonzero = nonzero or not expected.is_zero()
+    assert nonzero
+
+
+def test_structures_on_one_chart_keep_separate_memos():
+    theta = su2_bialgebra().theta()
+    zero = SuperPolynomial.zero(theta.chart)
+    full = CourantStructure(theta)
+    lie = CourantStructure(ThetaHamiltonian(theta.bundle, theta.mu, zero, zero, zero))
+    assert full.chart is lie.chart and full._memo is not lie._memo
+    polys = [e.embedded for e in basis_sections(full)]
+    differ = False
+    for a in polys:
+        for b in polys:
+            # same embeddings, one product per structure, in either order of first use
+            pf = circ(CourantSection.from_embedded(full, a), CourantSection.from_embedded(full, b))
+            pl = circ(CourantSection.from_embedded(lie, a), CourantSection.from_embedded(lie, b))
+            assert pf.structure is full and pl.structure is lie
+            assert pf.embedded == slow_circ(CourantSection.from_embedded(full, a),
+                                            CourantSection.from_embedded(full, b)).embedded
+            assert pl.embedded == slow_circ(CourantSection.from_embedded(lie, a),
+                                            CourantSection.from_embedded(lie, b)).embedded
+            differ = differ or pf.embedded != pl.embedded
+    assert differ
+    for name in ("brackets", "products", "sections"):
+        kept_full = {id(v) for v in getattr(full._memo, name).values()}
+        kept_lie = {id(v) for v in getattr(lie._memo, name).values()}
+        assert not kept_full & kept_lie, name
+    assert all(s.structure is full for s in full._memo.sections.values())
+    assert all(s.structure is lie for s in lie._memo.sections.values())
+
+
+@pytest.mark.parametrize("text", ["x1", "xi1*xi2", "xis1 + x1"])
+def test_non_section_polynomial_raises_every_time(text):
+    structure = standard_structure(2)
+    poly = parse_poly(text, structure.chart)
+    for _ in range(3):
+        with pytest.raises(SpecError):
+            CourantSection.from_embedded(structure, poly)
+    assert poly not in structure._memo.sections
+    good = parse_poly("xis1 + x1*xi2", structure.chart)
+    first = CourantSection.from_embedded(structure, good)
+    assert CourantSection.from_embedded(structure, good) is first
+    assert list(structure._memo.sections) == [good]
+
+
+def test_products_landing_on_a_basis_element_return_it():
+    structure = structure_from_proto(su2_bialgebra())
+    basis = basis_sections(structure)
+    assert basis_sections(structure) == basis
+    assert all(a is b for a, b in zip(basis_sections(structure), basis))
+    # [e1, e2] = e3 in su(2): the memo hands back the basis section itself
+    assert skew_bracket(basis[0], basis[1]) is basis[2]
+    assert CourantSection.from_embedded(structure, basis[2].embedded) is basis[2]

@@ -163,3 +163,14 @@ def test_gradient_signs_and_exponents():
     assert grad[(0, CH.var("x1").index)] == (v("x1") * v("xi1") * v("xi2")).scale(2).terms
     assert grad[(0, CH.var("xi1").index)] == (v("x1") * v("x1") * v("xi2")).terms
     assert grad[(0, CH.var("xi2").index)] == (-(v("x1") * v("x1") * v("xi1"))).terms
+
+
+def test_equal_polynomials_hash_alike_and_keep_their_hash():
+    half = GaussianRational(Fraction(1, 2))
+    p = (v("x1") * v("xi1")).scale(half) + v("xis2")
+    q = v("xis2") + v("xi1").scale(half) * v("x1") + v("x2") - v("x2")
+    assert p == q and p is not q
+    assert hash(p) == hash(q) == hash(p)
+    table = {p: "kept"}
+    assert table[q] == "kept"
+    assert hash(SuperPolynomial.zero(CH)) == hash(v("x1") - v("x1"))

@@ -76,6 +76,20 @@ def test_malformed_header():
         parse_document("rank: 2")          # missing kind
 
 
+@pytest.mark.parametrize("text, message", [
+    ("kind: algebroid\nbase: x1\nrank: -1\n", "must not be negative"),
+    ("kind: algebroid\nbase: x1\nrank: 1\nA[1][1 = 1\n", "malformed index"),
+    ("kind: algebroid\nbase: x1\nrank: 1\nA[1][12 = 1\n", "malformed index"),
+    ("kind: algebroid\nbase: x1\nrank: 1\nA[1][x] = 1\n", "malformed index"),
+    ("kind: algebroid\nbase: x1\nrank: 1\nA[1][-1] = 1\n", "malformed index"),
+    ("kind: algebroid\nbase: x1\nrank: 1\nA[1]1] = 1\n", "malformed index"),
+])
+def test_malformed_rank_and_index(text, message):
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert message in str(err.value)
+
+
 def test_malformed_polynomial_positions():
     doc = parse_document("""
 kind: algebroid
