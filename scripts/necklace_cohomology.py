@@ -3,34 +3,60 @@
 assemble the global answer; prints one table row per mode.
 
 Usage: python scripts/necklace_cohomology.py [c] [modes] [truncation]
+
+Exit status 0; a bad argument or a member outside the computation (|c| = 1)
+prints an `error:` line to stderr, nothing to stdout, and exits 2, like the
+CLI.
 """
 import sys
 from fractions import Fraction
 
-from bigbracket.necklace import global_assembly, mode_cohomology
+from bigbracket.cli import USAGE_EXIT
+from bigbracket.necklace import (AssemblyError, TruncationInstability,
+                                 global_assembly, mode_cohomology)
 
 
-def main():
-    c = Fraction(sys.argv[1]) if len(sys.argv) > 1 else Fraction(0)
-    modes = int(sys.argv[2]) if len(sys.argv) > 2 else 5
-    truncate = int(sys.argv[3]) if len(sys.argv) > 3 else 12
-    print(f"family parameter c = {c}, truncation N = {truncate}")
+def table(c, modes, truncate):
+    lines = [f"family parameter c = {c}, truncation N = {truncate}"]
     local = None
     if abs(c) < 1:
-        print(f"{'mode':>6} {'dims':>12}  generators")
+        lines.append(f"{'mode':>6} {'dims':>12}  generators")
         for n in range(modes + 1):
             rep = mode_cohomology(c, n, truncate)
             if n == 0:
                 local = rep
             gens = "; ".join(", ".join(g) for g in rep.generators if g)
-            print(f"{n:>6} {str(rep.dims):>12}  {gens}")
+            lines.append(f"{n:>6} {str(rep.dims):>12}  {gens}")
     result = global_assembly(c, local)
-    print(f"global dims: {result.dims}")
+    lines.append(f"global dims: {result.dims}")
     gens = "; ".join(", ".join(g) for g in result.generators if g)
-    print(f"global generators: {gens}")
+    lines.append(f"global generators: {gens}")
     for key, value in result.provenance.items():
-        print(f"  provenance[{key}] = {value}")
+        lines.append(f"  provenance[{key}] = {value}")
+    return lines
+
+
+def _argument(argv, k, kind, what, default):
+    if len(argv) <= k:
+        return default
+    try:
+        return kind(argv[k])
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"argument {k + 1} must be {what}, got {argv[k]!r}") from None
+
+
+def main(argv):
+    try:
+        c = _argument(argv, 0, Fraction, "a rational number", Fraction(0))
+        modes = _argument(argv, 1, int, "an integer", 5)
+        truncate = _argument(argv, 2, int, "an integer", 12)
+        lines = table(c, modes, truncate)
+    except (ValueError, AssemblyError, TruncationInstability) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

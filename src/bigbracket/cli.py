@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--c", help="rational family parameter (or use a necklace document)")
     p.add_argument("--cprime", default="1/2")
-    p.add_argument("--truncate", type=int, default=12)
+    p.add_argument("--truncate", type=_at_least(3), default=12)
     p.set_defaults(fn=cmd_invariants)
     return parser
 

@@ -2,7 +2,10 @@
 rational-function fields of a polynomial base.
 
 Sizes here are tiny (mode complexes and section spans), so plain fraction
-arithmetic with full pivoting is both adequate and auditable.
+arithmetic is both adequate and auditable.  The one elimination, `_rref`,
+takes the first nonzero entry of each column as its pivot (no magnitude
+search: arithmetic is exact) and skips zero entries when it scales the pivot
+row and when it clears a column, since the matrices here are mostly zeros.
 """
 from __future__ import annotations
 
@@ -28,11 +31,11 @@ def _rref(rows, ncols):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c]:
                 f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+                rows[k] = [a - f * b if b else a for a, b in zip(rows[k], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -87,6 +90,16 @@ def in_span(vectors, target) -> bool:
     return solve([list(row) for row in cols], list(target)) is not None
 
 
+def independent(vectors):
+    """Indices of the vectors a greedy basis keeps, in order.
+
+    Vector j is kept when it is not in the span of vectors 0..j-1, which is
+    exactly when j is a pivot column of the matrix whose columns are the
+    vectors; one elimination decides every j.
+    """
+    return _rref([list(row) for row in zip(*vectors)], len(vectors))
+
+
 def intersect_with_coordinate_subspace(matrix_cols, keep):
     """Basis of the image vectors whose components outside `keep` vanish.
 
@@ -105,20 +118,15 @@ def intersect_with_coordinate_subspace(matrix_cols, keep):
                 for i in range(len(matrix_cols))]
     out = []
     for coeffs in kern:
+        terms = [(c, col) for c, col in zip(coeffs, matrix_cols) if c]
         vec = []
         for r in range(nrows):
             acc = ZERO
-            for c, col in zip(coeffs, matrix_cols):
-                if c:
-                    acc = acc + c * col[r]
+            for c, col in terms:
+                acc = acc + c * col[r]
             vec.append(acc)
         out.append(vec)
-    # prune dependent vectors
-    basis = []
-    for v in out:
-        if not in_span(basis, v):
-            basis.append(v)
-    return basis
+    return [out[j] for j in independent(out)]
 
 
 # ---------------------------------------------------------------------------

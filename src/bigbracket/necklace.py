@@ -16,7 +16,7 @@ from fractions import Fraction
 from .brackets import canonical_bracket
 from .cartan import VectorField
 from .chart import darboux_chart, ODD
-from .linalg import in_span, intersect_with_coordinate_subspace, nullspace, solve
+from .linalg import in_span, independent, intersect_with_coordinate_subspace, nullspace
 from .poly import SuperPolynomial, poly_sum
 from .rationals import GaussianRational, ONE, ZERO
 
@@ -187,14 +187,13 @@ def _format_generator(vec, degree):
 
 
 def _quotient_generators(cocycles, boundaries):
-    """Representatives of cocycles modulo boundaries, greedily in basis order."""
-    reps = []
-    span = [list(b) for b in boundaries]
-    for z in cocycles:
-        if not in_span(span, z):
-            reps.append(z)
-            span.append(list(z))
-    return reps
+    """Representatives of cocycles modulo boundaries, greedily in basis order.
+
+    A cocycle is kept when it is outside the span of the boundaries and the
+    cocycles before it: a pivot column of boundaries followed by cocycles.
+    """
+    skip = len(boundaries)
+    return [cocycles[j - skip] for j in independent(boundaries + cocycles) if j >= skip]
 
 
 class TruncationInstability(RuntimeError):
@@ -424,11 +423,11 @@ def structure_identities(c, c_prime=Fraction(1, 2), N: int = 12):
     # pi_c in action-angle form is the degree-1 two-field
     target2 = [ZERO] * size
     target2[1] = ONE
-    results["pi_c-not-exact"] = solve([list(r) for r in comp.d1], target2) is None
+    results["pi_c-not-exact"] = not in_span(list(zip(*comp.d1)), target2)
     # the rotation field is the constant eta one-field
     target1 = [ZERO] * (2 * size)
     target1[size] = ONE
-    results["modular-not-exact"] = solve([list(r) for r in comp.d0], target1) is None
+    results["modular-not-exact"] = not in_span(list(zip(*comp.d0)), target1)
     results["modular-cocycle"] = all(
         not x for x in _apply_matrix(comp.d1, target1))
     return results

@@ -4,7 +4,8 @@ Multiplication sorts explicit symbol sequences with a bubble sort counting
 odd transpositions; the brackets are defined by the generator table plus the
 graded Leibniz recursion, never touching the partial-derivative formulas of
 the package.  The section oracles rebuild every product from the bracket
-kernel with no memo: nothing is kept between calls.
+kernel with no memo: nothing is kept between calls.  The span oracles grow a
+basis one `in_span` decision at a time, each a fresh elimination.
 """
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ from fractions import Fraction
 from bigbracket.brackets import canonical_bracket, derived_bracket
 from bigbracket.chart import DarbouxChart, EVEN, ODD
 from bigbracket.courant import CourantSection
+from bigbracket.linalg import in_span, nullspace
 from bigbracket.poly import SuperPolynomial
-from bigbracket.rationals import GaussianRational
+from bigbracket.rationals import GaussianRational, ONE, ZERO
 
 
 def mono_symbols(chart, mono):
@@ -167,3 +169,54 @@ def slow_t_tensor(e1, e2, e3) -> SuperPolynomial:
              + canonical_bracket(slow_skew(e2, e3).embedded, e1.embedded)
              + canonical_bracket(slow_skew(e3, e1).embedded, e2.embedded))
     return total.scale(GaussianRational(Fraction(1, 6)))
+
+
+def slow_independent(vectors):
+    """Indices of the vectors a greedy basis keeps, one span test per vector."""
+    kept = []
+    basis = []
+    for j, v in enumerate(vectors):
+        if not in_span(basis, v):
+            basis.append(v)
+            kept.append(j)
+    return kept
+
+
+def slow_intersect_with_coordinate_subspace(matrix_cols, keep):
+    """The image vectors vanishing outside `keep`, pruned greedily."""
+    if not matrix_cols:
+        return []
+    nrows = len(matrix_cols[0])
+    drop = [r for r in range(nrows) if r not in keep]
+    if drop:
+        sub = [[col[r] for col in matrix_cols] for r in drop]
+        kern = nullspace(sub, len(matrix_cols))
+    else:
+        kern = [[ONE if i == j else ZERO for j in range(len(matrix_cols))]
+                for i in range(len(matrix_cols))]
+    out = []
+    for coeffs in kern:
+        vec = []
+        for r in range(nrows):
+            acc = ZERO
+            for c, col in zip(coeffs, matrix_cols):
+                if c:
+                    acc = acc + c * col[r]
+            vec.append(acc)
+        out.append(vec)
+    basis = []
+    for v in out:
+        if not in_span(basis, v):
+            basis.append(v)
+    return basis
+
+
+def slow_quotient_generators(cocycles, boundaries):
+    """Cocycles outside the span of the boundaries and the cocycles kept so far."""
+    reps = []
+    span = [list(b) for b in boundaries]
+    for z in cocycles:
+        if not in_span(span, z):
+            reps.append(z)
+            span.append(list(z))
+    return reps

@@ -172,6 +172,8 @@ def test_golden_text_reports():
     ["shla-check", "--preset", "standard-R1", "--n", "0"],
     ["cohomology", "--c", "0", "--modes", "-1"],
     ["cohomology", "--c", "0", "--truncate", "3"],
+    ["invariants", "--c", "2", "--truncate", "-1"],
+    ["invariants", "--c", "1/2", "--truncate", "-1"],
     ["verify-algebroid", "--spec", "/nonexistent"],
 ])
 def test_bad_input_is_a_usage_error(argv):
@@ -180,6 +182,15 @@ def test_bad_input_is_a_usage_error(argv):
     assert out == ""
     assert "error:" in err or "usage:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("c", ["2", "1/2"])
+def test_invariants_truncation_bound_is_that_of_the_mode_model(c):
+    # |c| > 1 never builds a mode matrix, so only the parser can reject it
+    _, _, err = run(["invariants", "--c", c, "--truncate", "2"])
+    assert "usage:" in err and "must be at least 3" in err
+    code, _, err = run(["invariants", "--c", c, "--truncate", "3"])
+    assert code == 0, err
 
 
 def test_missing_spec_file_is_named_as_such():

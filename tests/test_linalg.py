@@ -4,10 +4,15 @@ from fractions import Fraction
 import pytest
 
 from bigbracket.chart import cotangent_chart
-from bigbracket.linalg import PolyFrac, solve, solve_over_fractions
+from bigbracket.linalg import (PolyFrac, independent, intersect_with_coordinate_subspace,
+                               nullspace, rank, solve, solve_over_fractions)
+from bigbracket.necklace import _quotient_generators, mode_matrices
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
-from bigbracket.rationals import GaussianRational
+from bigbracket.rationals import GaussianRational, ZERO
+
+from oracles import (slow_independent, slow_intersect_with_coordinate_subspace,
+                     slow_quotient_generators)
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +74,153 @@ def test_solve_over_fractions_rejects_inconsistent_system(chart):
     assert solve_over_fractions([[p("x1")], [p("x1")]], [p("1"), p("x2")]) is None
     assert solve_over_fractions([[p("x1"), p("x2")], [p("2*x1"), p("2*x2")]],
                                 [p("1"), p("3")]) is None
+
+
+# ---------------------------------------------------------------------------
+# greedy span choices from one elimination, against one span test per vector
+# ---------------------------------------------------------------------------
+
+
+def _scalar(rng, zero_share=0.5):
+    """A sparse Q(i) entry: zero with `zero_share`, otherwise nonreal about a third of the time."""
+    if rng.random() < zero_share:
+        return ZERO
+    im = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.35 else 0
+    return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), im)
+
+
+def _combination(rng, vectors, length):
+    out = [ZERO] * length
+    for v in rng.sample(vectors, rng.randint(1, len(vectors))):
+        a = _scalar(rng, zero_share=0.0)
+        out = [x + a * y for x, y in zip(out, v)]
+    return out
+
+
+def _family(rng, length, count):
+    """Vectors with planted dependencies, zero vectors and duplicates.
+
+    Returns the vectors and the indices that lie in the span of the vectors
+    before them by construction.
+    """
+    vectors, planted = [], set()
+    for j in range(count):
+        kind = rng.random()
+        if vectors and kind < 0.25:
+            vectors.append(_combination(rng, vectors, length))
+            planted.add(j)
+        elif vectors and kind < 0.35:
+            vectors.append(list(rng.choice(vectors)))
+            planted.add(j)
+        elif kind < 0.45:
+            vectors.append([ZERO] * length)
+            planted.add(j)
+        else:
+            vectors.append([_scalar(rng) for _ in range(length)])
+    return vectors, planted
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_independent_matches_greedy_span_loop(seed):
+    rng = random.Random(1000 + seed)
+    vectors, planted = _family(rng, rng.randint(1, 7), rng.randint(1, 9))
+    kept = independent(vectors)
+    assert kept == slow_independent(vectors)
+    assert not planted & set(kept)
+    assert len(kept) == rank(vectors)
+
+
+def test_independent_on_empty_and_degenerate_input():
+    i = GaussianRational(0, 1)
+    one = GaussianRational(1)
+    assert independent([]) == slow_independent([]) == []
+    assert independent([[], []]) == slow_independent([[], []]) == []
+    assert independent([[ZERO, ZERO]]) == []
+    assert independent([[one, i], [i, -one], [one, ZERO]]) == [0, 2]   # second is i * first
+    assert independent([[ZERO], [i], [one]]) == [1]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_intersect_with_coordinate_subspace_matches_greedy_prune(seed):
+    rng = random.Random(2000 + seed)
+    nrows = rng.randint(1, 7)
+    cols, _ = _family(rng, nrows, rng.randint(1, 7))
+    keep = {r for r in range(nrows) if rng.random() < 0.6}
+    assert (intersect_with_coordinate_subspace(cols, keep)
+            == slow_intersect_with_coordinate_subspace(cols, keep))
+
+
+@pytest.mark.parametrize("c, n, N", [(0, 0, 4), (Fraction(1, 3), 0, 7), (Fraction(-1, 2), 2, 6),
+                                     (Fraction(3, 4), 5, 5)])
+def test_intersect_on_mode_matrices_matches_greedy_prune(c, n, N):
+    comp = mode_matrices(c, n, N)
+    size, M = N + 1, N - 1
+    cols0 = [[comp.d0[r][m] for r in range(2 * size)] for m in range(size)]
+    keep1 = set(range(M + 1)) | {size + m for m in range(M + 1)}
+    cols1 = [[comp.d1[r][k] for r in range(size)] for k in range(2 * size)]
+    for cols, keep in ((cols0, keep1), (cols1, set(range(M + 1)))):
+        assert (intersect_with_coordinate_subspace(cols, keep)
+                == slow_intersect_with_coordinate_subspace(cols, keep))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_quotient_generators_match_greedy_loop(seed):
+    rng = random.Random(3000 + seed)
+    length = rng.randint(1, 7)
+    boundaries, _ = _family(rng, length, rng.randint(0, 5))
+    cocycles = []
+    for _ in range(rng.randint(0, 6)):
+        pool = boundaries + cocycles
+        if pool and rng.random() < 0.3:     # a boundary plus earlier cocycles: never kept
+            cocycles.append(_combination(rng, pool, length))
+        else:
+            cocycles.append([_scalar(rng) for _ in range(length)])
+    reps = _quotient_generators(boundaries=boundaries, cocycles=cocycles)
+    assert reps == slow_quotient_generators(cocycles, boundaries)
+    assert all(any(r is z for z in cocycles) for r in reps)
+
+
+# ---------------------------------------------------------------------------
+# agreement with sympy on sparse Q(i) matrices
+# ---------------------------------------------------------------------------
+
+
+def _sympy_scalar(sympy, x):
+    return (sympy.Rational(x.re.numerator, x.re.denominator)
+            + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator))
+
+
+def _sparse_matrix(rng):
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    matrix = [[_scalar(rng, zero_share=0.6) for _ in range(n)] for _ in range(m)]
+    if m > 2 and rng.random() < 0.5:        # a planted dependent row
+        a = _scalar(rng, zero_share=0.0)
+        matrix[-1] = [x + a * y for x, y in zip(matrix[0], matrix[1])]
+    return matrix
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_nullspace_and_solve_agree_with_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4000 + seed)
+    matrix = _sparse_matrix(rng)
+    rhs = [_scalar(rng, zero_share=0.6) for _ in matrix]
+    n = len(matrix[0])
+    exact = dict(iszerofunc=lambda e: sympy.expand(e) == 0, simplify=True)
+    theirs = sympy.Matrix([[_sympy_scalar(sympy, x) for x in row] for row in matrix])
+    b = sympy.Matrix([_sympy_scalar(sympy, x) for x in rhs])
+
+    assert rank(matrix) == theirs.rank(**exact)
+
+    kernel = [sympy.Matrix([_sympy_scalar(sympy, x) for x in v]) for v in nullspace(matrix, n)]
+    expected = theirs.nullspace(**exact)
+    assert len(kernel) == len(expected)
+    for ours, their in zip(kernel, expected):
+        assert (ours - their).applyfunc(sympy.expand) == sympy.zeros(n, 1)
+
+    x = solve(matrix, rhs)
+    consistent = theirs.row_join(b).rank(**exact) == theirs.rank(**exact)
+    assert (x is not None) == consistent
+    if x is not None:
+        residual = theirs * sympy.Matrix([_sympy_scalar(sympy, v) for v in x]) - b
+        assert residual.applyfunc(sympy.expand) == sympy.zeros(len(matrix), 1)

@@ -1,9 +1,12 @@
+import io
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from bigbracket.brackets import canonical_bracket
+from bigbracket.cli import main
 from bigbracket.linalg import solve
 from bigbracket.necklace import (AssemblyError, CohomologyReport,
                                  RecordedConstants, StructureIdentityError,
@@ -166,6 +169,57 @@ def test_generator_text_of_mixed_vectors():
         "d_I + (-1/3)*I*d_I + (i)*I^2*d_I + ((1+i))*d_theta + I^2*d_theta")
     assert _format_generator([ZERO] * 6, 1) == "0"
     assert _format_generator([ZERO] * 3, 2) == "0"
+
+
+# stdout of two mode sweeps away from c = 0, recorded literally: the generator
+# text depends on which vectors each span decision keeps
+_PINNED_COHOMOLOGY = {
+    ("--c", "1/3", "--modes", "8", "--truncate", "16"): (
+        "command: cohomology --c 1/3 --modes 8 --truncate 16\n"
+        "check mode-0: pass (dims (1, 2, 1) generators [1; I*d_I, d_theta; I*d_I^d_theta])\n"
+        "check mode-1: pass (dims (0, 0, 0))\n"
+        "check mode-2: pass (dims (0, 0, 0))\n"
+        "check mode-3: pass (dims (0, 0, 0))\n"
+        "check mode-4: pass (dims (0, 0, 0))\n"
+        "check mode-5: pass (dims (0, 0, 0))\n"
+        "check mode-6: pass (dims (0, 0, 0))\n"
+        "check mode-7: pass (dims (0, 0, 0))\n"
+        "check mode-8: pass (dims (0, 0, 0))\n"
+        "check global: pass (dims (1, 1, 2) generators [1; Delta_omega; pi_c, pi])\n"
+        "check provenance-status: pass (assembled)\n"
+        "check provenance-local-annulus: pass (computed)\n"
+        "check provenance-disks: recorded (recorded-constant (2, 0, 0))\n"
+        "check provenance-annuli-overlap: recorded (recorded-constant (2, 2, 0))\n"
+        "check provenance-restriction-rank: recorded (recorded-constant 1 (dilation class survives, rotation class glues))\n"
+        "check provenance-flat-comparison: recorded (flat complex acyclic (recorded analytic input))\n"
+        "check provenance-generator-identification: recorded (recorded-constant)\n"
+        "result: PASS (12 pass, 0 fail, 5 recorded)\n"
+    ),
+    ("--c", "-1/2", "--modes", "3", "--truncate", "5"): (
+        "command: cohomology --c -1/2 --modes 3 --truncate 5\n"
+        "check mode-0: pass (dims (1, 2, 1) generators [1; I*d_I, d_theta; I*d_I^d_theta])\n"
+        "check mode-1: pass (dims (0, 0, 0))\n"
+        "check mode-2: pass (dims (0, 0, 0))\n"
+        "check mode-3: pass (dims (0, 0, 0))\n"
+        "check global: pass (dims (1, 1, 2) generators [1; Delta_omega; pi_c, pi])\n"
+        "check provenance-status: pass (assembled)\n"
+        "check provenance-local-annulus: pass (computed)\n"
+        "check provenance-disks: recorded (recorded-constant (2, 0, 0))\n"
+        "check provenance-annuli-overlap: recorded (recorded-constant (2, 2, 0))\n"
+        "check provenance-restriction-rank: recorded (recorded-constant 1 (dilation class survives, rotation class glues))\n"
+        "check provenance-flat-comparison: recorded (flat complex acyclic (recorded analytic input))\n"
+        "check provenance-generator-identification: recorded (recorded-constant)\n"
+        "result: PASS (7 pass, 0 fail, 5 recorded)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(_PINNED_COHOMOLOGY))
+def test_mode_sweep_output_is_pinned(args):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["cohomology", *args]) == 0
+    assert out.getvalue() == _PINNED_COHOMOLOGY[args]
 
 
 def test_degree_restricted_zero_mode_is_acyclic_above_one():
