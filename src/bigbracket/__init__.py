@@ -1,20 +1,22 @@
 """Exact engine for graded symplectic structure data: canonical brackets on
 Darboux supercharts, anchored-bundle hamiltonians and their doubles, derived
 Courant products with their full identity suite, and the sphere-family
-Poisson cohomology computed by finite exact linear algebra."""
+Poisson cohomology computed by finite exact linear algebra.
 
-from .chart import (Chart, DarbouxChart, GradedVariable, cotangent_chart,
-                    darboux_chart, odd_cotangent_chart, pi_tangent_chart)
+A Courant structure is a cubic hamiltonian theta and its bracket the derived
+bracket {{theta, a}, b}; the package holds what the command-line gates built
+on these two constructions use.  Independent routes to the same objects (the
+Cartan calculus, Schouten brackets and hamiltonian lifts) are test oracles."""
+
+from .chart import Chart, DarbouxChart, GradedVariable, cotangent_chart, darboux_chart
 from .poly import SuperPolynomial
 from .rationals import GaussianRational
 from .parsing import parse_poly
-from .brackets import canonical_bracket, derived_bracket, hamiltonian_lift, legendre
-from .cartan import VectorField, de_rham, interior, lie_derivative
+from .brackets import canonical_bracket, derived_bracket, legendre
+from .cartan import VectorField
 
 __all__ = [
     "Chart", "DarbouxChart", "GradedVariable", "SuperPolynomial",
     "GaussianRational", "parse_poly", "canonical_bracket", "derived_bracket",
-    "hamiltonian_lift", "legendre", "VectorField", "de_rham", "interior",
-    "lie_derivative", "cotangent_chart", "darboux_chart",
-    "odd_cotangent_chart", "pi_tangent_chart",
+    "legendre", "VectorField", "cotangent_chart", "darboux_chart",
 ]

@@ -6,18 +6,17 @@ functions C^c_ab(x).  It generates the cubic hamiltonian
     mu = xi^a A^i_a(x) xs_i - 1/2 C^c_ab(x) xi^a xi^b xis_c
 
 on the cotangent bundle of the parity-reversed total space, and the whole
-calculus (structure equations, doubles, Schouten brackets, BRST and Weil
-differentials) happens through the canonical bracket with such hamiltonians.
+calculus (structure equations, doubles, BRST and Weil differentials) happens
+through the canonical bracket with such hamiltonians.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .brackets import canonical_bracket, derived_bracket, legendre
+from .brackets import canonical_bracket, legendre
 from .cartan import VectorField
-from .chart import (ChartError, CotangentOfParityReversed, cotangent_chart,
-                    plain_chart, EVEN, ODD)
+from .chart import CotangentOfParityReversed, cotangent_chart, ODD
 from .poly import SuperPolynomial, poly_sum
 from .rationals import GaussianRational
 
@@ -169,40 +168,6 @@ def build_gamma_star(dual_spec: AlgebroidSpec, target_bundle: CotangentOfParityR
     """
     gamma = build_mu(dual_spec)
     return legendre(gamma, dual_spec.chart, target_bundle.chart)
-
-
-def cartan_differential(spec: AlgebroidSpec):
-    """The degree-1 vector field on Pi A determined by the same data.
-
-    d = xi^a A^i_a d/dx^i - 1/2 C^c_ab xi^a xi^b d/dxi^c.  Squaring it is an
-    independent route to the structure equations.
-    """
-    names = []
-    for x in spec.base_names:
-        names.append((x, EVEN, 0, 0))
-    for f in spec.fiber_names:
-        names.append((f, ODD, 0, 1))
-    chart = plain_chart(names)
-    xi = [SuperPolynomial.variable(chart, f) for f in spec.fiber_names]
-    base_map = {name: SuperPolynomial.variable(chart, name) for name in spec.base_names}
-    comps = {}
-    half = GaussianRational(Fraction(1, 2))
-    for i, x in enumerate(spec.base_names):
-        acc = SuperPolynomial.zero(chart)
-        for a in range(spec.rank):
-            entry = spec.anchor[a][i]
-            if not entry.is_zero():
-                acc = acc + xi[a] * entry.substitute(chart, base_map)
-        comps[x] = acc
-    for c, f in enumerate(spec.fiber_names):
-        acc = SuperPolynomial.zero(chart)
-        for a in range(spec.rank):
-            for b in range(spec.rank):
-                entry = spec.structure[a][b][c]
-                if not entry.is_zero():
-                    acc = acc - (entry.substitute(chart, base_map) * xi[a] * xi[b]).scale(half)
-        comps[f] = acc
-    return VectorField(chart, comps, ODD)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +366,7 @@ def swap_proto(proto: ProtoBialgebroidSpec) -> ProtoBialgebroidSpec:
 
 
 # ---------------------------------------------------------------------------
-# doubles, Schouten bracket, presets
+# doubles and Lie algebra actions
 # ---------------------------------------------------------------------------
 
 
@@ -415,21 +380,6 @@ def double_differential(theta: ThetaHamiltonian):
     field = VectorField(chart, comps, ODD)
     anomaly = canonical_bracket(total, total)
     return field, anomaly
-
-
-def schouten_bracket(xi: SuperPolynomial, eta: SuperPolynomial,
-                     gamma_star: SuperPolynomial) -> SuperPolynomial:
-    """Generalized Schouten bracket on fiberwise polynomials of Pi A.
-
-    [xi, eta] = (-1)^{xi~+1} {{gamma*, xi}, eta}, restricted to arguments in
-    the coordinate subalgebra (no momenta).
-    """
-    chart = gamma_star.chart
-    positions = set(chart.positions)
-    for arg in (xi, eta):
-        if not arg.uses_only(positions):
-            raise ChartError("Schouten bracket arguments may not involve momenta")
-    return derived_bracket(gamma_star, xi, eta, chart)
 
 
 @dataclass

@@ -67,29 +67,6 @@ def canonical_bracket(p: SuperPolynomial, q: SuperPolynomial, chart=None) -> Sup
     return SuperPolynomial(chart, out)     # drops the coefficients that cancelled
 
 
-def hamiltonian_lift(components, chart: DarbouxChart) -> SuperPolynomial:
-    """Fibrewise-linear hamiltonian h_v = v^a(x) x*_a of a vector field on the base.
-
-    `components` maps position variables (or names) to coefficient
-    polynomials in the positions only.  Only even charts admit the lift.
-    """
-    if chart.bracket_parity != EVEN:
-        raise ChartError("hamiltonian lift requires an even chart")
-    positions = set(chart.positions)
-    mom_of = {pos: mom for pos, mom in chart.pairs}
-    h = SuperPolynomial.zero(chart)
-    for key, comp in components.items():
-        pos = chart.var(key) if isinstance(key, str) else key
-        if pos not in positions:
-            raise ChartError(f"{pos.name!r} is not a position variable")
-        if not isinstance(comp, SuperPolynomial):
-            comp = SuperPolynomial.constant(chart, comp)
-        if not comp.uses_only(positions):
-            raise ChartError("vector field components must depend on positions only")
-        h = h + comp * SuperPolynomial.variable(chart, mom_of[pos].name)
-    return h
-
-
 def legendre(p: SuperPolynomial, source: DarbouxChart, target: DarbouxChart) -> SuperPolynomial:
     """Chart isomorphism swapping odd fiber coordinates with dual momenta.
 

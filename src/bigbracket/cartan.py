@@ -1,14 +1,14 @@
-"""Vector fields as explicit component maps, plus the Cartan operators on Pi TM.
+"""Vector fields as explicit component maps.
 
 A vector field stores the coefficient polynomial of each coordinate
 derivation; applying it to a function is an operation, and the
-supercommutator of two fields is again a component map.  On a Pi T chart
-(base coordinates paired with odd velocities) we get the de Rham vector
-field, interior derivatives and Lie derivatives.
+supercommutator of two fields is again a component map.  The double's
+differential {theta, .}, the anchors of a BRST action and the modular field
+of the sphere family are such fields.
 """
 from __future__ import annotations
 
-from .chart import Chart, ChartError, TangentPiChart, EVEN, ODD
+from .chart import Chart, ChartError, EVEN
 from .poly import SuperPolynomial
 
 
@@ -60,27 +60,6 @@ class VectorField:
             out = out + coeff * p.partial(var)
         return out
 
-    __call__ = apply
-
-    def __add__(self, other):
-        if self.chart is not other.chart:
-            raise ChartError("vector fields on different charts")
-        comps = {v: p for v, p in self.components.items()}
-        for v, p in other.components.items():
-            comps[v] = comps.get(v, SuperPolynomial.zero(self.chart)) + p
-        return VectorField(self.chart, comps)
-
-    def __neg__(self):
-        return VectorField(self.chart, {v: -p for v, p in self.components.items()},
-                           self.parity)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        return VectorField(self.chart, {v: p.scale(s) for v, p in self.components.items()},
-                           self.parity)
-
     def commutator(self, other: "VectorField") -> "VectorField":
         """[X, Y] = X Y - (-1)^{X~ Y~} Y X, computed on chart generators."""
         if self.chart is not other.chart:
@@ -91,8 +70,7 @@ class VectorField:
             lead = self.apply(other.component(var))
             trail = other.apply(self.component(var))
             comps[var] = lead - trail if sign > 0 else lead + trail
-        par = (self.parity + other.parity) % 2
-        return VectorField(self.chart, comps, par if any(not c.is_zero() for c in comps.values()) else par)
+        return VectorField(self.chart, comps, (self.parity + other.parity) % 2)
 
     def __eq__(self, other):
         if not isinstance(other, VectorField):
@@ -106,65 +84,3 @@ class VectorField:
         body = " + ".join(f"({p})*d/d{v.name}" for v, p in sorted(
             self.components.items(), key=lambda kv: kv[0].index))
         return f"<field {body or '0'}>"
-
-
-# ---------------------------------------------------------------------------
-# Cartan calculus on a Pi T chart
-# ---------------------------------------------------------------------------
-
-
-def _require_pit(chart) -> TangentPiChart:
-    if not isinstance(chart, TangentPiChart):
-        raise ChartError("Cartan operators need a Pi T chart with a pairing table")
-    return chart
-
-
-def de_rham(chart: TangentPiChart) -> VectorField:
-    """d = xi^A d/dx^A; homological of degree 1."""
-    _require_pit(chart)
-    comps = {x: SuperPolynomial.variable(chart, v.name) for x, v in chart.pairing}
-    return VectorField(chart, comps, ODD)
-
-
-def interior(components, chart: TangentPiChart) -> VectorField:
-    """i_X = (-1)^{X~} X^A d/dxi^A for X given by base components."""
-    _require_pit(chart)
-    base_vars = set(chart.base)
-    vel_of = {x: v for x, v in chart.pairing}
-    comps = {}
-    parities = set()
-    for key, poly in components.items():
-        var = chart.var(key) if isinstance(key, str) else key
-        if var not in base_vars:
-            raise ChartError(f"{var.name!r} is not a base coordinate")
-        if not isinstance(poly, SuperPolynomial):
-            poly = SuperPolynomial.constant(chart, poly)
-        if not poly.uses_only(base_vars):
-            raise ChartError("interior derivative needs base-only components")
-        if not poly.is_zero():
-            pp = poly.parity()
-            if pp is None:
-                raise ChartError("components must be parity-homogeneous")
-            parities.add((pp + var.parity) % 2)
-            comps[vel_of[var]] = poly
-    if len(parities) > 1:
-        raise ChartError("vector field mixes parities")
-    xpar = parities.pop() if parities else EVEN
-    if xpar == ODD:
-        comps = {v: -p for v, p in comps.items()}
-    return VectorField(chart, comps, (xpar + 1) % 2)
-
-
-def lie_derivative(components, chart: TangentPiChart) -> VectorField:
-    """L_X = [d, i_X]."""
-    return de_rham(chart).commutator(interior(components, chart))
-
-
-def base_field(components, chart: TangentPiChart) -> VectorField:
-    """The field X^A d/dx^A itself, acting on functions of the base."""
-    _require_pit(chart)
-    comps = {}
-    for key, poly in components.items():
-        var = chart.var(key) if isinstance(key, str) else key
-        comps[var] = poly
-    return VectorField(chart, comps)

@@ -21,10 +21,6 @@ class GradedVariable:
     delta: int           # (base-momentum, fiber-coordinate) degree
     index: int           # declaration index, fixes the canonical odd order
 
-    @property
-    def kappa(self) -> int:
-        return self.eps + self.delta
-
     def __repr__(self):
         return f"<{self.name}>"
 
@@ -56,27 +52,8 @@ class Chart:
     def __contains__(self, name: str) -> bool:
         return name in self.by_name
 
-    def __len__(self):
-        return len(self.variables)
-
-    def __iter__(self):
-        return iter(self.variables)
-
-    def names(self):
-        return [v.name for v in self.variables]
-
     def __repr__(self):
-        return f"Chart({', '.join(self.names())})"
-
-
-def _build_vars(specs):
-    # specs: iterable of (name, parity, eps, delta)
-    return [GradedVariable(n, p, e, d, i) for i, (n, p, e, d) in enumerate(specs)]
-
-
-def plain_chart(specs) -> Chart:
-    """Chart from (name, parity, eps, delta) tuples."""
-    return Chart(_build_vars(specs))
+        return f"Chart({', '.join(v.name for v in self.variables)})"
 
 
 class DarbouxChart(Chart):
@@ -109,14 +86,6 @@ class DarbouxChart(Chart):
         if len(seen) != len(self.variables):
             raise ChartError("every chart variable must appear in exactly one pair")
 
-    @property
-    def positions(self):
-        return [p for p, _ in self.pairs]
-
-    @property
-    def momenta(self):
-        return [m for _, m in self.pairs]
-
 
 def darboux_chart(pair_specs, bracket_parity=EVEN) -> DarbouxChart:
     """Build a Darboux chart from (pos_name, pos_parity, mom_name) triples.
@@ -136,7 +105,7 @@ def darboux_chart(pair_specs, bracket_parity=EVEN) -> DarbouxChart:
         mom_parity = pos_parity if bracket_parity == EVEN else 1 - pos_parity
         mom_delta = 1 if (bracket_parity == EVEN and pos_parity == EVEN) else 0
         specs.append((mom_name, mom_parity, 1, mom_delta))
-    variables = _build_vars(specs)
+    variables = [GradedVariable(n, p, e, d, i) for i, (n, p, e, d) in enumerate(specs)]
     pair_idx = [(variables[k], variables[n + k]) for k in range(n)]
     return DarbouxChart(variables, pair_idx, bracket_parity)
 
@@ -180,50 +149,3 @@ class CotangentOfParityReversed:
 
 def cotangent_chart(base_names, fiber_names) -> CotangentOfParityReversed:
     return CotangentOfParityReversed(tuple(base_names), tuple(fiber_names))
-
-
-def odd_cotangent_chart(base_names, momentum_names=None) -> DarbouxChart:
-    """Odd symplectic chart of Pi T*M over an even coordinate base.
-
-    Functions on it are the multivector fields of the base; the canonical
-    odd bracket is the Schouten bracket.
-    """
-    base_names = list(base_names)
-    if momentum_names is None:
-        momentum_names = ["d" + x for x in base_names]
-    pairs = [(x, EVEN, th) for x, th in zip(base_names, momentum_names)]
-    return darboux_chart(pairs, ODD)
-
-
-class TangentPiChart(Chart):
-    """Chart of Pi TM: base coordinates paired with odd velocities dx^A.
-
-    Not symplectic; the pairing table is what the Cartan operators use.
-    Velocities are identified by the declared table, never by name munging.
-    """
-
-    def __init__(self, base_specs, velocity_names):
-        specs = []
-        for (name, parity), vel in zip(base_specs, velocity_names):
-            specs.append((name, parity, 0, 0))
-            specs.append((vel, 1 - parity, 0, 1))
-        super().__init__(_build_vars(specs))
-        self.pairing = tuple(
-            (self.variables[2 * k], self.variables[2 * k + 1])
-            for k in range(len(base_specs))
-        )
-
-    @property
-    def base(self):
-        return [b for b, _ in self.pairing]
-
-    @property
-    def velocities(self):
-        return [v for _, v in self.pairing]
-
-
-def pi_tangent_chart(base_names, velocity_names=None) -> TangentPiChart:
-    base_names = list(base_names)
-    if velocity_names is None:
-        velocity_names = ["d" + x for x in base_names]
-    return TangentPiChart([(x, EVEN) for x in base_names], velocity_names)

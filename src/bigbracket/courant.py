@@ -21,7 +21,6 @@ from .poly import SuperPolynomial, poly_sum
 from .rationals import GaussianRational
 
 HALF = GaussianRational(Fraction(1, 2))
-QUARTER = GaussianRational(Fraction(1, 4))
 SIXTH = GaussianRational(Fraction(1, 6))
 
 
@@ -94,10 +93,6 @@ class CourantStructure:
     def rank(self):
         return len(self.bundle.fiber_names)
 
-    def anomaly(self) -> SuperPolynomial:
-        t = self._memo.theta
-        return canonical_bracket(t, t)
-
 
 def structure_from_proto(proto: ProtoBialgebroidSpec) -> CourantStructure:
     return CourantStructure(proto.theta())
@@ -109,11 +104,6 @@ def standard_proto(n: int) -> ProtoBialgebroidSpec:
     fibers = tuple(f"xi{k+1}" for k in range(n))
     a = AlgebroidSpec.build(base, fibers, {(k + 1, k + 1): 1 for k in range(n)}, {})
     return ProtoBialgebroidSpec.build(a)
-
-
-def standard_structure(n: int) -> CourantStructure:
-    """Tangent bundle of R^n doubled against the zero dual structure."""
-    return structure_from_proto(standard_proto(n))
 
 
 class CourantSection:
@@ -183,18 +173,6 @@ class CourantSection:
         cov = {a: f * p for a, p in self.covector.items()}
         return CourantSection(self.structure, vec, cov)
 
-    def __add__(self, other):
-        vec = dict(self.vector)
-        for a, p in other.vector.items():
-            vec[a] = vec.get(a, SuperPolynomial.zero(self.structure.chart)) + p
-        cov = dict(self.covector)
-        for a, p in other.covector.items():
-            cov[a] = cov.get(a, SuperPolynomial.zero(self.structure.chart)) + p
-        return CourantSection(self.structure, vec, cov)
-
-    def __sub__(self, other):
-        return self + other.scaled_by(-1)
-
     def __eq__(self, other):
         if not isinstance(other, CourantSection):
             return NotImplemented
@@ -248,11 +226,6 @@ def d_operator(structure: CourantStructure, f: SuperPolynomial) -> CourantSectio
     return CourantSection.from_embedded(structure, structure._memo.theta_bracket(f))
 
 
-def anchor_apply(e: CourantSection, f: SuperPolynomial) -> SuperPolynomial:
-    """rho(e) f = <e, D f>."""
-    return canonical_bracket(e.embedded, e.structure._memo.theta_bracket(f))
-
-
 def skew_bracket(e1, e2) -> CourantSection:
     skews = e1.structure._memo.skews
     key = (e1.embedded, e2.embedded)
@@ -275,14 +248,6 @@ def t_tensor(e1, e2, e3) -> SuperPolynomial:
              + pairing(skew_bracket(e2, e3), e1)
              + pairing(skew_bracket(e3, e1), e2))
     return total.scale(SIXTH)
-
-
-def k_expression(e1, e2, e3) -> CourantSection:
-    """K = (e1 o e2) o e3 + e2 o (e1 o e3) - e1 o (e2 o e3)."""
-    k = (circ(circ(e1, e2), e3).embedded
-         + circ(e2, circ(e1, e3)).embedded
-         - circ(e1, circ(e2, e3)).embedded)
-    return CourantSection.from_embedded(e1.structure, k)
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +345,20 @@ SECTION, FUNCTION, CONSTANT = 0, 1, 2
 @dataclass
 class GradedElement:
     degree: int
-    value: object        # CourantSection, SuperPolynomial, or GaussianRational
-    label: str = ""
+    value: object        # CourantSection in degree SECTION, else SuperPolynomial
 
 
-def graded_section(e: CourantSection, label="e") -> GradedElement:
-    return GradedElement(SECTION, e, label)
+def graded_section(e: CourantSection) -> GradedElement:
+    return GradedElement(SECTION, e)
 
 
-def graded_function(f: SuperPolynomial, label="f") -> GradedElement:
-    return GradedElement(FUNCTION, f, label)
+def graded_function(f: SuperPolynomial) -> GradedElement:
+    return GradedElement(FUNCTION, f)
 
 
-def graded_constant(structure: CourantStructure, c, label="c") -> GradedElement:
+def graded_constant(structure: CourantStructure, c) -> GradedElement:
     return GradedElement(CONSTANT, SuperPolynomial.constant(structure.chart,
-                                                            GaussianRational.coerce(c)), label)
+                                                            GaussianRational.coerce(c)))
 
 
 class ShlaMaps:
@@ -402,12 +366,6 @@ class ShlaMaps:
 
     def __init__(self, structure: CourantStructure):
         self.structure = structure
-        self.chart = structure.chart
-
-    def _zero_of_degree(self, degree) -> GradedElement:
-        if degree == SECTION:
-            return graded_section(CourantSection(self.structure), "0")
-        return GradedElement(degree, SuperPolynomial.zero(self.chart), "0")
 
     def l1(self, x: GradedElement) -> GradedElement | None:
         if x.degree == SECTION:
@@ -434,17 +392,11 @@ class ShlaMaps:
         return None
 
     def apply(self, i, args):
-        if i == 1:
-            return self.l1(args[0])
-        if i == 2:
-            return self.l2(args[0], args[1])
-        if i == 3:
-            return self.l3(args[0], args[1], args[2])
-        return None
+        """l_i on a list of i elements, for i in 1, 2, 3."""
+        return (self.l1, self.l2, self.l3)[i - 1](*args)
 
 
-def _unshuffles(indices, i):
-    n = len(indices)
+def _unshuffles(n, i):
     for chosen in combinations(range(n), i):
         rest = tuple(k for k in range(n) if k not in chosen)
         yield chosen + rest
@@ -477,57 +429,35 @@ def _koszul_sign(perm, degrees) -> int:
     return sign
 
 
-def shla_identity(structure: CourantStructure, n: int, args) -> GradedElement:
+def shla_identity(structure: CourantStructure, n: int, args) -> SuperPolynomial:
     """Value of the n-th generalized Jacobi identity on the given elements.
 
     sum over i + j = n + 1 of (-1)^{i(j-1)} sum over (i, n-i)-unshuffles of
     sgn * koszul * l_j(l_i(front), back); zero in every degree when the maps
-    form a homotopy Lie algebra.
+    form a homotopy Lie algebra.  The outputs are sections (by their
+    embeddings, of total degree 1) and base functions (of total degree 0), so
+    their one sum is zero exactly when every degree is.
     """
     maps = ShlaMaps(structure)
     degrees = [a.degree for a in args]
-    acc: dict[int, GradedElement] = {}
-
-    def add(elem: GradedElement, sign: int):
-        if elem is None:
-            return
-        cur = acc.get(elem.degree)
-        if cur is None:
-            cur = maps._zero_of_degree(elem.degree)
-        if elem.degree == SECTION:
-            emb = cur.value.embedded + (elem.value.embedded if sign > 0 else -elem.value.embedded)
-            acc[elem.degree] = graded_section(
-                CourantSection.from_embedded(structure, emb))
-        else:
-            val = cur.value + (elem.value if sign > 0 else -elem.value)
-            acc[elem.degree] = GradedElement(elem.degree, val)
+    terms = []
     for i in range(1, n + 1):
         j = n + 1 - i
-        if j < 1 or i > 3 or j > 3:
+        if i > 3 or j > 3:
             continue
         outer_sign = -1 if (i * (j - 1)) % 2 else 1
-        for perm in _unshuffles(list(range(n)), i):
-            sgn = _perm_sign(perm) * _koszul_sign(perm, degrees)
-            front = [args[perm[k]] for k in range(i)]
-            inner = maps.apply(i, front)
+        for perm in _unshuffles(n, i):
+            inner = maps.apply(i, [args[perm[k]] for k in range(i)])
             if inner is None:
                 continue
-            back = [args[perm[k]] for k in range(i, n)]
             # the inner element lands in the first slot of l_j, already leftmost
-            outer = maps.apply(j, [inner] + back)
+            outer = maps.apply(j, [inner] + [args[perm[k]] for k in range(i, n)])
             if outer is None:
                 continue
-            add(outer, outer_sign * sgn)
-    # merge all degrees into a single report element: nonzero iff any part is
-    parts = []
-    for deg in sorted(acc):
-        val = acc[deg]
-        if deg == SECTION:
-            parts.append(val.value.embedded)
-        else:
-            parts.append(val.value)
-    total = poly_sum(structure.chart, parts) if parts else SuperPolynomial.zero(structure.chart)
-    return GradedElement(-1, total, f"identity-n{n}")
+            value = outer.value.embedded if outer.degree == SECTION else outer.value
+            sign = outer_sign * _perm_sign(perm) * _koszul_sign(perm, degrees)
+            terms.append(value if sign > 0 else -value)
+    return poly_sum(structure.chart, terms)
 
 
 def shla_check(structure: CourantStructure, n: int, generators=None) -> CheckReport:
@@ -540,14 +470,14 @@ def shla_check(structure: CourantStructure, n: int, generators=None) -> CheckRep
         basis = basis_sections(structure)
         generators = [graded_section(e) for e in basis]
         coords = coordinate_functions(structure)
-        if coords:
+        if coords and basis:
             # a coordinate-scaled section keeps T and the anomalies nonzero
             for e, f in ((basis[-1], coords[0]), (basis[0], coords[-1])):
                 generators.append(graded_section(structure._memo.keep(e.scaled_by(f))))
         generators += [graded_function(f) for f in coords]
         generators.append(graded_constant(structure, 1))
     zero = SuperPolynomial.zero(structure.chart)
-    identities = (shla_identity(structure, n, [generators[k] for k in combo]).value
+    identities = (shla_identity(structure, n, [generators[k] for k in combo])
                   for combo in combinations_with_replacement(range(len(generators)), n))
     checks = [Check.from_residual(f"identity-n{n}", _first_nonzero(identities, zero))]
     if n == 3:
@@ -568,7 +498,7 @@ def _lemma_t1_residual(structure, generators):
     """
     sections = [g for g in generators if g.degree == SECTION]
     functions = [g for g in generators if g.degree == FUNCTION]
-    return _first_nonzero((shla_identity(structure, 3, [e1, e2, f]).value
+    return _first_nonzero((shla_identity(structure, 3, [e1, e2, f])
                            for e1, e2 in combinations_with_replacement(sections, 2)
                            for f in functions), SuperPolynomial.zero(structure.chart))
 
@@ -593,7 +523,7 @@ def _lemma_a2_residual(structure, generators):
 def _lemma_t2_residual(structure, generators):
     """(l3 l2 - l2 l3) on four sections."""
     sections = [g for g in generators if g.degree == SECTION]
-    return _first_nonzero((shla_identity(structure, 4, list(args)).value
+    return _first_nonzero((shla_identity(structure, 4, list(args))
                            for args in combinations_with_replacement(sections, 4)),
                           SuperPolynomial.zero(structure.chart))
 
@@ -708,24 +638,6 @@ class TwistedStructure:
     phi_raw: SuperPolynomial        # cubic term before gauging
     proto: ProtoBialgebroidSpec     # identity anchor, zero dual side, active phi
 
-    def splitting_shift(self, e: CourantSection) -> CourantSection:
-        """Section map of the splitting change: X + xi -> X + xi - i_X omega."""
-        if self.omega is None:
-            return e
-        chart = self.structure.chart
-        # i_X omega = X^b d(omega)/dxi^b; its xi_a coefficients shift the covector
-        ix = SuperPolynomial.zero(chart)
-        for b, bname in enumerate(self.structure.bundle.fiber_names):
-            xcomp = e.vector.get(b + 1)
-            if xcomp is not None:
-                ix = ix + xcomp * self.omega.partial(bname)
-        cov = dict(e.covector)
-        for a, name in enumerate(self.structure.bundle.fiber_names):
-            comp = ix.partial(name)
-            if not comp.is_zero():
-                cov[a + 1] = cov.get(a + 1, SuperPolynomial.zero(chart)) - comp
-        return CourantSection(self.structure, dict(e.vector), cov)
-
 
 def de_rham_on_fibers(structure_or_bundle, form: SuperPolynomial) -> SuperPolynomial:
     """d(form) for forms written in base coordinates and fiber symbols.
@@ -749,8 +661,8 @@ def twist_exact(phi: SuperPolynomial, omega: SuperPolynomial | None = None,
                 dim: int | None = None) -> TwistedStructure:
     """Standard structure on R^n twisted by a three-form, optionally re-gauged.
 
-    With a gauge two-form the active twist is phi + d(omega), and the
-    splitting-change map is exposed on the result.
+    With a gauge two-form the active twist is phi + d(omega); the result
+    keeps both the raw and the active twist.
     """
     if dim is None:
         raise SpecError("dimension required")

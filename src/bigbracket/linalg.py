@@ -161,16 +161,8 @@ class PolyFrac:
     def __mul__(self, other):
         return PolyFrac(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other):
-        if not other:
-            raise ZeroDivisionError
-        return PolyFrac(self.num * other.den, self.den * other.num)
-
     def __rtruediv__(self, other):
         return PolyFrac(self.den * other, self.num)
-
-    def __neg__(self):
-        return PolyFrac(-self.num, self.den)
 
 
 def solve_over_fractions(matrix, rhs):

@@ -17,7 +17,7 @@ from .brackets import canonical_bracket
 from .cartan import VectorField
 from .chart import darboux_chart, ODD
 from .linalg import in_span, independent, intersect_with_coordinate_subspace, nullspace
-from .poly import SuperPolynomial, poly_sum
+from .poly import SuperPolynomial
 from .rationals import GaussianRational, ONE, ZERO
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -52,41 +52,6 @@ def build_structures(c) -> NecklaceStructure:
     return NecklaceStructure(c, chart, pi_c, pi)
 
 
-def su2_bivector():
-    """The multiplicative structure on the complex two-space chart.
-
-    Conjugate coordinates are independent even symbols; the bracket table
-    {u,ub} = -i v vb, {u,v} = i/2 uv, {u,vb} = i/2 u vb, {v,vb} = 0 is packed
-    into a bivector on the odd cotangent chart.
-    """
-    chart = darboux_chart(
-        [("u", 0, "tu"), ("ub", 0, "tub"), ("v", 0, "tv"), ("vb", 0, "tvb")], ODD)
-    u, ub, v, vb = (SuperPolynomial.variable(chart, n) for n in ("u", "ub", "v", "vb"))
-    tu, tub, tv, tvb = (SuperPolynomial.variable(chart, n) for n in ("tu", "tub", "tv", "tvb"))
-    i = GaussianRational(0, 1)
-    half_i = GaussianRational(0, Fraction(1, 2))
-    table = [
-        ((v * vb).scale(-i), tu, tub),          # {u, ub}
-        ((u * v).scale(half_i), tu, tv),        # {u, v}
-        ((u * vb).scale(half_i), tu, tvb),      # {u, vb}
-        ((ub * vb).scale(-half_i), tub, tvb),   # {ub, vb} = conj of {u, v}
-        ((ub * v).scale(-half_i), tub, tv),     # {ub, v}  = conj of {u, vb}
-    ]
-    pi = poly_sum(chart, [coeff * a * b for coeff, a, b in table])
-    return chart, pi
-
-
-def bruhat_w_chart():
-    """The quotient structure in the inhomogeneous coordinate w (W its conjugate)."""
-    chart = darboux_chart([("w", 0, "tw"), ("W", 0, "tW")], ODD)
-    w, W = SuperPolynomial.variable(chart, "w"), SuperPolynomial.variable(chart, "W")
-    tw, tW = SuperPolynomial.variable(chart, "tw"), SuperPolynomial.variable(chart, "tW")
-    one = SuperPolynomial.constant(chart, 1)
-    i = GaussianRational(0, 1)
-    pi1 = (w * W * (one + w * W)).scale(-i) * tw * tW
-    return chart, pi1
-
-
 def schouten_square(pi: SuperPolynomial) -> SuperPolynomial:
     """[pi, pi] through the odd canonical bracket; zero exactly when Poisson.
 
@@ -100,12 +65,6 @@ def schouten_square(pi: SuperPolynomial) -> SuperPolynomial:
     if pi.parity() not in (None, 0):
         raise ValueError("input must be even")
     return canonical_bracket(pi, pi, chart)
-
-
-def poisson_bracket_of(pi: SuperPolynomial, f: SuperPolynomial, g: SuperPolynomial):
-    """{f, g} generated by a bivector via the derived product on functions."""
-    from .brackets import derived_bracket
-    return derived_bracket(pi, f, g, pi.chart)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +85,6 @@ class ModeComplex:
     N: int
     d0: list
     d1: list
-
-    def dims(self):
-        return (self.N + 1, 2 * (self.N + 1), self.N + 1)
 
 
 def mode_matrices(c, n: int, N: int) -> ModeComplex:
@@ -442,26 +398,3 @@ def _apply_matrix(matrix, vec):
                 acc = acc + a * b
         out.append(acc)
     return out
-
-
-def rescaled_pi_c(c, alpha):
-    """pi_c after s -> alpha s, t -> alpha t, expressed in the new unit chart.
-
-    The image is the family member whose circle radius is scaled by 1/alpha;
-    used to confirm that all degenerate members are locally isomorphic.
-    """
-    c = Fraction(c)
-    alpha = Fraction(alpha)
-    structure = build_structures(c)
-    chart = structure.chart
-    s = SuperPolynomial.variable(chart, "s")
-    t = SuperPolynomial.variable(chart, "t")
-    sig = SuperPolynomial.variable(chart, "sigma")
-    tau = SuperPolynomial.variable(chart, "tau")
-    a = GaussianRational(alpha)
-    inv = GaussianRational(Fraction(1, 1) / alpha)
-    mapping = {"s": s.scale(a), "t": t.scale(a),
-               "sigma": sig.scale(inv), "tau": tau.scale(inv)}
-    image = structure.pi_c.substitute(chart, mapping)
-    c_new = 1 - (1 - c) / alpha ** 2
-    return image, Fraction(c_new)

@@ -174,9 +174,6 @@ class SuperPolynomial:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def _coerce(self, other) -> "SuperPolynomial":
         if isinstance(other, SuperPolynomial):
             return other
@@ -203,11 +200,6 @@ class SuperPolynomial:
                 elif mono in out:
                     del out[mono]
         return SuperPolynomial(self.chart, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, value) -> "SuperPolynomial":
         value = GaussianRational.coerce(value)

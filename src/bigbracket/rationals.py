@@ -50,9 +50,6 @@ class GaussianRational:
         other = GaussianRational.coerce(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
-
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
         if not self.im and not other.im:
@@ -79,9 +76,6 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
@@ -105,7 +99,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 def format_scalar(z: GaussianRational) -> str:

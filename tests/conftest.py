@@ -4,6 +4,7 @@ import hypothesis
 import pytest
 
 from bigbracket.chart import cotangent_chart, darboux_chart, ODD
+from bigbracket.courant import standard_proto, structure_from_proto
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
 
@@ -27,6 +28,11 @@ def even_chart(big_chart):
 def odd_chart():
     """Odd symplectic chart of multivector fields on the plane."""
     return darboux_chart([("s", 0, "sigma"), ("t", 0, "tau")], ODD)
+
+
+def standard_structure(n):
+    """Tangent bundle of R^n doubled against the zero dual structure."""
+    return structure_from_proto(standard_proto(n))
 
 
 def random_poly(chart, rng, max_terms=3, max_exp=2):

@@ -6,17 +6,35 @@ graded Leibniz recursion, never touching the partial-derivative formulas of
 the package.  The section oracles rebuild every product from the bracket
 kernel with no memo: nothing is kept between calls.  The span oracles grow a
 basis one `in_span` decision at a time, each a fresh elimination.
+
+The other routes here reach the same objects another way than the engine:
+- the Cartan calculus on Pi TM (`pi_tangent_chart`, `de_rham`, `interior`,
+  `lie_derivative`, `base_field`) and the vector field `cartan_differential`
+  of an anchored bundle, squared without any bracket;
+- derived brackets of other hamiltonians: the Schouten bracket of gamma*,
+  the lift `hamiltonian_lift` of a vector field and `poisson_bracket_of` a
+  bivector;
+- `anchor_apply` as <e, D f>, the left-product expression `k_expression` and
+  the splitting change `splitting_shift` of a gauged twist;
+- the su(2) origin of the sphere family: `su2_bivector`, its quotient
+  `bruhat_w_chart`, and `rescaled_pi_c`, which maps the members into one
+  another.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from bigbracket.brackets import canonical_bracket, derived_bracket
-from bigbracket.chart import DarbouxChart, EVEN, ODD
-from bigbracket.courant import CourantSection
+from bigbracket.cartan import VectorField
+from bigbracket.chart import (Chart, ChartError, DarbouxChart, GradedVariable,
+                              darboux_chart, EVEN, ODD)
+from bigbracket.courant import CourantSection, circ
 from bigbracket.linalg import in_span, nullspace
-from bigbracket.poly import SuperPolynomial
+from bigbracket.necklace import build_structures
+from bigbracket.poly import SuperPolynomial, poly_sum
 from bigbracket.rationals import GaussianRational, ONE, ZERO
+
+HALF = GaussianRational(Fraction(1, 2))
 
 
 def mono_symbols(chart, mono):
@@ -161,7 +179,7 @@ def slow_circ(e1: CourantSection, e2: CourantSection) -> CourantSection:
 
 def slow_skew(e1: CourantSection, e2: CourantSection) -> CourantSection:
     diff = slow_circ(e1, e2).embedded - slow_circ(e2, e1).embedded
-    return slow_section(e1.structure, diff.scale(GaussianRational(Fraction(1, 2))))
+    return slow_section(e1.structure, diff.scale(HALF))
 
 
 def slow_t_tensor(e1, e2, e3) -> SuperPolynomial:
@@ -220,3 +238,282 @@ def slow_quotient_generators(cocycles, boundaries):
             reps.append(z)
             span.append(list(z))
     return reps
+
+
+# ---------------------------------------------------------------------------
+# Cartan calculus on Pi TM
+# ---------------------------------------------------------------------------
+
+
+def plain_chart(specs) -> Chart:
+    """Chart from (name, parity, eps, delta) tuples."""
+    return Chart([GradedVariable(n, p, e, d, i) for i, (n, p, e, d) in enumerate(specs)])
+
+
+class TangentPiChart(Chart):
+    """Chart of Pi TM: base coordinates paired with odd velocities dx^A.
+
+    Not symplectic; the pairing table is what the Cartan operators use.
+    Velocities are identified by the declared table, never by name munging.
+    """
+
+    def __init__(self, base_specs, velocity_names):
+        specs = []
+        for (name, parity), vel in zip(base_specs, velocity_names):
+            specs.append((name, parity, 0, 0))
+            specs.append((vel, 1 - parity, 0, 1))
+        super().__init__(plain_chart(specs).variables)
+        self.pairing = tuple(
+            (self.variables[2 * k], self.variables[2 * k + 1])
+            for k in range(len(base_specs))
+        )
+
+    @property
+    def base(self):
+        return [b for b, _ in self.pairing]
+
+
+def pi_tangent_chart(base_names, velocity_names=None) -> TangentPiChart:
+    base_names = list(base_names)
+    if velocity_names is None:
+        velocity_names = ["d" + x for x in base_names]
+    return TangentPiChart([(x, EVEN) for x in base_names], velocity_names)
+
+
+def _require_pit(chart) -> TangentPiChart:
+    if not isinstance(chart, TangentPiChart):
+        raise ChartError("Cartan operators need a Pi T chart with a pairing table")
+    return chart
+
+
+def de_rham(chart: TangentPiChart) -> VectorField:
+    """d = xi^A d/dx^A; homological of degree 1."""
+    _require_pit(chart)
+    comps = {x: SuperPolynomial.variable(chart, v.name) for x, v in chart.pairing}
+    return VectorField(chart, comps, ODD)
+
+
+def interior(components, chart: TangentPiChart) -> VectorField:
+    """i_X = (-1)^{X~} X^A d/dxi^A for X given by base components."""
+    _require_pit(chart)
+    base_vars = set(chart.base)
+    vel_of = {x: v for x, v in chart.pairing}
+    comps = {}
+    parities = set()
+    for key, poly in components.items():
+        var = chart.var(key) if isinstance(key, str) else key
+        if var not in base_vars:
+            raise ChartError(f"{var.name!r} is not a base coordinate")
+        if not isinstance(poly, SuperPolynomial):
+            poly = SuperPolynomial.constant(chart, poly)
+        if not poly.uses_only(base_vars):
+            raise ChartError("interior derivative needs base-only components")
+        if not poly.is_zero():
+            pp = poly.parity()
+            if pp is None:
+                raise ChartError("components must be parity-homogeneous")
+            parities.add((pp + var.parity) % 2)
+            comps[vel_of[var]] = poly
+    if len(parities) > 1:
+        raise ChartError("vector field mixes parities")
+    xpar = parities.pop() if parities else EVEN
+    if xpar == ODD:
+        comps = {v: -p for v, p in comps.items()}
+    return VectorField(chart, comps, (xpar + 1) % 2)
+
+
+def lie_derivative(components, chart: TangentPiChart) -> VectorField:
+    """L_X = [d, i_X]."""
+    return de_rham(chart).commutator(interior(components, chart))
+
+
+def base_field(components, chart: TangentPiChart) -> VectorField:
+    """The field X^A d/dx^A itself, acting on functions of the base."""
+    _require_pit(chart)
+    comps = {}
+    for key, poly in components.items():
+        var = chart.var(key) if isinstance(key, str) else key
+        comps[var] = poly
+    return VectorField(chart, comps)
+
+
+def cartan_differential(spec) -> VectorField:
+    """The degree-1 vector field on Pi A determined by an AlgebroidSpec.
+
+    d = xi^a A^i_a d/dx^i - 1/2 C^c_ab xi^a xi^b d/dxi^c.  Squaring it is an
+    independent route to the structure equations.
+    """
+    names = []
+    for x in spec.base_names:
+        names.append((x, EVEN, 0, 0))
+    for f in spec.fiber_names:
+        names.append((f, ODD, 0, 1))
+    chart = plain_chart(names)
+    xi = [SuperPolynomial.variable(chart, f) for f in spec.fiber_names]
+    base_map = {name: SuperPolynomial.variable(chart, name) for name in spec.base_names}
+    comps = {}
+    for i, x in enumerate(spec.base_names):
+        acc = SuperPolynomial.zero(chart)
+        for a in range(spec.rank):
+            entry = spec.anchor[a][i]
+            if not entry.is_zero():
+                acc = acc + xi[a] * entry.substitute(chart, base_map)
+        comps[x] = acc
+    for c, f in enumerate(spec.fiber_names):
+        acc = SuperPolynomial.zero(chart)
+        for a in range(spec.rank):
+            for b in range(spec.rank):
+                entry = spec.structure[a][b][c]
+                if not entry.is_zero():
+                    acc = acc - (entry.substitute(chart, base_map) * xi[a] * xi[b]).scale(HALF)
+        comps[f] = acc
+    return VectorField(chart, comps, ODD)
+
+
+# ---------------------------------------------------------------------------
+# derived brackets of other hamiltonians
+# ---------------------------------------------------------------------------
+
+
+def schouten_bracket(xi: SuperPolynomial, eta: SuperPolynomial,
+                     gamma_star: SuperPolynomial) -> SuperPolynomial:
+    """Generalized Schouten bracket on fiberwise polynomials of Pi A.
+
+    [xi, eta] = (-1)^{xi~+1} {{gamma*, xi}, eta}, restricted to arguments in
+    the coordinate subalgebra (no momenta).
+    """
+    chart = gamma_star.chart
+    positions = {pos for pos, _ in chart.pairs}
+    for arg in (xi, eta):
+        if not arg.uses_only(positions):
+            raise ChartError("Schouten bracket arguments may not involve momenta")
+    return derived_bracket(gamma_star, xi, eta, chart)
+
+
+def hamiltonian_lift(components, chart: DarbouxChart) -> SuperPolynomial:
+    """Fibrewise-linear hamiltonian h_v = v^a(x) x*_a of a vector field on the base.
+
+    `components` maps position variables (or names) to coefficient
+    polynomials in the positions only.  Only even charts admit the lift.
+    """
+    if chart.bracket_parity != EVEN:
+        raise ChartError("hamiltonian lift requires an even chart")
+    mom_of = dict(chart.pairs)
+    positions = mom_of.keys()
+    h = SuperPolynomial.zero(chart)
+    for key, comp in components.items():
+        pos = chart.var(key) if isinstance(key, str) else key
+        if pos not in positions:
+            raise ChartError(f"{pos.name!r} is not a position variable")
+        if not isinstance(comp, SuperPolynomial):
+            comp = SuperPolynomial.constant(chart, comp)
+        if not comp.uses_only(positions):
+            raise ChartError("vector field components must depend on positions only")
+        h = h + comp * SuperPolynomial.variable(chart, mom_of[pos].name)
+    return h
+
+
+def poisson_bracket_of(pi: SuperPolynomial, f: SuperPolynomial, g: SuperPolynomial):
+    """{f, g} generated by a bivector via the derived product on functions."""
+    return derived_bracket(pi, f, g, pi.chart)
+
+
+# ---------------------------------------------------------------------------
+# section algebra
+# ---------------------------------------------------------------------------
+
+
+def anchor_apply(e: CourantSection, f: SuperPolynomial) -> SuperPolynomial:
+    """rho(e) f = <e, D f>, with D f = {theta, f} computed afresh."""
+    return canonical_bracket(e.embedded, canonical_bracket(e.structure.theta.total, f))
+
+
+def k_expression(e1, e2, e3) -> CourantSection:
+    """K = (e1 o e2) o e3 + e2 o (e1 o e3) - e1 o (e2 o e3)."""
+    k = (circ(circ(e1, e2), e3).embedded
+         + circ(e2, circ(e1, e3)).embedded
+         - circ(e1, circ(e2, e3)).embedded)
+    return CourantSection.from_embedded(e1.structure, k)
+
+
+def splitting_shift(twisted, e: CourantSection) -> CourantSection:
+    """Section map of a twist's splitting change: X + xi -> X + xi - i_X omega."""
+    if twisted.omega is None:
+        return e
+    structure = twisted.structure
+    chart = structure.chart
+    # i_X omega = X^b d(omega)/dxi^b; its xi_a coefficients shift the covector
+    ix = SuperPolynomial.zero(chart)
+    for b, bname in enumerate(structure.bundle.fiber_names):
+        xcomp = e.vector.get(b + 1)
+        if xcomp is not None:
+            ix = ix + xcomp * twisted.omega.partial(bname)
+    cov = dict(e.covector)
+    for a, name in enumerate(structure.bundle.fiber_names):
+        comp = ix.partial(name)
+        if not comp.is_zero():
+            cov[a + 1] = cov.get(a + 1, SuperPolynomial.zero(chart)) - comp
+    return CourantSection(structure, dict(e.vector), cov)
+
+
+# ---------------------------------------------------------------------------
+# the su(2) origin of the sphere family
+# ---------------------------------------------------------------------------
+
+
+def su2_bivector():
+    """The multiplicative structure on the complex two-space chart.
+
+    Conjugate coordinates are independent even symbols; the bracket table
+    {u,ub} = -i v vb, {u,v} = i/2 uv, {u,vb} = i/2 u vb, {v,vb} = 0 is packed
+    into a bivector on the odd cotangent chart.
+    """
+    chart = darboux_chart(
+        [("u", 0, "tu"), ("ub", 0, "tub"), ("v", 0, "tv"), ("vb", 0, "tvb")], ODD)
+    u, ub, v, vb = (SuperPolynomial.variable(chart, n) for n in ("u", "ub", "v", "vb"))
+    tu, tub, tv, tvb = (SuperPolynomial.variable(chart, n) for n in ("tu", "tub", "tv", "tvb"))
+    i = GaussianRational(0, 1)
+    half_i = GaussianRational(0, Fraction(1, 2))
+    table = [
+        ((v * vb).scale(-i), tu, tub),          # {u, ub}
+        ((u * v).scale(half_i), tu, tv),        # {u, v}
+        ((u * vb).scale(half_i), tu, tvb),      # {u, vb}
+        ((ub * vb).scale(-half_i), tub, tvb),   # {ub, vb} = conj of {u, v}
+        ((ub * v).scale(-half_i), tub, tv),     # {ub, v}  = conj of {u, vb}
+    ]
+    pi = poly_sum(chart, [coeff * a * b for coeff, a, b in table])
+    return chart, pi
+
+
+def bruhat_w_chart():
+    """The quotient structure in the inhomogeneous coordinate w (W its conjugate)."""
+    chart = darboux_chart([("w", 0, "tw"), ("W", 0, "tW")], ODD)
+    w, W = SuperPolynomial.variable(chart, "w"), SuperPolynomial.variable(chart, "W")
+    tw, tW = SuperPolynomial.variable(chart, "tw"), SuperPolynomial.variable(chart, "tW")
+    one = SuperPolynomial.constant(chart, 1)
+    i = GaussianRational(0, 1)
+    pi1 = (w * W * (one + w * W)).scale(-i) * tw * tW
+    return chart, pi1
+
+
+def rescaled_pi_c(c, alpha):
+    """pi_c after s -> alpha s, t -> alpha t, expressed in the new unit chart.
+
+    The image is the family member whose circle radius is scaled by 1/alpha;
+    used to confirm that all degenerate members are locally isomorphic.
+    """
+    c = Fraction(c)
+    alpha = Fraction(alpha)
+    structure = build_structures(c)
+    chart = structure.chart
+    s = SuperPolynomial.variable(chart, "s")
+    t = SuperPolynomial.variable(chart, "t")
+    sig = SuperPolynomial.variable(chart, "sigma")
+    tau = SuperPolynomial.variable(chart, "tau")
+    a = GaussianRational(alpha)
+    inv = GaussianRational(Fraction(1, 1) / alpha)
+    mapping = {"s": s.scale(a), "t": t.scale(a),
+               "sigma": sig.scale(inv), "tau": tau.scale(inv)}
+    image = structure.pi_c.substitute(chart, mapping)
+    c_new = 1 - (1 - c) / alpha ** 2
+    return image, Fraction(c_new)

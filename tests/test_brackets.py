@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bigbracket.brackets import (canonical_bracket, derived_bracket,
-                                 hamiltonian_lift, legendre)
-from bigbracket.chart import ChartError, cotangent_chart, darboux_chart, plain_chart, ODD
+from bigbracket.brackets import canonical_bracket, derived_bracket, legendre
+from bigbracket.chart import ChartError, cotangent_chart, darboux_chart, ODD
 from bigbracket.courant import standard_proto, twist_exact
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
@@ -14,7 +13,7 @@ from bigbracket.rationals import GaussianRational
 from bigbracket.specfile import load_preset, materialize
 
 from conftest import random_homogeneous, random_poly
-from oracles import slow_bracket
+from oracles import hamiltonian_lift, plain_chart, slow_bracket
 
 CC = cotangent_chart(["x1", "x2"], ["xi1", "xi2"])
 CH = CC.chart

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from bigbracket.cartan import base_field, de_rham, interior, lie_derivative
-from bigbracket.chart import ChartError, pi_tangent_chart
+from bigbracket.chart import ChartError
 from bigbracket.poly import SuperPolynomial
 
 from conftest import random_poly
+from oracles import base_field, de_rham, interior, lie_derivative, pi_tangent_chart
 
 PT = pi_tangent_chart(["x1", "x2", "x3"])
 

@@ -275,6 +275,54 @@ def test_out_of_range_table_index_is_a_usage_error(tmp_path, entry):
     assert "error:" in err and "out of range" in err
 
 
+RANK_ZERO = "kind: bialgebroid\nbase: x1\nrank: 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-algebroid"], ["verify-bialgebroid"], ["verify-proto"], ["double"],
+    ["courant-verify"], ["shla-check", "--n", "1"], ["shla-check", "--n", "2"],
+    ["shla-check", "--n", "3"], ["shla-check"],
+], ids=" ".join)
+def test_rank_zero_bundle_passes_every_structure_command(tmp_path, argv):
+    doc = tmp_path / "rank0.spec"
+    doc.write_text(RANK_ZERO)
+    code, out, err = run(argv + ["--spec", str(doc)])
+    assert code == 0, err
+    assert "result: PASS" in out
+    assert "Traceback" not in err
+
+
+# C[3][1][2] = 2 and C[1][2][1] = 1 break the Jacobi identity of the su(2) table
+NON_JACOBI = """kind: bialgebroid
+base: x1
+rank: 3
+C[1][2][3] = 1
+C[2][3][1] = 1
+C[3][1][2] = 2
+C[1][2][1] = 1
+"""
+
+GOLDEN_NON_JACOBI_SHLA = """command: shla-check --spec {path}
+check antisymmetry-completion: pass (auto-completed 4 mirrored entries)
+check identity-n1: pass
+check identity-n2: pass
+check identity-n3: fail residual=-2*xis2
+check chainmap-on-two-sections-and-function: pass
+check identity-n4: fail residual=2
+check quadrilinear-pairing-identity: fail residual=-18
+check l3l2-equals-l2l3-on-sections: fail residual=2
+result: FAIL (4 pass, 4 fail)
+"""
+
+
+def test_failing_shla_residuals_are_pinned(tmp_path):
+    doc = tmp_path / "non-jacobi.spec"
+    doc.write_text(NON_JACOBI)
+    code, out, _ = run(["shla-check", "--spec", str(doc), "--n", "4"])
+    assert code == 1
+    assert out == GOLDEN_NON_JACOBI_SHLA.format(path=doc)
+
+
 # -- no argv ends in a traceback -------------------------------------------------
 
 _FUZZ_DOCUMENTS = {
@@ -286,6 +334,7 @@ _FUZZ_DOCUMENTS = {
     "anchor-range.spec": "kind: algebroid\nbase: x1\nrank: 2\nA[1][2] = x1\n",
     "anchor-zero.spec": "kind: algebroid\nbase: x1\nrank: 1\nA[0][1] = 1\n",
     "structure-range.spec": "kind: bialgebroid\nbase: x1\nrank: 2\nC[1][2][3] = 1\n",
+    "rank-zero.spec": RANK_ZERO,
     "rho-range.spec": "kind: brst\nbase: x\nrank: 1\nrho[2][1] = x\n",
     "bad-index.spec": "kind: algebroid\nbase: x1\nrank: 1\nA[1][x] = 1\n",
     "open-index.spec": "kind: algebroid\nbase: x1\nrank: 1\nA[1][1 = 1\n",

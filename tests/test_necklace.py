@@ -10,15 +10,16 @@ from bigbracket.cli import main
 from bigbracket.linalg import solve
 from bigbracket.necklace import (AssemblyError, CohomologyReport,
                                  RecordedConstants, StructureIdentityError,
-                                 _format_generator, bruhat_w_chart,
+                                 _format_generator,
                                  build_structures, disk_chart, global_assembly,
                                  mode_cohomology, mode_matrices,
-                                 modular_and_volume, poisson_bracket_of,
-                                 rescaled_pi_c, schouten_square,
-                                 structure_identities, su2_bivector)
+                                 modular_and_volume, schouten_square,
+                                 structure_identities)
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational, ZERO, ONE
+
+from oracles import bruhat_w_chart, poisson_bracket_of, rescaled_pi_c, su2_bivector
 
 
 # -- the structures ------------------------------------------------------------
