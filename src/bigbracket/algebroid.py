@@ -45,7 +45,7 @@ class AlgebroidSpec:
     fiber_names: tuple
     anchor: tuple          # anchor[a][i] : SuperPolynomial on the big chart
     structure: tuple       # structure[a][b][c]
-    bundle: CotangentOfParityReversed = field(default=None, repr=False)
+    bundle: CotangentOfParityReversed = field(repr=False)
 
     @staticmethod
     def build(base_names, fiber_names, anchor_entries=None, structure_entries=None,
@@ -92,10 +92,6 @@ class AlgebroidSpec:
         spec.validate()
         return spec
 
-    def __post_init__(self):
-        if self.bundle is None:
-            self.bundle = cotangent_chart(self.base_names, self.fiber_names)
-
     @property
     def chart(self):
         return self.bundle.chart
@@ -105,7 +101,6 @@ class AlgebroidSpec:
         return len(self.fiber_names)
 
     def validate(self):
-        chart = self.chart
         base_vars = set(self.bundle.base)
         for a in range(self.rank):
             for i in range(len(self.base_names)):
@@ -114,21 +109,8 @@ class AlgebroidSpec:
         for a in range(self.rank):
             for b in range(self.rank):
                 for c in range(self.rank):
-                    entry = self.structure[a][b][c]
-                    if not entry.uses_only(base_vars):
+                    if not self.structure[a][b][c].uses_only(base_vars):
                         raise SpecError("structure functions must depend on base variables only")
-                    if not (entry + self.structure[b][a][c]).is_zero():
-                        raise SpecError("structure table is not antisymmetric")
-
-    def antisymmetry_residuals(self):
-        out = []
-        for a in range(self.rank):
-            for b in range(a, self.rank):
-                for c in range(self.rank):
-                    r = self.structure[a][b][c] + self.structure[b][a][c]
-                    if not r.is_zero():
-                        out.append(((a + 1, b + 1, c + 1), r))
-        return out
 
 
 def build_mu(spec: AlgebroidSpec) -> SuperPolynomial:
@@ -204,12 +186,8 @@ class CheckReport:
 
 def check_lie_algebroid(spec: AlgebroidSpec) -> CheckReport:
     """Structure equations via the self-bracket of mu; failures are data."""
-    checks = []
-    for key, res in spec.antisymmetry_residuals():
-        checks.append(Check.from_residual(f"antisymmetry{key}", res))
     mu = build_mu(spec)
-    checks.append(Check.from_residual("{mu,mu}", canonical_bracket(mu, mu)))
-    return CheckReport(checks)
+    return CheckReport([Check.from_residual("{mu,mu}", canonical_bracket(mu, mu))])
 
 
 @dataclass
@@ -382,76 +360,31 @@ def double_differential(theta: ThetaHamiltonian):
     return field, anomaly
 
 
-@dataclass
-class LieAlgebraAction:
-    """A finite-dimensional Lie algebra acting on a coordinate space by fields.
+def homomorphism_residuals(spec: AlgebroidSpec):
+    """rho([e_a, e_b]) - [rho e_a, rho e_b] on every generator pair (a, b), 1-based.
 
-    constants[(a, b, c)] hold the e_c-coefficient of [e_a, e_b] (1-based,
-    antisymmetrized like structure tables); fields[a][i] are the polynomial
-    components of the acting vector field of e_a.
+    For the action algebroid of a Lie algebra acting by vector fields, these
+    vanish exactly when the action map is a homomorphism.
     """
-    base_names: tuple
-    dim: int
-    constants: dict
-    fields: dict                      # (a, i) -> poly text or SuperPolynomial
-
-    def action_algebroid(self) -> AlgebroidSpec:
-        cached = getattr(self, "_algebroid", None)
-        if cached is not None:
-            return cached
-        fibers = tuple(f"xi{k+1}" for k in range(self.dim))
-        bundle = cotangent_chart(self.base_names, fibers)
-        anchor = {(a, i): v for (a, i), v in self.fields.items()}
-        structure = dict(self.constants)
-        spec = AlgebroidSpec.build(self.base_names, fibers, anchor, structure,
-                                   bundle=bundle)
-        object.__setattr__(self, "_algebroid", spec)
-        return spec
-
-    def homomorphism_residuals(self):
-        """rho([e_a, e_b]) - [rho e_a, rho e_b] on every generator pair."""
-        spec = self.action_algebroid()
-        chart = spec.chart
-        base = spec.base_names
-        rho = []
-        for a in range(self.dim):
-            rho.append({base[i]: spec.anchor[a][i] for i in range(len(base))})
-        out = []
-        for a in range(self.dim):
-            for b in range(self.dim):
-                Xa = VectorField(chart, rho[a])
-                Xb = VectorField(chart, rho[b])
-                comm = Xa.commutator(Xb)
-                expect = {}
-                for i, x in enumerate(base):
-                    acc = SuperPolynomial.zero(chart)
-                    for c in range(self.dim):
-                        entry = spec.structure[a][b][c]
-                        if not entry.is_zero():
-                            acc = acc + entry * spec.anchor[c][i]
-                    expect[x] = acc
-                residual = poly_sum(chart, [
-                    (expect[x] - comm.component(x)) * SuperPolynomial.variable(chart, x)
-                    for x in base
-                ])
-                # tag residual by pair through a tuple
-                out.append(((a + 1, b + 1), residual))
-        return out
-
-
-def brst_theta(action: LieAlgebraAction) -> ThetaHamiltonian:
-    """theta = mu of the action algebroid with zero dual structure.
-
-    The associated differential is the classical ghost-variable complex for
-    the hamiltonian lift of the action.  Requires the action data to satisfy
-    the bracket antisymmetry and homomorphism identities.
-    """
-    spec = action.action_algebroid()
-    bad = [key for key, res in action.homomorphism_residuals() if not res.is_zero()]
-    if bad:
-        raise SpecError(f"action map is not a homomorphism on pairs {bad}")
-    report = check_lie_algebroid(spec)
-    if not report.passed:
-        raise SpecError("action algebroid fails the structure equations")
-    proto = ProtoBialgebroidSpec.build(spec)
-    return proto.theta()
+    chart = spec.chart
+    base = spec.base_names
+    rho = [VectorField(chart, {base[i]: spec.anchor[a][i] for i in range(len(base))})
+           for a in range(spec.rank)]
+    out = []
+    for a in range(spec.rank):
+        for b in range(spec.rank):
+            comm = rho[a].commutator(rho[b])
+            expect = {}
+            for i, x in enumerate(base):
+                acc = SuperPolynomial.zero(chart)
+                for c in range(spec.rank):
+                    entry = spec.structure[a][b][c]
+                    if not entry.is_zero():
+                        acc = acc + entry * spec.anchor[c][i]
+                expect[x] = acc
+            residual = poly_sum(chart, [
+                (expect[x] - comm.component(x)) * SuperPolynomial.variable(chart, x)
+                for x in base
+            ])
+            out.append(((a + 1, b + 1), residual))
+    return out

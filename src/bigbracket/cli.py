@@ -12,9 +12,8 @@ import time
 from fractions import Fraction
 
 from . import courant as crt
-from .algebroid import (ProtoBialgebroidSpec, SpecError, brst_theta,
-                        check_bialgebroid, check_lie_algebroid, check_proto,
-                        double_differential, swap_proto)
+from .algebroid import (SpecError, check_bialgebroid, check_lie_algebroid, check_proto,
+                        double_differential, homomorphism_residuals, swap_proto)
 from .chart import ChartError
 from .necklace import (AssemblyError, RecordedConstants, StructureIdentityError,
                        TruncationInstability, build_structures, global_assembly,
@@ -60,25 +59,13 @@ def _document(args):
 
 
 def _load(args) -> Materialized:
+    """The materialized document of a structure command; its proto is the one checked."""
     doc = _document(args)
     if doc is None:
         raise DocumentError("one of --preset or --spec is required")
+    if doc.kind == "necklace":
+        raise DocumentError("a necklace document defines no cubic hamiltonian")
     return materialize(doc)
-
-
-def _twisted(mat: Materialized, omega_text=None) -> "crt.TwistedStructure":
-    """The twisted standard structure of an exact-courant document.
-
-    phi and omega are read here only; omega_text overrides the document's.
-    """
-    if mat.doc.kind != "exact-courant":
-        raise DocumentError("twist applies to exact-courant documents")
-    n = len(mat.doc.base_names)
-    chart = crt.standard_proto(n).a_side.chart
-    phi = parse_poly(mat.doc.scalars.get("phi", "0"), chart)
-    omega_text = omega_text or mat.doc.scalars.get("omega")
-    omega = parse_poly(omega_text, chart) if omega_text is not None else None
-    return crt.twist_exact(phi, omega=omega, dim=n)
 
 
 def _echo(args, name) -> str:
@@ -102,14 +89,9 @@ def cmd_verify_algebroid(args) -> Report:
     if not _violation_checks(report, mat):
         return report
     if mat.action is not None:
-        for pair, residual in mat.action.homomorphism_residuals():
+        for pair, residual in homomorphism_residuals(mat.action):
             report.add(f"action-homomorphism{pair}", residual.is_zero(), str(residual))
-        spec = mat.action.action_algebroid()
-    elif mat.proto is not None:
-        spec = mat.proto.a_side
-    else:
-        raise DocumentError("document does not describe an anchored bundle")
-    for check in check_lie_algebroid(spec).checks:
+    for check in check_lie_algebroid(mat.proto.a_side).checks:
         report.add_check(check)
     return report
 
@@ -119,8 +101,6 @@ def cmd_verify_bialgebroid(args) -> Report:
     report = Report(_echo(args, "verify-bialgebroid"))
     if not _violation_checks(report, mat):
         return report
-    if mat.proto is None:
-        raise DocumentError("document does not carry dual-side data")
     for check in check_bialgebroid(mat.proto).checks:
         report.add_check(check)
     swapped = swap_proto(mat.proto)
@@ -133,20 +113,9 @@ def cmd_verify_proto(args) -> Report:
     report = Report(_echo(args, "verify-proto"))
     if not _violation_checks(report, mat):
         return report
-    proto = _proto_for_courant(mat)
-    for check in check_proto(proto).checks:
+    for check in check_proto(mat.proto).checks:
         report.add_check(check)
     return report
-
-
-def _proto_for_courant(mat: Materialized) -> ProtoBialgebroidSpec:
-    if mat.doc.kind == "exact-courant":
-        return _twisted(mat).proto
-    if mat.proto is not None:
-        return mat.proto
-    if mat.action is not None:
-        return ProtoBialgebroidSpec.build(mat.action.action_algebroid())
-    raise DocumentError("document kind does not define a cubic hamiltonian")
 
 
 def cmd_double(args) -> Report:
@@ -154,12 +123,7 @@ def cmd_double(args) -> Report:
     report = Report(_echo(args, "double"))
     if not _violation_checks(report, mat):
         return report
-    if mat.action is not None:
-        theta = brst_theta(mat.action)
-    elif mat.proto is not None:
-        theta = mat.proto.theta()
-    else:
-        raise DocumentError("document kind does not define a double")
+    theta = mat.proto.theta()
     field, anomaly = double_differential(theta)
     report.add("self-commuting-hamiltonian", anomaly.is_zero(), str(anomaly))
     ok = True
@@ -180,20 +144,10 @@ def cmd_courant_verify(args) -> Report:
     report = Report(_echo(args, "courant-verify"))
     if not _violation_checks(report, mat):
         return report
-    structure = _structure_of(mat)
+    structure = crt.structure_from_proto(mat.proto)
     for check in crt.verify_axioms(structure).checks:
         report.add_check(check)
     return report
-
-
-def _structure_of(mat: Materialized) -> "crt.CourantStructure":
-    if mat.doc.kind == "exact-courant":
-        return _twisted(mat).structure
-    if mat.proto is not None:
-        return crt.structure_from_proto(mat.proto)
-    if mat.action is not None:
-        return crt.CourantStructure(brst_theta(mat.action))
-    raise DocumentError("document kind does not define a doubled structure")
 
 
 def cmd_dirac_check(args) -> Report:
@@ -201,7 +155,7 @@ def cmd_dirac_check(args) -> Report:
     report = Report(_echo(args, "dirac-check"))
     if not _violation_checks(report, mat):
         return report
-    structure = _structure_of(mat)
+    structure = crt.structure_from_proto(mat.proto)
     sections = []
     for text in args.section or []:
         poly = parse_poly(text, structure.chart)
@@ -218,7 +172,7 @@ def cmd_shla_check(args) -> Report:
     report = Report(_echo(args, "shla-check"))
     if not _violation_checks(report, mat):
         return report
-    structure = _structure_of(mat)
+    structure = crt.structure_from_proto(mat.proto)
     for n in range(1, args.n + 1):
         for check in crt.shla_check(structure, n).checks:
             report.add_check(check)
@@ -228,10 +182,15 @@ def cmd_shla_check(args) -> Report:
 def cmd_twist(args) -> Report:
     mat = _load(args)
     report = Report(_echo(args, "twist"))
-    twisted = _twisted(mat, args.omega)
+    twisted = mat.twisted
+    if twisted is None:
+        raise DocumentError("twist applies to exact-courant documents")
+    if args.omega is not None:
+        omega = parse_poly(args.omega, twisted.structure.chart)
+        twisted = crt.twist_exact(twisted.phi_raw, omega=omega, dim=len(mat.doc.base_names))
     for check in crt.verify_axioms(twisted.structure).checks:
         report.add_check(check)
-    diff = twisted.phi - twisted.phi_raw.substitute(twisted.structure.chart, {})
+    diff = twisted.phi - twisted.phi_raw
     report.add_info("gauge-difference-exact",
                     str(crt.is_exact_difference(twisted.structure.bundle, diff)))
     closed = crt.de_rham_on_fibers(twisted.structure.bundle, twisted.phi).is_zero()
@@ -295,12 +254,14 @@ def cmd_invariants(args) -> Report:
     return report
 
 
-def _at_least(low):
-    """argparse type: an integer no smaller than `low`."""
+def _integer(low, high=None):
+    """argparse type: an integer no smaller than `low` and, if given, no larger than `high`."""
     def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return integer
 
@@ -337,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shla-check")
     common(p)
-    p.add_argument("--n", type=_at_least(1), default=4,
-                   help="check identities up to this arity")
+    # l_k = 0 for k > 3, so no term of an identity of arity 5 or more is evaluated
+    p.add_argument("--n", type=_integer(1, 4), default=4,
+                   help="check identities up to this arity (1 to 4)")
     p.set_defaults(fn=cmd_shla_check)
 
     p = sub.add_parser("twist")
@@ -349,15 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology")
     common(p)
     p.add_argument("--c", help="rational family parameter (or use a necklace document)")
-    p.add_argument("--modes", type=_at_least(0), default=5)
-    p.add_argument("--truncate", type=_at_least(4), default=12)
+    p.add_argument("--modes", type=_integer(0), default=5)
+    p.add_argument("--truncate", type=_integer(4), default=12)
     p.set_defaults(fn=cmd_cohomology)
 
     p = sub.add_parser("invariants")
     common(p)
     p.add_argument("--c", help="rational family parameter (or use a necklace document)")
     p.add_argument("--cprime", default="1/2")
-    p.add_argument("--truncate", type=_at_least(3), default=12)
+    p.add_argument("--truncate", type=_integer(3), default=12)
     p.set_defaults(fn=cmd_invariants)
     return parser
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .algebroid import (AlgebroidSpec, LieAlgebraAction, ProtoBialgebroidSpec,
-                        dual_chart_for)
+from .algebroid import AlgebroidSpec, ProtoBialgebroidSpec, dual_chart_for
 from .chart import cotangent_chart
+from .courant import TwistedStructure, standard_proto, twist_exact
 from .parsing import ParseError, parse_poly
 
 PRESET_NAMES = (
@@ -163,9 +163,17 @@ def _collect_table(doc, name, chart, violations, label):
 
 @dataclass
 class Materialized:
+    """A document with the one proto-bialgebroid every structure command checks.
+
+    proto is None only for a necklace document and for a document with data
+    violations.  action is the action algebroid of a brst document, read by
+    the action-homomorphism lines; twisted is the twisted standard structure
+    of an exact-courant document, read by the gauge lines of `twist`.
+    """
     doc: SpecDocument
     proto: ProtoBialgebroidSpec | None = None
-    action: LieAlgebraAction | None = None
+    action: AlgebroidSpec | None = None
+    twisted: TwistedStructure | None = None
 
     @property
     def violations(self):
@@ -173,7 +181,14 @@ class Materialized:
 
 
 def materialize(doc: SpecDocument) -> Materialized:
-    """Build the structure objects a document describes.
+    """Build the proto-bialgebroid a document describes, whatever its kind.
+
+    - algebroid, bialgebroid, proto: the A, C, Abar and Cbar tables and the
+      cubic terms phi (primal chart) and psi (dual chart);
+    - brst: the action algebroid of the lie and rho tables against the zero
+      dual structure;
+    - exact-courant: the standard structure on R^n (identity anchor, zero
+      dual) twisted by phi + d(omega), both read on the standard chart.
 
     Data violations (broken antisymmetry) are collected on the document
     rather than raised, so verification commands can print them as failing
@@ -182,19 +197,20 @@ def materialize(doc: SpecDocument) -> Materialized:
     doc.violations = []
     if doc.kind == "necklace":
         return Materialized(doc)
-    if doc.kind == "brst":
-        chart = cotangent_chart(doc.base_names, tuple(f"xi{k+1}" for k in range(doc.rank))).chart
-        lie, _ = _collect_table(doc, "lie", chart, doc.violations, "lie")
-        rho = {}
-        for (tname, idx), text in doc.entries.items():
-            if tname == "rho":
-                rho[idx] = _parse_entry(text, chart, f"rho{list(idx)}")
-        action = LieAlgebraAction(doc.base_names, doc.rank,
-                                  {k: v for k, v in lie.items()}, rho)
-        return Materialized(doc, action=action)
-
+    if doc.kind == "exact-courant":
+        return _materialize_exact(doc)
     bundle = cotangent_chart(doc.base_names, doc.fiber_names)
     chart = bundle.chart
+    if doc.kind == "brst":
+        structure, _ = _collect_table(doc, "lie", chart, doc.violations, "lie")
+        rho = {idx: _parse_entry(text, chart, f"rho{list(idx)}")
+               for (tname, idx), text in doc.entries.items() if tname == "rho"}
+        if doc.violations:
+            return Materialized(doc)
+        action = AlgebroidSpec.build(doc.base_names, doc.fiber_names, rho, structure,
+                                     bundle=bundle)
+        return Materialized(doc, ProtoBialgebroidSpec.build(action), action)
+
     anchor = {}
     for (tname, idx), text in doc.entries.items():
         if tname == "A":
@@ -225,3 +241,25 @@ def materialize(doc: SpecDocument) -> Materialized:
         psi = _parse_entry(doc.scalars["psi"], dchart, "psi")
     proto = ProtoBialgebroidSpec(a_side, astar, phi, psi)
     return Materialized(doc, proto=proto)
+
+
+_EXACT_SCALARS = {"phi", "omega", "name"}
+
+
+def _materialize_exact(doc: SpecDocument) -> Materialized:
+    n = len(doc.base_names)
+    if doc.rank != n:
+        raise DocumentError(f"exact-courant rank {doc.rank} differs from the base "
+                            f"dimension {n}")
+    unread = sorted({tname for tname, _idx in doc.entries}
+                    | (set(doc.scalars) - _EXACT_SCALARS))
+    if unread:
+        raise DocumentError(f"an exact-courant document reads only phi and omega, "
+                            f"not {', '.join(unread)}")
+    chart = standard_proto(n).a_side.chart
+    phi = _parse_entry(doc.scalars.get("phi", "0"), chart, "phi")
+    omega = doc.scalars.get("omega")
+    if omega is not None:
+        omega = _parse_entry(omega, chart, "omega")
+    twisted = twist_exact(phi, omega=omega, dim=n)
+    return Materialized(doc, twisted.proto, twisted=twisted)

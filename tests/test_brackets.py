@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from bigbracket.brackets import canonical_bracket, derived_bracket, legendre
 from bigbracket.chart import ChartError, cotangent_chart, darboux_chart, ODD
-from bigbracket.courant import standard_proto, twist_exact
-from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
 from bigbracket.specfile import load_preset, materialize
@@ -185,11 +183,7 @@ def test_bracket_without_darboux_chart_is_an_error():
 
 
 def _preset_theta(name):
-    mat = materialize(load_preset(name))
-    if mat.doc.kind == "exact-courant":
-        phi = parse_poly(mat.doc.scalars["phi"], standard_proto(3).a_side.chart)
-        return twist_exact(phi, dim=3).structure.theta.total
-    return mat.proto.theta().total
+    return materialize(load_preset(name)).proto.theta().total
 
 
 @pytest.mark.parametrize("name", ["su2-bialgebra", "exact-twist-R3"])

@@ -175,6 +175,8 @@ def test_golden_text_reports():
     ["invariants", "--c", "2", "--truncate", "-1"],
     ["invariants", "--c", "1/2", "--truncate", "-1"],
     ["verify-algebroid", "--spec", "/nonexistent"],
+    ["shla-check", "--preset", "standard-R1", "--n", "5"],
+    ["twist", "--preset", "exact-twist-R3", "--omega", ""],
 ])
 def test_bad_input_is_a_usage_error(argv):
     code, out, err = run(argv)
@@ -290,6 +292,55 @@ def test_rank_zero_bundle_passes_every_structure_command(tmp_path, argv):
     assert code == 0, err
     assert "result: PASS" in out
     assert "Traceback" not in err
+
+
+STRUCTURE_COMMANDS = (["verify-algebroid"], ["verify-bialgebroid"], ["verify-proto"],
+                      ["double"], ["courant-verify"], ["shla-check", "--n", "2"],
+                      ["dirac-check", "--section", "xis1"])
+
+
+def test_non_closed_twist_fails_every_hamiltonian_gate(tmp_path):
+    doc = tmp_path / "twist-R4.spec"
+    doc.write_text("kind: exact-courant\nbase: x1 x2 x3 x4\nrank: 4\nphi = x1*xi2*xi3*xi4\n")
+    for command in ("double", "verify-proto", "courant-verify"):
+        code, out, err = run([command, "--spec", str(doc)])
+        assert code == 1, (command, out, err)
+    code, out, _ = run(["double", "--spec", str(doc)])
+    assert "check self-commuting-hamiltonian: fail residual=2*xi1*xi2*xi3*xi4" in out
+
+
+# [e1, e2] = e1, but the action sends e1, e2 to the commuting d/dx, d/dy
+BRST_NON_HOMOMORPHIC = """kind: brst
+base: x y
+rank: 2
+lie[1][2][1] = 1
+rho[1][1] = 1
+rho[2][2] = 1
+"""
+
+
+@pytest.mark.parametrize("argv", STRUCTURE_COMMANDS, ids=" ".join)
+def test_non_homomorphic_action_is_a_failing_check(tmp_path, argv):
+    doc = tmp_path / "brst.spec"
+    doc.write_text(BRST_NON_HOMOMORPHIC)
+    code, out, err = run([argv[0], "--spec", str(doc), *argv[1:]])
+    assert code == 1, err
+    assert "fail" in out and "error:" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "kind: exact-courant\nbase: x1 x2\nrank: 3\n",
+    "kind: exact-courant\nbase: x1 x2 x3\nrank: 2\nphi = x1*xi1*xi2\n",
+    "kind: exact-courant\nbase: x1\nrank: 1\nA[1][1] = 1\n",
+    "kind: exact-courant\nbase: x1 x2 x3\nrank: 3\npsi = th1*th2*th3\n",
+], ids=["rank-above-dimension", "rank-below-dimension", "anchor-table", "psi"])
+def test_exact_courant_input_the_kind_does_not_read_is_a_usage_error(tmp_path, text):
+    doc = tmp_path / "exact.spec"
+    doc.write_text(text)
+    for argv in STRUCTURE_COMMANDS + (["twist"],):
+        code, out, err = run([argv[0], "--spec", str(doc), *argv[1:]])
+        assert (code, out) == (2, ""), argv
+        assert "error:" in err
 
 
 # C[3][1][2] = 2 and C[1][2][1] = 1 break the Jacobi identity of the su(2) table

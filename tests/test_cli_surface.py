@@ -1,0 +1,107 @@
+"""The stdout and exit code of the seven structure commands, pinned to a snapshot.
+
+`cli_surface.json` was recorded, on every shipped preset and on the documents
+below, before `specfile.materialize` became the one place that decides a
+document's hamiltonian.  Every invocation must reproduce it, except those in
+CHANGED, whose exit codes that decision changed on purpose.
+
+`courant-verify --preset weil-su2` is left out: it alone takes about 5 s.
+"""
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from bigbracket.cli import main
+from bigbracket.specfile import PRESET_NAMES
+
+SNAPSHOT = Path(__file__).with_name("cli_surface.json")
+
+COMMANDS = (
+    ("verify-algebroid",), ("verify-bialgebroid",), ("verify-proto",), ("double",),
+    ("courant-verify",), ("shla-check", "--n", "4"), ("dirac-check", "--section", "xis1"),
+)
+
+DOCUMENTS = {
+    # R^4 twisted by a three-form that is not closed
+    "twist-R4.spec": "kind: exact-courant\nbase: x1 x2 x3 x4\nrank: 4\nphi = x1*xi2*xi3*xi4\n",
+    # [e1, e2] = e1, but the action sends e1, e2 to the commuting d/dx, d/dy
+    "brst-non-homomorphic.spec": "kind: brst\nbase: x y\nrank: 2\nlie[1][2][1] = 1\n"
+                                 "rho[1][1] = 1\nrho[2][2] = 1\n",
+    "exact-rank.spec": "kind: exact-courant\nbase: x1 x2\nrank: 3\n",
+    "exact-table.spec": "kind: exact-courant\nbase: x1\nrank: 1\nA[1][1] = 1\n",
+}
+
+SLOW = {"courant-verify --preset weil-su2"}
+
+
+def invocations():
+    sources = [("--preset", name) for name in PRESET_NAMES]
+    sources += [("--spec", name) for name in DOCUMENTS]
+    out = []
+    for command, *extra in COMMANDS:
+        for source in sources:
+            argv = [command, *source, *extra]
+            if " ".join(argv[:3]) not in SLOW:
+                out.append(argv)
+    return out
+
+
+def _key(argv):
+    return " ".join(argv)
+
+
+# the exit code now, for every invocation whose exit code differs from the snapshot
+CHANGED = {
+    "verify-bialgebroid --preset brst-so2-on-R2": 0,      # checks the zero dual side
+    "double --spec twist-R4.spec": 1,
+    "verify-bialgebroid --spec brst-non-homomorphic.spec": 1,
+    "double --spec brst-non-homomorphic.spec": 1,
+    "courant-verify --spec brst-non-homomorphic.spec": 1,
+    "shla-check --spec brst-non-homomorphic.spec --n 4": 1,
+    "dirac-check --spec brst-non-homomorphic.spec --section xis1": 1,
+}
+CHANGED.update({_key(argv): 2 for argv in invocations()
+                if argv[2] in ("exact-rank.spec", "exact-table.spec")})
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("documents")
+    for name, text in DOCUMENTS.items():
+        (folder / name).write_text(text)
+    return folder
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    return json.loads(SNAPSHOT.read_text())
+
+
+def test_snapshot_covers_every_invocation(snapshot):
+    assert sorted(snapshot) == sorted(_key(argv) for argv in invocations())
+    assert set(CHANGED) <= set(snapshot)
+
+
+@pytest.mark.parametrize("argv", invocations(), ids=_key)
+def test_structure_command_output(argv, documents, snapshot, monkeypatch):
+    monkeypatch.chdir(documents)       # the report echoes the --spec path
+    code, out, err = run(argv)
+    key = _key(argv)
+    if key not in CHANGED:
+        assert (code, out) == (snapshot[key]["exit"], snapshot[key]["stdout"]), err
+        return
+    assert code == CHANGED[key] != snapshot[key]["exit"], err
+    if code == 2:
+        assert out == "" and "error:" in err
+    else:
+        assert "error:" not in err and out.startswith(f"command: {' '.join(argv[:3])}\n")

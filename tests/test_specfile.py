@@ -106,3 +106,22 @@ def test_tangent_presets_pass_the_gate():
     for name in ("tangent-R1", "tangent-R2", "tangent-R3"):
         mat = materialize(load_preset(name))
         assert check_lie_algebroid(mat.proto.a_side).passed
+
+
+def test_exact_courant_proto_is_the_gauged_standard_twist():
+    mat = materialize(parse_document(
+        "kind: exact-courant\nbase: x1 x2 x3\nrank: 3\nphi = x1*xi2*xi3\nomega = x3*xi1*xi2\n"))
+    proto = mat.proto
+    assert proto is mat.twisted.proto
+    assert [[str(entry) for entry in row] for row in proto.a_side.anchor] == [
+        ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert all(entry.is_zero() for row in proto.astar_side.anchor for entry in row)
+    assert str(mat.twisted.phi_raw) == "x1*xi2*xi3"
+    assert str(proto.phi) == "x1*xi2*xi3 + xi1*xi2*xi3"      # phi + d(omega)
+
+
+def test_brst_proto_is_the_action_algebroid_against_the_zero_dual():
+    mat = materialize(load_preset("brst-so2-on-R2"))
+    assert mat.proto.a_side is mat.action
+    assert [[str(entry) for entry in row] for row in mat.action.anchor] == [["-y", "x"]]
+    assert check_bialgebroid(mat.proto).passed
