@@ -33,6 +33,30 @@ def _as_poly(value, chart):
     return SuperPolynomial.constant(chart, value)
 
 
+def antisymmetrize(entries):
+    """Complete a table {(a, b, c): value} antisymmetric in (a, b).
+
+    Returns (table, completed, violations).  A missing mirror (b, a, c) is
+    set to the negative and counted as completed; an entry and its given
+    mirror (a diagonal entry is its own) that do not cancel are the violation
+    ((a, b, c), entry + mirror), so a broken pair is reported from each side.
+    """
+    table = {}
+    completed = 0
+    violations = []
+    for (a, b, c), value in entries.items():
+        table[(a, b, c)] = value
+        mirror = entries.get((b, a, c))
+        if mirror is None:
+            table[(b, a, c)] = -value
+            completed += 1
+        else:
+            residual = value + mirror
+            if not residual.is_zero():
+                violations.append(((a, b, c), residual))
+    return table, completed, violations
+
+
 @dataclass
 class AlgebroidSpec:
     """Base coordinates, fiber basis and the polynomial structure data.
@@ -52,8 +76,9 @@ class AlgebroidSpec:
               bundle=None):
         """anchor_entries: {(a, i): poly-or-scalar}; structure_entries: {(a, b, c): ...}.
 
-        Indices are 1-based.  Structure entries are antisymmetrized: an (a, b, c)
-        entry fixes the (b, a, c) entry to its negative; contradictions raise.
+        Indices are 1-based.  Structure entries go through `antisymmetrize`:
+        an (a, b, c) entry fixes the (b, a, c) entry to its negative, and a
+        violation raises.
         """
         base_names = tuple(base_names)
         fiber_names = tuple(fiber_names)
@@ -73,18 +98,14 @@ class AlgebroidSpec:
         for (a, b, c), val in (structure_entries or {}).items():
             if not all(1 <= k <= r for k in (a, b, c)):
                 raise SpecError(f"structure entry ({a},{b},{c}) is out of range for rank {r}")
-            given[(a - 1, b - 1, c - 1)] = _as_poly(val, chart)
-        for (a, b, c), val in given.items():
-            if a == b and not val.is_zero():
-                raise SpecError(
-                    f"structure entry ({a+1},{b+1},{c+1}) must vanish on the diagonal")
-            mirror = given.get((b, a, c))
-            if mirror is not None and not (mirror + val).is_zero():
-                raise SpecError(
-                    f"structure entries ({a+1},{b+1},{c+1}) and ({b+1},{a+1},{c+1}) "
-                    f"are not antisymmetric")
-            C[a][b][c] = val
-            C[b][a][c] = -val if mirror is None else mirror
+            given[(a, b, c)] = _as_poly(val, chart)
+        table, _completed, violations = antisymmetrize(given)
+        if violations:
+            (a, b, c), residual = violations[0]
+            raise SpecError(f"structure entry ({a},{b},{c}) is not antisymmetric: "
+                            f"it and its mirror sum to {residual}")
+        for (a, b, c), val in table.items():
+            C[a - 1][b - 1][c - 1] = val
         spec = AlgebroidSpec(base_names, fiber_names,
                              tuple(tuple(row) for row in A),
                              tuple(tuple(tuple(col) for col in plane) for plane in C),
@@ -208,6 +229,9 @@ class ThetaHamiltonian:
         return self.mu + self.gamma_star + self.phi + self.psi_star
 
     def validate_bidegrees(self):
+        """The one check of phi and psi: eps = 0 exactly when phi uses only base
+        and fiber coordinates, and delta = 0 when psi uses only base and dual
+        fiber coordinates."""
         want = {"mu": (1, 2), "gamma*": (2, 1), "psi*": (3, 0)}
         parts = {"mu": self.mu, "gamma*": self.gamma_star, "psi*": self.psi_star}
         for key, part in parts.items():
@@ -249,28 +273,20 @@ class ProtoBialgebroidSpec:
         phi = self.phi if self.phi is not None else zero
         if phi.chart is not chart:
             raise SpecError("phi must live on the primal chart")
-        allowed = set(bundle.base) | set(bundle.fiber)
-        if not phi.uses_only(allowed):
-            raise SpecError("phi may use base and fiber coordinates only")
-        if self.psi is not None and not self.psi.is_zero():
-            dual_allowed = set(self.astar_side.bundle.base) | set(self.astar_side.bundle.fiber)
-            if not self.psi.uses_only(dual_allowed):
-                raise SpecError("psi may use base and dual fiber coordinates only")
-            psi_star = legendre(self.psi, self.astar_side.chart, chart)
-        else:
-            psi_star = zero
+        psi_star = zero if self.psi is None else legendre(self.psi, self.astar_side.chart, chart)
         theta = ThetaHamiltonian(bundle, mu, gamma_star, phi, psi_star)
         theta.validate_bidegrees()
         return theta
 
 def check_bialgebroid(proto: ProtoBialgebroidSpec) -> CheckReport:
-    """{mu,mu}, {gamma,gamma} and {mu, gamma*} residuals; all empty iff compatible."""
-    if (proto.phi is not None and not proto.phi.is_zero()) or (
-            proto.psi is not None and not proto.psi.is_zero()):
-        raise SpecError("cubic terms present; use check_proto")
+    """{mu,mu}, {gamma,gamma} and {mu, gamma*} residuals; all empty iff compatible.
+
+    Nonzero cubic terms come first, as a failing `cubic-terms` line."""
     theta = proto.theta()
     mu, gs = theta.mu, theta.gamma_star
-    checks = [
+    cubic = theta.phi + theta.psi_star
+    checks = [] if cubic.is_zero() else [Check.from_residual("cubic-terms", cubic)]
+    checks += [
         Check.from_residual("{mu,mu}", canonical_bracket(mu, mu)),
         Check.from_residual("{gamma,gamma}", canonical_bracket(gs, gs)),
         Check.from_residual("{mu,gamma*}", canonical_bracket(mu, gs)),

@@ -12,8 +12,9 @@ import time
 from fractions import Fraction
 
 from . import courant as crt
-from .algebroid import (SpecError, check_bialgebroid, check_lie_algebroid, check_proto,
-                        double_differential, homomorphism_residuals, swap_proto)
+from .algebroid import (ProtoBialgebroidSpec, SpecError, check_bialgebroid,
+                        check_lie_algebroid, check_proto, double_differential,
+                        homomorphism_residuals, swap_proto)
 from .chart import ChartError
 from .necklace import (AssemblyError, RecordedConstants, StructureIdentityError,
                        TruncationInstability, build_structures, global_assembly,
@@ -27,22 +28,21 @@ from .specfile import (DocumentError, Materialized, load_document, load_preset,
 
 USAGE_EXIT = 2
 
-# Options taking a rational that may be negative.  argparse reads a following
-# word such as -1/2 as an option (it only recognises -3 or -0.5 as numbers),
-# so `--c -1/2` is joined into `--c=-1/2` before parsing.  A word names one of
-# them when argparse would resolve it so: `--c` exactly, or a prefix of
-# `--cprime` longer than `--c` (no other option starts with `--cp`).
-_NEGATIVE_WORD = re.compile(r"-[0-9.]")
-
-
-def _names_rational_option(word) -> bool:
-    return word == "--c" or (len(word) > len("--c") and "--cprime".startswith(word))
+# argparse reads a value such as -1/2 or -xis1 as an option (it only knows
+# -3 or -0.5 as numbers), so `--c -1/2` is joined into `--c=-1/2` first.  Per
+# option: the shortest word argparse resolves to it, and the values joined.
+_NEGATIVE_NUMBER = re.compile(r"-[0-9.]")
+_NEGATIVE_POLYNOMIAL = re.compile(r"-(?!-)")
+_MINUS_VALUED = (("--c", "--c", _NEGATIVE_NUMBER), ("--cprime", "--cp", _NEGATIVE_NUMBER),
+                 ("--omega", "--o", _NEGATIVE_POLYNOMIAL),
+                 ("--section", "--se", _NEGATIVE_POLYNOMIAL))
 
 
 def _join_negative_values(argv):
     out = []
     for word in argv:
-        if out and _names_rational_option(out[-1]) and _NEGATIVE_WORD.match(word):
+        if out and any(value.match(word) for option, shortest, value in _MINUS_VALUED
+                       if out[-1].startswith(shortest) and option.startswith(out[-1])):
             out[-1] = f"{out[-1]}={word}"
         else:
             out.append(word)
@@ -103,8 +103,9 @@ def cmd_verify_bialgebroid(args) -> Report:
         return report
     for check in check_bialgebroid(mat.proto).checks:
         report.add_check(check)
-    swapped = swap_proto(mat.proto)
-    report.add("self-duality", check_bialgebroid(swapped).passed)
+    # the brackets of the swapped pair (A*, A); cubic terms have their own line
+    bare = ProtoBialgebroidSpec(mat.proto.a_side, mat.proto.astar_side)
+    report.add("self-duality", check_bialgebroid(swap_proto(bare)).passed)
     return report
 
 

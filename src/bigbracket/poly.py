@@ -73,6 +73,20 @@ def mono_degree(mono) -> int:
     return sum(k for _, k in mono[0]) + len(mono[1])
 
 
+def mono_grading(mono, variables):
+    """(eps, delta, kappa) of a monomial over the chart's variable list."""
+    e = d = 0
+    for idx, k in mono[0]:
+        v = variables[idx]
+        e += v.eps * k
+        d += v.delta * k
+    for idx in mono[1]:
+        v = variables[idx]
+        e += v.eps
+        d += v.delta
+    return e, d, e + d
+
+
 def mono_index_word(mono):
     word = []
     for idx, k in mono[0]:
@@ -93,7 +107,8 @@ def mono_sort_key(mono):
 
 
 class SuperPolynomial:
-    """Exact sparse polynomial attached to a chart; zero coefficients never stored."""
+    """Exact sparse polynomial attached to a chart; the constructor alone drops
+    zero coefficients, so the operators need not and none is ever stored."""
 
     __slots__ = ("chart", "terms", "_hash")
 
@@ -159,11 +174,7 @@ class SuperPolynomial:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m)
-            s = c if s is None else s + c
-            if s:
-                terms[m] = s
-            elif m in terms:
-                del terms[m]
+            terms[m] = c if s is None else s + c
         return SuperPolynomial(self.chart, terms)
 
     __radd__ = __add__
@@ -194,11 +205,7 @@ class SuperPolynomial:
                 if sign < 0:
                     c = -c
                 s = out.get(mono)
-                s = c if s is None else s + c
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
+                out[mono] = c if s is None else s + c
         return SuperPolynomial(self.chart, out)
 
     def scale(self, value) -> "SuperPolynomial":
@@ -223,6 +230,8 @@ class SuperPolynomial:
             var = self.chart.var(var)
         if self.chart.by_name.get(var.name) is not var:
             raise ChartError(f"variable {var.name!r} does not belong to the chart")
+        # striking one factor of var is injective on the monomials that
+        # contain it, so no two terms land on the same monomial
         out = {}
         idx = var.index
         for (evens, odds), coeff in self.terms.items():
@@ -233,27 +242,14 @@ class SuperPolynomial:
                             evens[:pos] + ((j, k - 1),) + evens[pos + 1:]
                             if k > 1 else evens[:pos] + evens[pos + 1:]
                         )
-                        mono = (new_evens, odds)
-                        c = coeff * k
-                        s = out.get(mono)
-                        s = c if s is None else s + c
-                        if s:
-                            out[mono] = s
-                        elif mono in out:
-                            del out[mono]
+                        out[(new_evens, odds)] = coeff * k
                         break
             else:
                 for pos, j in enumerate(odds):
                     if j == idx:
                         # moving the left derivative past `pos` odd factors
-                        mono = (evens, odds[:pos] + odds[pos + 1:])
-                        c = coeff if pos % 2 == 0 else -coeff
-                        s = out.get(mono)
-                        s = c if s is None else s + c
-                        if s:
-                            out[mono] = s
-                        elif mono in out:
-                            del out[mono]
+                        out[(evens, odds[:pos] + odds[pos + 1:])] = (
+                            coeff if pos % 2 == 0 else -coeff)
                         break
         return SuperPolynomial(self.chart, out)
 
@@ -286,20 +282,8 @@ class SuperPolynomial:
 
     def gradings(self):
         """Set of (eps, delta, kappa) triples occurring in the polynomial."""
-        out = set()
         variables = self.chart.variables
-        for evens, odds in self.terms:
-            e = d = 0
-            for idx, k in evens:
-                v = variables[idx]
-                e += v.eps * k
-                d += v.delta * k
-            for idx in odds:
-                v = variables[idx]
-                e += v.eps
-                d += v.delta
-            out.add((e, d, e + d))
-        return out
+        return {mono_grading(mono, variables) for mono in self.terms}
 
     def grading(self):
         """The unique (eps, delta, kappa) triple of a homogeneous polynomial."""
@@ -313,16 +297,7 @@ class SuperPolynomial:
         variables = self.chart.variables
         out = {}
         for mono, coeff in self.terms.items():
-            e = d = 0
-            for idx, k in mono[0]:
-                v = variables[idx]
-                e += v.eps * k
-                d += v.delta * k
-            for idx in mono[1]:
-                v = variables[idx]
-                e += v.eps
-                d += v.delta
-            out.setdefault((e, d, e + d), {})[mono] = coeff
+            out.setdefault(mono_grading(mono, variables), {})[mono] = coeff
         return {key: SuperPolynomial(self.chart, t) for key, t in out.items()}
 
     def max_degree(self) -> int:

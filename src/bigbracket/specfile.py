@@ -1,10 +1,12 @@
 """Structure-specification documents: the on-disk format behind the CLI.
 
 A document declares a kind (algebroid, bialgebroid, proto, exact-courant,
-brst, necklace), base coordinates and polynomial-valued entries.  Structure
-tables are antisymmetrized: missing mirror entries are completed (and
-counted), while contradictory entries become data violations that verify
-commands report as failing checks rather than parse errors.
+brst, necklace), base coordinates and polynomial-valued entries; each kind
+reads a fixed set of tables and scalars, and any other is a parse error.
+Structure tables go through `algebroid.antisymmetrize`: missing mirror
+entries are completed (and counted), while contradictory entries become data
+violations that verify commands report as failing checks rather than parse
+errors.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .algebroid import AlgebroidSpec, ProtoBialgebroidSpec, dual_chart_for
+from .algebroid import AlgebroidSpec, ProtoBialgebroidSpec, antisymmetrize, dual_chart_for
 from .chart import cotangent_chart
 from .courant import TwistedStructure, standard_proto, twist_exact
 from .parsing import ParseError, parse_poly
@@ -45,7 +47,22 @@ class SpecDocument:
 
 _INT_KEYS = {"rank", "dim"}
 _TABLE_ARITY = {"A": 2, "C": 3, "Abar": 2, "Cbar": 3, "lie": 3, "rho": 2}
-_KINDS = {"algebroid", "bialgebroid", "proto", "exact-courant", "brst", "necklace"}
+_GENERIC = ("A", "C", "Abar", "Cbar", "phi", "psi")
+# The tables and scalars each kind reads; `name` is allowed on every kind.
+_READS = {"algebroid": _GENERIC, "bialgebroid": _GENERIC, "proto": _GENERIC,
+          "brst": ("lie", "rho"), "exact-courant": ("phi", "omega"), "necklace": ("c",)}
+
+
+def _check_reads(kind, entries, scalars):
+    """Reject the tables and scalars a document's kind does not read."""
+    reads = _READS[kind]
+    unread = sorted(({name for name, _idx in entries} | set(scalars))
+                    - set(reads) - {"name"})
+    if unread:
+        listing = " and ".join(", ".join(reads).rsplit(", ", 1))
+        article = "an" if kind[0] in "ae" else "a"
+        raise DocumentError(f"{article} {kind} document reads only {listing}, "
+                            f"not {', '.join(unread)}")
 
 
 def parse_document(text: str) -> SpecDocument:
@@ -63,7 +80,7 @@ def parse_document(text: str) -> SpecDocument:
             key = key.strip()
             value = value.strip()
             if key == "kind":
-                if value not in _KINDS:
+                if value not in _READS:
                     raise DocumentError(f"line {lineno}: unknown kind {value!r}")
                 kind = value
             elif key == "base":
@@ -104,6 +121,7 @@ def parse_document(text: str) -> SpecDocument:
             scalars[lhs] = rhs
     if kind is None:
         raise DocumentError("missing 'kind:' header")
+    _check_reads(kind, entries, scalars)
     return SpecDocument(kind, base, rank, entries, scalars)
 
 
@@ -134,31 +152,26 @@ def _parse_entry(text, chart, label):
         raise DocumentError(f"{label}: {exc}") from None
 
 
-def _collect_table(doc, name, chart, violations, label):
-    """Parse and antisymmetrize a structure table from document entries."""
-    raw = {}
-    for (tname, idx), text in doc.entries.items():
-        if tname != name:
-            continue
-        raw[idx] = _parse_entry(text, chart, f"{label}{list(idx)}")
-    completed = 0
-    table = {}
-    for (a, b, c), poly in raw.items():
-        if a == b:
-            if not poly.is_zero():
-                violations.append((f"{label}-antisymmetry({a},{b},{c})", poly + poly))
-            continue
-        mirror = raw.get((b, a, c))
-        if mirror is None:
-            table[(a, b, c)] = poly
-            table[(b, a, c)] = -poly
-            completed += 1
-        else:
-            if not (poly + mirror).is_zero():
-                violations.append((f"{label}-antisymmetry({a},{b},{c})", poly + mirror))
-            table[(a, b, c)] = poly
-            table[(b, a, c)] = mirror
-    return table, completed
+def _scalar(doc, name, chart):
+    """The parsed scalar `name`, or None when the document does not give it."""
+    text = doc.scalars.get(name)
+    return None if text is None else _parse_entry(text, chart, name)
+
+
+def _table(doc, name, chart):
+    """The parsed entries {idx: poly} of one table of the document."""
+    return {idx: _parse_entry(text, chart, f"{name}{list(idx)}")
+            for (tname, idx), text in doc.entries.items() if tname == name}
+
+
+def _structure_table(doc, name, chart):
+    """A structure table's entries, its completions and violations recorded on doc."""
+    entries = _table(doc, name, chart)
+    _full, completed, violations = antisymmetrize(entries)
+    doc.completed += completed
+    doc.violations += [(f"{name}-antisymmetry({a},{b},{c})", residual)
+                       for (a, b, c), residual in violations]
+    return entries
 
 
 @dataclass
@@ -194,6 +207,7 @@ def materialize(doc: SpecDocument) -> Materialized:
     rather than raised, so verification commands can print them as failing
     checks with residuals.
     """
+    doc.completed = 0
     doc.violations = []
     if doc.kind == "necklace":
         return Materialized(doc)
@@ -201,49 +215,25 @@ def materialize(doc: SpecDocument) -> Materialized:
         return _materialize_exact(doc)
     bundle = cotangent_chart(doc.base_names, doc.fiber_names)
     chart = bundle.chart
-    if doc.kind == "brst":
-        structure, _ = _collect_table(doc, "lie", chart, doc.violations, "lie")
-        rho = {idx: _parse_entry(text, chart, f"rho{list(idx)}")
-               for (tname, idx), text in doc.entries.items() if tname == "rho"}
-        if doc.violations:
-            return Materialized(doc)
-        action = AlgebroidSpec.build(doc.base_names, doc.fiber_names, rho, structure,
-                                     bundle=bundle)
-        return Materialized(doc, ProtoBialgebroidSpec.build(action), action)
-
-    anchor = {}
-    for (tname, idx), text in doc.entries.items():
-        if tname == "A":
-            anchor[idx] = _parse_entry(text, chart, f"A{list(idx)}")
-    structure, comp1 = _collect_table(doc, "C", chart, doc.violations, "C")
-    doc.completed = comp1
+    brst = doc.kind == "brst"
+    anchor = _table(doc, "rho" if brst else "A", chart)
+    structure = _structure_table(doc, "lie" if brst else "C", chart)
     if doc.violations:
         return Materialized(doc)
     a_side = AlgebroidSpec.build(doc.base_names, doc.fiber_names, anchor, structure,
                                  bundle=bundle)
+    # a brst document has no dual tables or cubic terms: the zero dual structure
     dual_bundle = dual_chart_for(a_side)
     dchart = dual_bundle.chart
-    anchor_d = {}
-    for (tname, idx), text in doc.entries.items():
-        if tname == "Abar":
-            anchor_d[idx] = _parse_entry(text, dchart, f"Abar{list(idx)}")
-    structure_d, comp2 = _collect_table(doc, "Cbar", dchart, doc.violations, "Cbar")
-    doc.completed += comp2
+    anchor_d = _table(doc, "Abar", dchart)
+    structure_d = _structure_table(doc, "Cbar", dchart)
     if doc.violations:
         return Materialized(doc)
     astar = AlgebroidSpec.build(doc.base_names, tuple(f.name for f in dual_bundle.fiber),
                                 anchor_d, structure_d, bundle=dual_bundle)
-    phi = None
-    if "phi" in doc.scalars:
-        phi = _parse_entry(doc.scalars["phi"], chart, "phi")
-    psi = None
-    if "psi" in doc.scalars:
-        psi = _parse_entry(doc.scalars["psi"], dchart, "psi")
-    proto = ProtoBialgebroidSpec(a_side, astar, phi, psi)
-    return Materialized(doc, proto=proto)
-
-
-_EXACT_SCALARS = {"phi", "omega", "name"}
+    proto = ProtoBialgebroidSpec(a_side, astar, _scalar(doc, "phi", chart),
+                                 _scalar(doc, "psi", dchart))
+    return Materialized(doc, proto, a_side if brst else None)
 
 
 def _materialize_exact(doc: SpecDocument) -> Materialized:
@@ -251,15 +241,7 @@ def _materialize_exact(doc: SpecDocument) -> Materialized:
     if doc.rank != n:
         raise DocumentError(f"exact-courant rank {doc.rank} differs from the base "
                             f"dimension {n}")
-    unread = sorted({tname for tname, _idx in doc.entries}
-                    | (set(doc.scalars) - _EXACT_SCALARS))
-    if unread:
-        raise DocumentError(f"an exact-courant document reads only phi and omega, "
-                            f"not {', '.join(unread)}")
     chart = standard_proto(n).a_side.chart
     phi = _parse_entry(doc.scalars.get("phi", "0"), chart, "phi")
-    omega = doc.scalars.get("omega")
-    if omega is not None:
-        omega = _parse_entry(omega, chart, "omega")
-    twisted = twist_exact(phi, omega=omega, dim=n)
+    twisted = twist_exact(phi, omega=_scalar(doc, "omega", chart), dim=n)
     return Materialized(doc, twisted.proto, twisted=twisted)

@@ -5,7 +5,10 @@ odd transpositions; the brackets are defined by the generator table plus the
 graded Leibniz recursion, never touching the partial-derivative formulas of
 the package.  The section oracles rebuild every product from the bracket
 kernel with no memo: nothing is kept between calls.  The span oracles grow a
-basis one `in_span` decision at a time, each a fresh elimination.
+basis one `in_span` decision at a time, each a fresh elimination.  The table
+oracle `collect_table` antisymmetrizes a document table the loader's old way,
+and the SH-Lie sign is the product `perm_sign * koszul_sign` of a cycle count
+and an odd-inversion count.
 
 The other routes here reach the same objects another way than the engine:
 - the Cartan calculus on Pi TM (`pi_tangent_chart`, `de_rham`, `interior`,
@@ -31,6 +34,7 @@ from bigbracket.chart import (Chart, ChartError, DarbouxChart, GradedVariable,
 from bigbracket.courant import CourantSection, circ
 from bigbracket.linalg import in_span, nullspace
 from bigbracket.necklace import build_structures
+from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial, poly_sum
 from bigbracket.rationals import GaussianRational, ONE, ZERO
 
@@ -187,6 +191,66 @@ def slow_t_tensor(e1, e2, e3) -> SuperPolynomial:
              + canonical_bracket(slow_skew(e2, e3).embedded, e1.embedded)
              + canonical_bracket(slow_skew(e3, e1).embedded, e2.embedded))
     return total.scale(GaussianRational(Fraction(1, 6)))
+
+
+def collect_table(doc, name, chart, violations, label):
+    """Parse and antisymmetrize a structure table from document entries.
+
+    The loader's own routine before `algebroid.antisymmetrize` replaced it:
+    diagonal entries stay out of the table, and each broken mirrored pair is
+    appended to `violations` once from each side.
+    """
+    raw = {}
+    for (tname, idx), text in doc.entries.items():
+        if tname != name:
+            continue
+        raw[idx] = parse_poly(text, chart)
+    completed = 0
+    table = {}
+    for (a, b, c), poly in raw.items():
+        if a == b:
+            if not poly.is_zero():
+                violations.append((f"{label}-antisymmetry({a},{b},{c})", poly + poly))
+            continue
+        mirror = raw.get((b, a, c))
+        if mirror is None:
+            table[(a, b, c)] = poly
+            table[(b, a, c)] = -poly
+            completed += 1
+        else:
+            if not (poly + mirror).is_zero():
+                violations.append((f"{label}-antisymmetry({a},{b},{c})", poly + mirror))
+            table[(a, b, c)] = poly
+            table[(b, a, c)] = mirror
+    return table, completed
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation from its cycle lengths."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def koszul_sign(perm, degrees) -> int:
+    """Sign from moving graded symbols through each other, inversions only."""
+    sign = 1
+    for a in range(len(perm)):
+        for b in range(a + 1, len(perm)):
+            if perm[a] > perm[b] and degrees[perm[a]] % 2 and degrees[perm[b]] % 2:
+                sign = -sign
+    return sign
 
 
 def slow_independent(vectors):

@@ -474,3 +474,83 @@ def test_no_argv_raises(tmp_path):
         assert code in (0, 1, 2), (argv, code)
         codes.append(code)
     assert {0, 1, 2} <= set(codes)
+
+
+CUBIC_DOCUMENTS = {
+    "twist-R4.spec": "kind: exact-courant\nbase: x1 x2 x3 x4\nrank: 4\nphi = x1*xi2*xi3*xi4\n",
+    # the two-form probe x1*xi2*xi3 next to a three-form
+    "probe.spec": "kind: exact-courant\nbase: x1 x2 x3\nrank: 3\nphi = x1*xi2*xi3\n"
+                  "omega = x3*xi1*xi2\n",
+    "psi.spec": "kind: proto\nrank: 3\npsi = th1*th2*th3\n",
+}
+
+
+@pytest.mark.parametrize("source, cubic", [
+    (["--preset", "exact-twist-R3"], "xi1*xi2*xi3"),
+    (["--spec", "twist-R4.spec"], "x1*xi2*xi3*xi4"),
+    (["--spec", "probe.spec"], "x1*xi2*xi3 + xi1*xi2*xi3"),
+    (["--spec", "psi.spec"], "xis1*xis2*xis3"),
+], ids=lambda value: value[-1] if isinstance(value, list) else None)
+def test_cubic_terms_are_a_failing_bialgebroid_check(tmp_path, monkeypatch, source, cubic):
+    for name, text in CUBIC_DOCUMENTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["verify-bialgebroid", *source])
+    assert code == 1 and err == ""
+    assert out.splitlines()[1:] == [
+        f"check cubic-terms: fail residual={cubic}",
+        "check {mu,mu}: pass", "check {gamma,gamma}: pass", "check {mu,gamma*}: pass",
+        "check self-duality: pass", "result: FAIL (4 pass, 1 fail)"]
+
+
+TWIST_R3 = "kind: exact-courant\nbase: x1 x2 x3\nrank: 3\nphi = xi1*xi2*xi3\n"
+
+
+@pytest.mark.parametrize("separate, joined", [
+    (["twist", "--spec", "d.spec", "--omega", "-1/2*x1*x1*xi2*xi3"],
+     ["twist", "--spec", "d.spec", "--omega=-1/2*x1*x1*xi2*xi3"]),
+    (["twist", "--spec", "d.spec", "--om", "-x3*xi1*xi2"],
+     ["twist", "--spec", "d.spec", "--omega=-x3*xi1*xi2"]),
+    (["dirac-check", "--preset", "standard-R2", "--section", "-xis1", "--section", "xis2"],
+     ["dirac-check", "--preset", "standard-R2", "--section=-xis1", "--section", "xis2"]),
+    (["dirac-check", "--preset", "standard-R2", "--sec", "-xis1", "--section", "-xis2"],
+     ["dirac-check", "--preset", "standard-R2", "--section=-xis1", "--section=-xis2"]),
+])
+def test_negative_polynomial_as_separate_word(tmp_path, monkeypatch, separate, joined):
+    (tmp_path / "d.spec").write_text(TWIST_R3)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(separate)
+    assert code in (0, 1) and "error:" not in err, err
+    assert (code, out) == run(joined)[:2]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify-algebroid"], "kind: brst\nbase: x y\nrank: 1\nrho[1][1] = -y\nrho[1][2] = x\n"
+                           "C[1][1][1] = 1\n"),
+    (["verify-bialgebroid"], "kind: bialgebroid\nbase: x1\nrank: 1\nA[1][1] = 1\n"
+                             "omega = x1*xi1\n"),
+    (["verify-bialgebroid"], "kind: bialgebroid\nbase: x1 x2\nrank: 2\nA[1][1] = 1\n"
+                             "A[2][2] = 1\nlie[1][2][1] = 1\n"),
+    (["verify-proto"], "kind: proto\nbase: x1\nrank: 1\nA[1][1] = 1\nrho[1][1] = 1\n"),
+    (["cohomology", "--modes", "1", "--truncate", "8"], "kind: necklace\nc = 1/3\nA[1][1] = 1\n"),
+], ids=["brst-C", "bialgebroid-omega", "bialgebroid-lie", "proto-rho", "necklace-A"])
+def test_input_the_kind_does_not_read_is_a_usage_error(tmp_path, argv, text):
+    doc = tmp_path / "doc.spec"
+    doc.write_text(text)
+    code, out, err = run([argv[0], "--spec", str(doc), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert "error:" in err and "document reads only" in err
+
+
+@pytest.mark.parametrize("phi, omega", [
+    ("xi1", None), ("xis1*xi2*xi3", None), ("x2*xi1 + xi1*xi2*xi3", None),
+    ("xi1*xi2*xi3", "xi1"), ("xi1*xi2*xi3", "xs1*xi2"),
+])
+def test_invalid_twist_is_a_usage_error(tmp_path, phi, omega):
+    doc = tmp_path / "twist.spec"
+    doc.write_text(f"kind: exact-courant\nbase: x1 x2 x3\nrank: 3\nphi = {phi}\n"
+                   + (f"omega = {omega}\n" if omega else ""))
+    for command in ("twist", "courant-verify", "verify-proto"):
+        code, out, err = run([command, "--spec", str(doc)])
+        assert (code, out) == (2, ""), (command, err)
+        assert "error:" in err

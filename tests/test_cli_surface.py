@@ -3,7 +3,10 @@
 `cli_surface.json` was recorded, on every shipped preset and on the documents
 below, before `specfile.materialize` became the one place that decides a
 document's hamiltonian.  Every invocation must reproduce it, except those in
-CHANGED, whose exit codes that decision changed on purpose.
+CHANGED, whose exit codes that decision, and reporting cubic terms to
+verify-bialgebroid as a failing check, changed on purpose.  The two
+verify-algebroid and verify-proto entries of brst-non-homomorphic.spec were
+re-recorded when its one-sided lie entry began to be counted as a completion.
 
 `courant-verify --preset weil-su2` is left out: it alone takes about 5 s.
 """
@@ -62,6 +65,9 @@ CHANGED = {
     "courant-verify --spec brst-non-homomorphic.spec": 1,
     "shla-check --spec brst-non-homomorphic.spec --n 4": 1,
     "dirac-check --spec brst-non-homomorphic.spec --section xis1": 1,
+    # cubic terms are a failing check of verify-bialgebroid, not a usage error
+    "verify-bialgebroid --preset exact-twist-R3": 1,
+    "verify-bialgebroid --spec twist-R4.spec": 1,
 }
 CHANGED.update({_key(argv): 2 for argv in invocations()
                 if argv[2] in ("exact-rank.spec", "exact-table.spec")})

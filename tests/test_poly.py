@@ -174,3 +174,13 @@ def test_equal_polynomials_hash_alike_and_keep_their_hash():
     table = {p: "kept"}
     assert table[q] == "kept"
     assert hash(SuperPolynomial.zero(CH)) == hash(v("x1") - v("x1"))
+
+
+@given(small_polys(), small_polys())
+def test_operators_never_store_a_zero_coefficient(p, q):
+    """Sums, products and partials that cancel keep no zero term."""
+    results = [p + q, p - q, p + (-p), p * q, (p + q) * (p - q),
+               p * q - q * p, (p * q + q * p) * (p - p)]
+    results += [r.partial(var) for r in (p, p * q, p + q) for var in CH.variables]
+    for r in results:
+        assert all(r.terms.values()), r.terms

@@ -1,6 +1,7 @@
 from fractions import Fraction
+from itertools import permutations, product
 
-from bigbracket.courant import (ShlaMaps, basis_sections,
+from bigbracket.courant import (ShlaMaps, _shla_sign, basis_sections,
                                 d_operator, graded_constant, graded_function,
                                 graded_section, jacobiator, pairing,
                                 shla_check, shla_identity, skew_bracket,
@@ -9,6 +10,7 @@ from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
 
 from conftest import standard_structure
+from oracles import koszul_sign, perm_sign
 from test_algebroid import su2_bialgebra
 
 STD1 = standard_structure(1)
@@ -104,3 +106,30 @@ def test_chain_map_identity_with_scaled_sections():
         for e2 in elements[6:12]:
             for f in elements[12:]:
                 assert shla_identity(structure, 3, [e1, e2, f]).is_zero()
+
+
+def test_shla_sign_is_the_permutation_sign_times_the_koszul_sign():
+    """Every permutation of up to five symbols of degree 0, 1 or 2."""
+    for n in range(6):
+        for degrees in product((0, 1, 2), repeat=n):
+            for perm in permutations(range(n)):
+                assert _shla_sign(perm, degrees) == perm_sign(perm) * koszul_sign(perm, degrees)
+
+
+def test_identity_sweep_evaluates_each_tuple_once(monkeypatch):
+    """The lemma lines are read off the identity sweep, not swept again."""
+    import bigbracket.courant as courant
+    seen = []
+    original = courant.shla_identity
+
+    def counted(structure, n, args):
+        seen.append((n, tuple(id(a) for a in args)))
+        return original(structure, n, args)
+
+    monkeypatch.setattr(courant, "shla_identity", counted)
+    structure = standard_structure(2)
+    for n in (3, 4):
+        seen.clear()
+        report = shla_check(structure, n)
+        assert report.passed
+        assert len(seen) == len(set(seen)) > 0

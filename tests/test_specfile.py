@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
-from bigbracket.algebroid import check_bialgebroid, check_lie_algebroid
+from bigbracket.algebroid import antisymmetrize, check_bialgebroid, check_lie_algebroid
+from bigbracket.chart import cotangent_chart
+from bigbracket.parsing import parse_poly
 from bigbracket.specfile import (DocumentError, PRESET_NAMES, load_preset,
                                  materialize, parse_document)
+
+from oracles import collect_table
 
 
 def test_all_presets_load_and_materialize():
@@ -125,3 +131,98 @@ def test_brst_proto_is_the_action_algebroid_against_the_zero_dual():
     assert mat.proto.a_side is mat.action
     assert [[str(entry) for entry in row] for row in mat.action.anchor] == [["-y", "x"]]
     assert check_bialgebroid(mat.proto).passed
+
+
+TABLE_VALUES = ("1", "-1", "x1", "-x1", "2*x1", "0")
+
+
+def random_table_document(rng):
+    """One-sided entries, mirrored pairs that cancel or contradict, diagonal entries."""
+    rank = rng.randint(2, 3)
+    lines = {}
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.sample(range(1, rank + 1), 2)
+        c = rng.randint(1, rank)
+        value = rng.choice(TABLE_VALUES)
+        lines[(a, b, c)] = value
+        mirror = rng.random()
+        if mirror < 0.3:
+            lines[(b, a, c)] = f"-({value})"
+        elif mirror < 0.5:
+            lines[(b, a, c)] = rng.choice(TABLE_VALUES)
+    if rng.random() < 0.3:
+        a, c = rng.randint(1, rank), rng.randint(1, rank)
+        lines[(a, a, c)] = rng.choice(TABLE_VALUES)
+    keys = list(lines)
+    rng.shuffle(keys)
+    return f"kind: algebroid\nbase: x1\nrank: {rank}\n" + "".join(
+        f"C[{a}][{b}][{c}] = {lines[(a, b, c)]}\n" for a, b, c in keys)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_antisymmetrize_agrees_with_the_old_loader(seed):
+    text = random_table_document(random.Random(seed))
+    doc = parse_document(text)
+    chart = cotangent_chart(doc.base_names, doc.fiber_names).chart
+    old_violations = []
+    old_table, old_completed = collect_table(doc, "C", chart, old_violations, "C")
+
+    entries = {idx: parse_poly(value, chart)
+               for (_name, idx), value in doc.entries.items()}
+    table, completed, violations = antisymmetrize(entries)
+    assert completed == old_completed
+    assert [(f"C-antisymmetry({a},{b},{c})", r) for (a, b, c), r in violations] \
+        == old_violations
+    assert {k: v for k, v in table.items() if k[0] != k[1]} == old_table
+    assert all(table[k] == entries[k] for k in table if k[0] == k[1])
+
+    mat = materialize(doc)         # on a chart of its own, so compare by text
+    assert doc.completed == old_completed
+    assert [(label, str(r)) for label, r in mat.violations] \
+        == [(label, str(r)) for label, r in old_violations]
+    assert (mat.proto is None) == bool(old_violations)
+
+
+def test_brst_completions_are_counted():
+    doc = parse_document("kind: brst\nbase: x y\nrank: 2\nlie[1][2][1] = 1\n"
+                         "rho[1][1] = 1\nrho[2][2] = 1\n")
+    mat = materialize(doc)
+    assert doc.completed == 1 and not mat.violations
+    assert str(mat.action.structure[1][0][0]) == "-1"
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("algebroid", "A[1][1] = 1\nC[1][1][1] = 0\nAbar[1][1] = 0\nCbar[1][1][1] = 0\n"
+                  "phi = 0\npsi = 0\n"),
+    ("bialgebroid", "A[1][1] = 1\n"),
+    ("proto", "phi = 0\npsi = 0\n"),
+    ("brst", "lie[1][1][1] = 0\nrho[1][1] = x1\n"),
+    ("exact-courant", "phi = 0\nomega = 0\n"),
+    ("necklace", "c = 1/3\n"),
+])
+def test_each_kind_reads_its_own_tables_and_a_name(kind, body):
+    doc = parse_document(f"kind: {kind}\nbase: x1\nrank: 1\nname: example\n{body}")
+    assert doc.scalars["name"] == "example"
+
+
+@pytest.mark.parametrize("kind, body, unread", [
+    ("brst", "C[1][2][1] = 1\n", "C"),
+    ("bialgebroid", "omega = 0\n", "omega"),
+    ("algebroid", "lie[1][2][1] = 1\nrho[1][1] = 1\n", "lie, rho"),
+    ("exact-courant", "psi = 0\nA[1][1] = 1\n", "A, psi"),
+    ("necklace", "phi = 0\n", "phi"),
+])
+def test_input_a_kind_does_not_read_is_rejected(kind, body, unread):
+    with pytest.raises(DocumentError) as err:
+        parse_document(f"kind: {kind}\nbase: x1\nrank: 2\n{body}")
+    assert str(err.value).endswith(f", not {unread}")
+
+
+def test_unread_input_message_names_what_the_kind_reads():
+    with pytest.raises(DocumentError) as err:
+        parse_document("kind: algebroid\nrank: 1\nlie[1][1][1] = 0\n")
+    assert str(err.value) == ("an algebroid document reads only A, C, Abar, Cbar, phi "
+                              "and psi, not lie")
+    with pytest.raises(DocumentError) as err:
+        parse_document("kind: brst\nrank: 1\nC[1][1][1] = 0\n")
+    assert str(err.value) == "a brst document reads only lie and rho, not C"
