@@ -211,6 +211,11 @@ def check_lie_algebroid(spec: AlgebroidSpec) -> CheckReport:
     return CheckReport([Check.from_residual("{mu,mu}", canonical_bracket(mu, mu))])
 
 
+# the bidegree of each part of theta and, for the cubic terms, of their probe
+_BIDEGREES = {"mu": ((1, 2), None), "gamma*": ((2, 1), None),
+              "phi": ((0, 3), (0, 2)), "psi*": ((3, 0), (2, 0))}
+
+
 @dataclass
 class ThetaHamiltonian:
     """theta = mu + gamma* + phi-part + psi-part on the primal big chart."""
@@ -229,22 +234,22 @@ class ThetaHamiltonian:
         return self.mu + self.gamma_star + self.phi + self.psi_star
 
     def validate_bidegrees(self):
-        """The one check of phi and psi: eps = 0 exactly when phi uses only base
-        and fiber coordinates, and delta = 0 when psi uses only base and dual
-        fiber coordinates."""
-        want = {"mu": (1, 2), "gamma*": (2, 1), "psi*": (3, 0)}
-        parts = {"mu": self.mu, "gamma*": self.gamma_star, "psi*": self.psi_star}
+        """The one grading rule of the four parts of theta.
+
+        mu and gamma* have one bidegree each.  phi (eps = 0: base and fiber
+        coordinates only) and psi* (delta = 0: base and dual fiber
+        coordinates only) are cubic, or quadratic as an anomaly probe: that
+        spoils the total grading but keeps every structure residual well
+        defined.  Any other bidegree raises, naming the part.
+        """
+        parts = {"mu": self.mu, "gamma*": self.gamma_star, "phi": self.phi,
+                 "psi*": self.psi_star}
         for key, part in parts.items():
-            if part.is_zero():
-                continue
-            e, d, k = part.grading()
-            if (e, d) != want[key] or k != 3:
-                raise SpecError(f"{key} has bidegree {(e, d)}, expected {want[key]}")
-        # phi of degree 2 is tolerated as an anomaly probe (it spoils the
-        # total grading but keeps every structure residual well defined)
-        for e, d, _k in self.phi.gradings():
-            if e != 0 or d not in (2, 3):
-                raise SpecError(f"phi has bidegree {(e, d)}, expected (0,3) or the (0,2) probe")
+            want, probe = _BIDEGREES[key]
+            for e, d, _k in sorted(part.gradings()):
+                if (e, d) not in (want, probe):
+                    allowed = f"{want} or the {probe} probe" if probe else str(want)
+                    raise SpecError(f"{key} has bidegree {(e, d)}, expected {allowed}")
 
 
 @dataclass

@@ -188,7 +188,7 @@ def cmd_twist(args) -> Report:
         raise DocumentError("twist applies to exact-courant documents")
     if args.omega is not None:
         omega = parse_poly(args.omega, twisted.structure.chart)
-        twisted = crt.twist_exact(twisted.phi_raw, omega=omega, dim=len(mat.doc.base_names))
+        twisted = crt.twist_exact(twisted.proto, twisted.phi_raw, omega)
     for check in crt.verify_axioms(twisted.structure).checks:
         report.add_check(check)
     diff = twisted.phi - twisted.phi_raw

@@ -241,7 +241,8 @@ def _materialize_exact(doc: SpecDocument) -> Materialized:
     if doc.rank != n:
         raise DocumentError(f"exact-courant rank {doc.rank} differs from the base "
                             f"dimension {n}")
-    chart = standard_proto(n).a_side.chart
+    std = standard_proto(n)
+    chart = std.a_side.chart
     phi = _parse_entry(doc.scalars.get("phi", "0"), chart, "phi")
-    twisted = twist_exact(phi, omega=_scalar(doc, "omega", chart), dim=n)
+    twisted = twist_exact(std, phi, _scalar(doc, "omega", chart))
     return Materialized(doc, twisted.proto, twisted=twisted)

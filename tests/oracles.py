@@ -19,6 +19,8 @@ The other routes here reach the same objects another way than the engine:
   bivector;
 - `anchor_apply` as <e, D f>, the left-product expression `k_expression` and
   the splitting change `splitting_shift` of a gauged twist;
+- `sweep_axioms_1_2`, Courant axioms 1 and 2 term by term on every tuple,
+  where the gate reads them off 1/2{theta, theta};
 - the su(2) origin of the sphere family: `su2_bivector`, its quotient
   `bruhat_w_chart`, and `rescaled_pi_c`, which maps the members into one
   another.
@@ -31,7 +33,8 @@ from bigbracket.brackets import canonical_bracket, derived_bracket
 from bigbracket.cartan import VectorField
 from bigbracket.chart import (Chart, ChartError, DarbouxChart, GradedVariable,
                               darboux_chart, EVEN, ODD)
-from bigbracket.courant import CourantSection, circ
+from bigbracket.courant import (CourantSection, circ, coordinate_functions,
+                                generator_family)
 from bigbracket.linalg import in_span, nullspace
 from bigbracket.necklace import build_structures
 from bigbracket.parsing import parse_poly
@@ -498,6 +501,52 @@ def k_expression(e1, e2, e3) -> CourantSection:
          + circ(e2, circ(e1, e3)).embedded
          - circ(e1, circ(e2, e3)).embedded)
     return CourantSection.from_embedded(e1.structure, k)
+
+
+def sweep_axioms_1_2(structure) -> dict:
+    """The first nonzero residual of axioms 1 and 2, each by its triple sweep.
+
+    Every tuple evaluates the Leibniz-Jacobi or anchor identity term by term,
+    over the gate's generator family in the gate's order; the gate reads both
+    axioms off 1/2{theta, theta} when theta has total degree 3.
+    """
+    sections = generator_family(structure)
+    functions = coordinate_functions(structure)
+    memo = structure._memo
+    theta_bracket = memo.theta_bracket
+    emb = [s.embedded for s in sections]
+    d_of = [theta_bracket(e) for e in emb]
+    prod = [[memo.product(a, b) for b in emb] for a in emb]
+    zero = SuperPolynomial.zero(structure.chart)
+    indices = range(len(sections))
+    rho_of = {}
+
+    def rho(i, f):
+        """rho(e_i) f, once per generator and distinct function."""
+        out = rho_of.get((i, f))
+        if out is None:
+            out = rho_of[(i, f)] = canonical_bracket(emb[i], theta_bracket(f))
+        return out
+
+    def leibniz_jacobi():
+        for i in indices:
+            for j in indices:
+                d_ij = theta_bracket(prod[i][j])
+                for k in indices:
+                    yield (canonical_bracket(d_of[i], prod[j][k])
+                           - canonical_bracket(d_ij, emb[k])
+                           - canonical_bracket(d_of[j], prod[i][k]))
+
+    def anchor_homomorphism():
+        for i in indices:
+            for j in indices:
+                for f in functions:
+                    lhs = canonical_bracket(prod[i][j], theta_bracket(f))
+                    yield lhs - (rho(i, rho(j, f)) - rho(j, rho(i, f)))
+
+    return {name: next((r for r in sweep() if not r.is_zero()), zero)
+            for name, sweep in (("axiom1-leibniz-jacobi", leibniz_jacobi),
+                                ("axiom2-anchor-homomorphism", anchor_homomorphism))}
 
 
 def splitting_shift(twisted, e: CourantSection) -> CourantSection:

@@ -18,7 +18,7 @@ from bigbracket.cli import main as cli_main
 from bigbracket.courant import (CourantSection, basis_sections,
                                 circ, d_operator, de_rham_on_fibers,
                                 generator_family, jacobiator, pairing,
-                                shla_check, skew_bracket,
+                                shla_check, skew_bracket, standard_proto,
                                 structure_from_proto, t_tensor, twist_exact,
                                 verify_axioms)
 from bigbracket.necklace import (global_assembly, mode_cohomology,
@@ -247,10 +247,10 @@ def test_criterion_7_homotopy_identities():
 @criterion(8)
 def test_criterion_8_twists_and_gauges():
     std3 = standard_structure(3)
-    closed = twist_exact(parse_poly("xi1*xi2*xi3", std3.chart), dim=3)
+    closed = twist_exact(standard_proto(3), parse_poly("xi1*xi2*xi3", std3.chart))
     assert verify_axioms(closed.structure).passed
 
-    probe = twist_exact(parse_poly("x1*xi2*xi3", std3.chart), dim=3)
+    probe = twist_exact(standard_proto(3), parse_poly("x1*xi2*xi3", std3.chart))
     report = verify_axioms(probe.structure)
     outcome = {c.name: c.passed for c in report.checks}
     assert outcome["axiom1-leibniz-jacobi"] is False
@@ -276,8 +276,8 @@ def test_criterion_8_twists_and_gauges():
 
     phi = parse_poly("xi1*xi2*xi3", std3.chart)
     omega = parse_poly("x1*xi2*xi3", std3.chart)
-    plain = twist_exact(phi, dim=3)
-    gauged = twist_exact(phi, omega=omega, dim=3)
+    plain = twist_exact(standard_proto(3), phi)
+    gauged = twist_exact(standard_proto(3), phi, omega)
     assert gauged.phi - gauged.phi_raw.substitute(gauged.structure.chart, {}) == (
         de_rham_on_fibers(gauged.structure.bundle, omega))
     for e1 in basis_sections(gauged.structure):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from bigbracket.brackets import canonical_bracket, derived_bracket, legendre
 from bigbracket.chart import ChartError, cotangent_chart, darboux_chart, ODD
-from bigbracket.poly import SuperPolynomial
+from bigbracket.poly import SuperPolynomial, poly_sum
 from bigbracket.rationals import GaussianRational
 from bigbracket.specfile import load_preset, materialize
 
@@ -87,6 +87,28 @@ def test_graded_skew_both_parities(seed):
         lhs = canonical_bracket(p, q)
         flipped = canonical_bracket(q, p).scale(_skew_sign(chart, p, q))
         assert lhs == flipped.scale(-1)
+
+
+def _degree_one(rng):
+    """A random section embedding: base-function coefficients on xi and xis."""
+    terms = []
+    for name in ("xi1", "xi2", "xis1", "xis2"):
+        coeff = SuperPolynomial.constant(CH, rng.randint(-3, 3))
+        for x in ("x1", "x2"):
+            coeff = coeff * v(x) ** rng.randint(0, 2)
+        terms.append(coeff * v(name))
+    return poly_sum(CH, terms)
+
+
+@given(seeds())
+def test_pairing_is_symmetric_on_degree_one(seed):
+    """{a, b} == {b, a} on degree 1, and a base function pairs to zero with
+    it: so axiom 5 reads both of its terms off one bracket table."""
+    rng = random.Random(seed)
+    a, b = _degree_one(rng), _degree_one(rng)
+    assert canonical_bracket(a, b) == canonical_bracket(b, a)
+    f = v("x1") ** rng.randint(0, 2) * v("x2") ** rng.randint(0, 2)
+    assert canonical_bracket(f, a).is_zero() and canonical_bracket(a, f).is_zero()
 
 
 @given(seeds())

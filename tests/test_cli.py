@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from bigbracket import courant, specfile
 from bigbracket.cli import main
 
 
@@ -105,6 +106,60 @@ phi = x1*xi2*xi3
     assert code == 1
     assert "axiom1-leibniz-jacobi: fail" in out
     assert "twist-closed: pass (False)" in out
+
+
+# the (0,2) phi probe and its mirror, the (2,0) psi probe, each over an anchor on its side
+PROBE_MIRRORS = {
+    "phi": "kind: proto\nbase: x1\nrank: 3\nA[3][1] = 1\nphi = xi1*xi2*xi3 + x1*xi1*xi2\n",
+    "psi": "kind: proto\nbase: x1\nrank: 3\nAbar[3][1] = 1\n"
+           "psi = th1*th2*th3 + x1*th1*th2\n",
+}
+
+
+def test_phi_and_psi_probes_are_read_alike(tmp_path):
+    out = {}
+    for side, text in PROBE_MIRRORS.items():
+        doc = tmp_path / f"{side}.spec"
+        doc.write_text(text)
+        for command in ("verify-proto", "courant-verify"):
+            code, stdout, err = run([command, "--spec", str(doc)])
+            assert code == 1 and err == "", (side, command, err)
+            out[side, command] = stdout.split("\n", 1)[1]
+    assert "check {mu,phi}: fail residual=xi1*xi2*xi3\n" in out["phi", "verify-proto"]
+    assert "check {gamma*,psi*}: fail residual=xis1*xis2*xis3\n" in out["psi", "verify-proto"]
+    # the off-degree theta of either probe goes through the term-by-term sweep
+    assert out["phi", "courant-verify"] == out["psi", "courant-verify"]
+    assert "check axiom1-leibniz-jacobi: fail" in out["psi", "courant-verify"]
+
+
+@pytest.mark.parametrize("scalar, message", [
+    ("phi = x1*xi1", "phi has bidegree (0, 1), expected (0, 3) or the (0, 2) probe"),
+    ("psi = x1*th1", "psi* has bidegree (1, 0), expected (3, 0) or the (2, 0) probe"),
+    ("psi = th1*th2*th3 + th1", "psi* has bidegree (1, 0), expected (3, 0) or the (2, 0) probe"),
+])
+def test_other_cubic_bidegrees_are_usage_errors(tmp_path, scalar, message):
+    doc = tmp_path / "doc.spec"
+    doc.write_text(f"kind: proto\nbase: x1\nrank: 3\n{scalar}\n")
+    for command in ("verify-proto", "courant-verify"):
+        code, out, err = run([command, "--spec", str(doc)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--omega", "x1*xi2*xi3"]])
+def test_twist_builds_one_standard_structure(extra, monkeypatch):
+    """materialize builds standard_proto(3) once, and --omega re-gauges on it."""
+    calls = []
+    real = courant.standard_proto
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+    monkeypatch.setattr(courant, "standard_proto", counted)
+    monkeypatch.setattr(specfile, "standard_proto", counted)
+    code, _out, err = run(["twist", "--preset", "exact-twist-R3", *extra])
+    assert code == 0, err
+    assert calls == [3]
 
 
 def test_cohomology_command():

@@ -1,24 +1,27 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from bigbracket import courant
 from bigbracket.algebroid import SpecError, ThetaHamiltonian
 from bigbracket.brackets import canonical_bracket
 from bigbracket.courant import (CourantSection, CourantStructure,
-                                basis_sections, check_dirac, circ, d_operator,
-                                de_rham_on_fibers, generator_family, is_exact_difference,
-                                jacobiator, pairing, skew_bracket,
-                                structure_from_proto, t_tensor,
+                                basis_sections, check_dirac, circ, coordinate_functions,
+                                d_operator, de_rham_on_fibers, generator_family,
+                                is_exact_difference, jacobiator, pairing, skew_bracket,
+                                standard_proto, structure_from_proto, t_tensor,
                                 twist_exact, verify_axioms)
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
+from bigbracket.specfile import PRESET_NAMES, load_preset, materialize, parse_document
 
 from conftest import standard_structure
 from oracles import (anchor_apply, base_field, de_rham, interior, k_expression,
                      lie_derivative, pi_tangent_chart, slow_circ, slow_skew,
-                     slow_t_tensor, splitting_shift)
+                     slow_t_tensor, splitting_shift, sweep_axioms_1_2)
 from test_algebroid import poisson_r2, su2_bialgebra
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -237,6 +240,119 @@ def test_axioms_for_rank_one_zero_structure():
     assert verify_axioms(structure).passed
 
 
+# -- axioms 1 and 2 from the master equation -----------------------------------------
+
+def _rebased(rng, entries):
+    """Rank-3 table entries in the basis f_a = lambda_a e_sigma(a)."""
+    sigma = rng.sample((1, 2, 3), 3)
+    tau = {a: k + 1 for k, a in enumerate(sigma)}
+    lam = {a: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+           for a in (1, 2, 3)}
+    lines = []
+    for table, idx, value in entries:
+        a, b, c = (tau[k] for k in idx)
+        factor = lam[a] * lam[b] / lam[c] if table == "C" else lam[c] / (lam[a] * lam[b])
+        lines.append(f"{table}[{a}][{b}][{c}] = ({factor})*({value})")
+    return "kind: bialgebroid\nrank: 3\n" + "\n".join(lines) + "\n"
+
+
+_SU2_BRACKET = (("C", (1, 2, 3), 1), ("C", (2, 3, 1), 1), ("C", (3, 1, 2), 1))
+AXIOM_DOCUMENTS = {
+    # R^4 twisted by a three-form that is not closed: axiom 1 fails
+    "twist-R4": "kind: exact-courant\nbase: x1 x2 x3 x4\nrank: 4\nphi = x1*xi2*xi3*xi4\n",
+    # [e1,e2] = e3, [e1,e3] = e3, [e2,e3] = e1 violates Jacobi
+    "non-jacobi": _rebased(random.Random(11), (("C", (1, 2, 3), 1), ("C", (1, 3, 3), 1),
+                                               ("C", (2, 3, 1), 1))),
+    # the cobracket e1 -> e2^e3 is not a cocycle of su(2)
+    "non-cocycle": _rebased(random.Random(12), _SU2_BRACKET + (("Cbar", (1, 2, 3), 1),)),
+    # the anchor x2 d/dx1 of e1 does not commute with d/dx2: axioms 1 and 2 fail
+    "tangent-x2": "kind: algebroid\nbase: x1 x2\nrank: 2\nA[1][1] = x2\nA[2][2] = 1\n",
+    # the two-form probe: T2 = 0, yet axiom 1 fails, so the sweep decides it
+    "probe": "kind: exact-courant\nbase: x1 x2 x3\nrank: 3\nphi = x1*xi2*xi3\n",
+}
+
+
+def _axiom_structure(source):
+    doc = load_preset(source) if source in PRESET_NAMES else parse_document(
+        AXIOM_DOCUMENTS[source])
+    return structure_from_proto(materialize(doc).proto)
+
+
+def _t2(structure):
+    theta = structure.theta.total
+    return canonical_bracket(theta, theta).scale(HALF)
+
+
+@pytest.mark.parametrize("source", PRESET_NAMES + tuple(AXIOM_DOCUMENTS))
+def test_axioms_1_and_2_agree_with_the_triple_sweep(source):
+    structure = _axiom_structure(source)
+    report = verify_axioms(structure)
+    for name, residual in sweep_axioms_1_2(structure).items():
+        assert report[name].residual == residual, name
+
+
+def test_axioms_1_and_2_fail_where_expected():
+    failing = {source: [c.name for c in verify_axioms(_axiom_structure(source)).checks
+                        if not c.passed] for source in AXIOM_DOCUMENTS}
+    axiom1, axiom2 = "axiom1-leibniz-jacobi", "axiom2-anchor-homomorphism"
+    assert failing == {"twist-R4": [axiom1], "non-jacobi": [axiom1],
+                       "non-cocycle": [axiom1], "tangent-x2": [axiom1, axiom2],
+                       "probe": [axiom1]}
+
+
+def test_master_equation_signs():
+    """Leibniz-Jacobi is -{{{T2,a},b},c} and the anchor identity +{{{T2,a},b},f},
+    term by term on every generator tuple, with both nonzero somewhere."""
+    structure = _axiom_structure("tangent-x2")
+    theta = structure.theta.total
+    t2 = _t2(structure)
+    br = canonical_bracket
+
+    def circ_raw(a, b):
+        return br(br(theta, a), b)
+
+    def rho(e, f):
+        return br(e, br(theta, f))
+
+    emb = [e.embedded for e in generator_family(structure)]
+    nonzero = set()
+    for a, b in product(emb, repeat=2):
+        t2_ab = br(br(t2, a), b)
+        for c in emb:
+            jacobi = (br(br(theta, a), circ_raw(b, c)) - circ_raw(circ_raw(a, b), c)
+                      - br(br(theta, b), circ_raw(a, c)))
+            assert jacobi == -br(t2_ab, c)
+            if not jacobi.is_zero():
+                nonzero.add("axiom1")
+        for f in coordinate_functions(structure):
+            anchor = br(circ_raw(a, b), br(theta, f)) - (rho(a, rho(b, f)) - rho(b, rho(a, f)))
+            assert anchor == br(t2_ab, f)
+            if not anchor.is_zero():
+                nonzero.add("axiom2")
+    assert nonzero == {"axiom1", "axiom2"}
+
+
+def _refuse(*_args):
+    raise AssertionError("a per-tuple contraction of T2 was evaluated")
+
+
+@pytest.mark.parametrize("source", ["su2-bialgebra", "standard-R2", "exact-twist-R3"])
+def test_zero_t2_evaluates_no_tuple(source, monkeypatch):
+    structure = _axiom_structure(source)
+    assert _t2(structure).is_zero()
+    monkeypatch.setattr(courant, "_t2_contractions", _refuse)
+    assert verify_axioms(structure).passed
+
+
+def test_nonzero_t2_reaches_the_contractions_and_a_probe_does_not(monkeypatch):
+    monkeypatch.setattr(courant, "_t2_contractions", _refuse)
+    with pytest.raises(AssertionError, match="per-tuple"):
+        verify_axioms(_axiom_structure("tangent-x2"))
+    probe = _axiom_structure("probe")
+    assert _t2(probe).is_zero()
+    assert not verify_axioms(probe)["axiom1-leibniz-jacobi"].passed
+
+
 # -- Dirac subbundles ---------------------------------------------------------------
 
 def test_tangent_subbundle_is_dirac():
@@ -282,12 +398,12 @@ def test_rank_deficient_span_rejected():
 def test_closed_twist_passes_all_axioms():
     std3 = standard_structure(3)
     phi = parse_poly("xi1*xi2*xi3", std3.chart)
-    twisted = twist_exact(phi, dim=3)
+    twisted = twist_exact(standard_proto(3), phi)
     assert verify_axioms(twisted.structure).passed
 
 
 def test_untwisted_gauge_is_identity():
-    twisted = twist_exact(parse_poly("0", STD2.chart), dim=2)
+    twisted = twist_exact(standard_proto(2), parse_poly("0", STD2.chart))
     assert twisted.structure.theta.phi.is_zero()
     e = sec_v(twisted.structure, 1)
     assert splitting_shift(twisted, e) == e
@@ -296,7 +412,7 @@ def test_untwisted_gauge_is_identity():
 def test_probe_twist_fails_exactly_the_first_axiom():
     std3 = standard_structure(3)
     phi = parse_poly("x1*xi2*xi3", std3.chart)
-    twisted = twist_exact(phi, dim=3)
+    twisted = twist_exact(standard_proto(3), phi)
     report = verify_axioms(twisted.structure)
     statuses = {c.name: c.passed for c in report.checks}
     assert statuses == {
@@ -314,7 +430,7 @@ def test_probe_residual_is_the_differential_contribution():
     std3 = standard_structure(3)
     chart = std3.chart
     phi = parse_poly("x1*xi2*xi3", chart)
-    twisted = twist_exact(phi, dim=3)
+    twisted = twist_exact(standard_proto(3), phi)
     theta = twisted.structure.theta.total
     e = basis_sections(twisted.structure)
 
@@ -337,8 +453,8 @@ def test_gauge_reproduces_shifted_twist_section_by_section():
     std3 = standard_structure(3)
     phi = parse_poly("xi1*xi2*xi3", std3.chart)
     omega = parse_poly("x1*xi2*xi3", std3.chart)
-    plain = twist_exact(phi, dim=3)                 # the structure over sigma
-    gauged = twist_exact(phi, omega=omega, dim=3)   # phi' = phi + d(omega)
+    plain = twist_exact(standard_proto(3), phi)            # the structure over sigma
+    gauged = twist_exact(standard_proto(3), phi, omega)    # phi' = phi + d(omega)
     dphi = gauged.phi - gauged.phi_raw.substitute(gauged.structure.chart, {})
     assert dphi == de_rham_on_fibers(gauged.structure.bundle, omega)
     for e1 in basis_sections(gauged.structure):
@@ -354,7 +470,7 @@ def test_gauge_reproduces_shifted_twist_section_by_section():
 def test_difference_of_gauged_twists_is_exact():
     std3 = standard_structure(3)
     omega = parse_poly("x1*xi2*xi3", std3.chart)
-    gauged = twist_exact(parse_poly("0", std3.chart), omega=omega, dim=3)
+    gauged = twist_exact(standard_proto(3), parse_poly("0", std3.chart), omega)
     diff = gauged.phi - gauged.phi_raw.substitute(gauged.structure.chart, {})
     assert is_exact_difference(gauged.structure.bundle, diff)
 
