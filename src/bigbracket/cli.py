@@ -6,6 +6,7 @@ error.  Output is deterministic; timing is printed to stderr on request.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -267,7 +268,9 @@ def _integer(low, high=None):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="bigbracket",
         description="exact checker for graded symplectic structure data")

@@ -1,11 +1,15 @@
-"""Exact dense linear algebra over the Gaussian rationals and over
-rational-function fields of a polynomial base.
+"""Exact linear algebra over the Gaussian rationals and over rational-function
+fields of a polynomial base, on sparse rows with one conversion.
 
 Sizes here are tiny (mode complexes and section spans), so plain fraction
-arithmetic is both adequate and auditable.  The one elimination, `_rref`,
-takes the first nonzero entry of each column as its pivot (no magnitude
-search: arithmetic is exact) and skips zero entries when it scales the pivot
-row and when it clears a column, since the matrices here are mostly zeros.
+arithmetic is both adequate and auditable.  The public routines take and
+return dense lists; each converts its matrix once, in `_reduce`, to rows
+stored as {column: nonzero entry}, which the one elimination, `_rref`,
+reduces.  Its pivot row for a column is the first row at or below the
+current one holding that column (no magnitude search: arithmetic is exact),
+so the reduced form and the pivots are those of the dense elimination; it
+scales and clears over the nonzero entries of the pivot row only, since the
+matrices here are mostly zeros.
 """
 from __future__ import annotations
 
@@ -14,28 +18,37 @@ from .rationals import ZERO, ONE
 
 
 def _rref(rows, ncols):
-    """Reduced row echelon form in place; returns pivot column list.
+    """Reduced row echelon form of sparse rows in place; returns pivot column list.
 
-    The entries may come from any field whose elements support truthiness,
-    `1 / x`, `*` and `-`: Gaussian rationals or PolyFrac.
+    Each row is a dict {column: entry} holding only nonzero entries, and
+    entries that cancel are deleted.  Columns at or past `ncols` (an augmented
+    right-hand side) are carried along but never pivoted on.  The entries may
+    come from any field whose elements support truthiness, `1 / x`, `*`, `-`
+    and negation: Gaussian rationals or PolyFrac.
     """
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                pivot = k
-                break
+        pivot = next((k for k in range(r, len(rows)) if c in rows[k]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][c]
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [a - f * b if b else a for a, b in zip(rows[k], rows[r])]
+        prow = rows[r] = {j: x * inv for j, x in rows[r].items()}
+        for k, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or k == r:
+                continue
+            for j, b in prow.items():
+                a = row.get(j)
+                if a is None:
+                    row[j] = -(f * b)
+                    continue
+                a = a - f * b
+                if a:
+                    row[j] = a
+                else:
+                    del row[j]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -43,27 +56,32 @@ def _rref(rows, ncols):
     return pivots
 
 
+def _reduce(matrix, ncols):
+    """The sparse rows of a dense matrix after `_rref`, and the pivot columns."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    return rows, _rref(rows, ncols)
+
+
 def rank(matrix) -> int:
     if not matrix:
         return 0
-    rows = [list(row) for row in matrix]
-    return len(_rref(rows, len(rows[0])))
+    return len(_reduce(matrix, len(matrix[0]))[1])
 
 
 def nullspace(matrix, ncols=None):
     """Basis of the right kernel; matrix given as list of rows."""
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    rows = [list(row) for row in matrix]
-    pivots = _rref(rows, ncols)
+    rows, pivots = _reduce(matrix, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
         vec = [ZERO] * ncols
         vec[f] = ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][f]
+        for row, c in zip(rows, pivots):
+            if f in row:
+                vec[c] = -row[f]
         basis.append(vec)
     return basis
 
@@ -72,22 +90,19 @@ def solve(matrix, rhs):
     """One solution x of M x = b, or None when inconsistent."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(m)]
-    pivots = _rref(rows, n)
-    for row in rows:
-        if row[n] and all(not x for x in row[:n]):
-            return None
+    rows, pivots = _reduce([list(matrix[i]) + [rhs[i]] for i in range(m)], n)
+    if any(row.keys() == {n} for row in rows):      # 0 = b with b nonzero
+        return None
     x = [ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
+    for row, c in zip(rows, pivots):
+        x[c] = row.get(n, ZERO)
     return x
 
 
 def in_span(vectors, target) -> bool:
     if not vectors:
         return all(not x for x in target)
-    cols = list(zip(*vectors))
-    return solve([list(row) for row in cols], list(target)) is not None
+    return solve(list(zip(*vectors)), target) is not None
 
 
 def independent(vectors):
@@ -97,7 +112,7 @@ def independent(vectors):
     exactly when j is a pivot column of the matrix whose columns are the
     vectors; one elimination decides every j.
     """
-    return _rref([list(row) for row in zip(*vectors)], len(vectors))
+    return _reduce(zip(*vectors), len(vectors))[1]
 
 
 def intersect_with_coordinate_subspace(matrix_cols, keep):
@@ -110,21 +125,15 @@ def intersect_with_coordinate_subspace(matrix_cols, keep):
         return []
     nrows = len(matrix_cols[0])
     drop = [r for r in range(nrows) if r not in keep]
-    if drop:
-        sub = [[col[r] for col in matrix_cols] for r in drop]
-        kern = nullspace(sub, len(matrix_cols))
-    else:
-        kern = [[ONE if i == j else ZERO for j in range(len(matrix_cols))]
-                for i in range(len(matrix_cols))]
+    kern = nullspace([[col[r] for col in matrix_cols] for r in drop], len(matrix_cols))
     out = []
     for coeffs in kern:
-        terms = [(c, col) for c, col in zip(coeffs, matrix_cols) if c]
-        vec = []
-        for r in range(nrows):
-            acc = ZERO
-            for c, col in terms:
-                acc = acc + c * col[r]
-            vec.append(acc)
+        vec = [ZERO] * nrows
+        for c, col in zip(coeffs, matrix_cols):
+            if c:
+                for r, x in enumerate(col):
+                    if x:
+                        vec[r] = vec[r] + c * x
         out.append(vec)
     return [out[j] for j in independent(out)]
 
@@ -157,6 +166,9 @@ class PolyFrac:
     def __sub__(self, other):
         return PolyFrac(self.num * other.den - other.num * self.den,
                         self.den * other.den)
+
+    def __neg__(self):
+        return PolyFrac(-self.num, self.den)
 
     def __mul__(self, other):
         return PolyFrac(self.num * other.num, self.den * other.den)

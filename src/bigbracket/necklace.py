@@ -10,6 +10,7 @@ cohomology and recorded two-disk constants through the long exact sequence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -333,7 +334,13 @@ def modular_and_volume(c):
         raise AssertionError("modular field fails to preserve the structure")
     if abs(c) > 1:
         ratio = Fraction(c + 1, c - 1)
-        value = 2.0 * math.pi * math.log(float(ratio))
+        if sys.float_info.min <= ratio <= sys.float_info.max:
+            log_ratio = math.log(ratio)
+        else:
+            # near |c| = 1 the ratio overflows a float or loses its precision;
+            # math.log takes big ints, and two logs this far apart do not cancel
+            log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+        value = 2.0 * math.pi * log_ratio
         desc = f"2*pi*ln({ratio})"
         return field, desc, value
     return field, "volume undefined for |c| <= 1", None

@@ -5,7 +5,9 @@ odd transpositions; the brackets are defined by the generator table plus the
 graded Leibniz recursion, never touching the partial-derivative formulas of
 the package.  The section oracles rebuild every product from the bracket
 kernel with no memo: nothing is kept between calls.  The span oracles grow a
-basis one `in_span` decision at a time, each a fresh elimination.  The table
+basis one `dense_in_span` decision at a time, each a fresh elimination by
+`dense_rref`, the dense elimination the engine used before it stored rows
+sparsely; none of them calls `bigbracket.linalg`.  The table
 oracle `collect_table` antisymmetrizes a document table the loader's old way,
 and the SH-Lie sign is the product `perm_sign * koszul_sign` of a cycle count
 and an odd-inversion count.
@@ -35,7 +37,6 @@ from bigbracket.chart import (Chart, ChartError, DarbouxChart, GradedVariable,
                               darboux_chart, EVEN, ODD)
 from bigbracket.courant import (CourantSection, circ, coordinate_functions,
                                 generator_family)
-from bigbracket.linalg import in_span, nullspace
 from bigbracket.necklace import build_structures
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial, poly_sum
@@ -256,12 +257,70 @@ def koszul_sign(perm, degrees) -> int:
     return sign
 
 
+def dense_rref(rows, ncols):
+    """Reduced row echelon form in place; returns pivot column list.
+
+    The entries may come from any field whose elements support truthiness,
+    `1 / x`, `*` and `-`: Gaussian rationals or PolyFrac.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for k in range(r, len(rows)):
+            if rows[k][c]:
+                pivot = k
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv if x else x for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [a - f * b if b else a for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def dense_nullspace(matrix, ncols=None):
+    """Basis of the right kernel by `dense_rref`; matrix given as list of rows."""
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
+    rows = [list(row) for row in matrix]
+    pivots = dense_rref(rows, ncols)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        vec = [ZERO] * ncols
+        vec[f] = ONE
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][f]
+        basis.append(vec)
+    return basis
+
+
+def dense_in_span(vectors, target) -> bool:
+    """Whether M x = target is consistent, M having the vectors as columns, by `dense_rref`."""
+    if not vectors:
+        return all(not x for x in target)
+    n = len(vectors)
+    rows = [list(row) + [b] for row, b in zip(zip(*vectors), target)]
+    dense_rref(rows, n)
+    return not any(row[n] and all(not x for x in row[:n]) for row in rows)
+
+
 def slow_independent(vectors):
     """Indices of the vectors a greedy basis keeps, one span test per vector."""
     kept = []
     basis = []
     for j, v in enumerate(vectors):
-        if not in_span(basis, v):
+        if not dense_in_span(basis, v):
             basis.append(v)
             kept.append(j)
     return kept
@@ -275,7 +334,7 @@ def slow_intersect_with_coordinate_subspace(matrix_cols, keep):
     drop = [r for r in range(nrows) if r not in keep]
     if drop:
         sub = [[col[r] for col in matrix_cols] for r in drop]
-        kern = nullspace(sub, len(matrix_cols))
+        kern = dense_nullspace(sub, len(matrix_cols))
     else:
         kern = [[ONE if i == j else ZERO for j in range(len(matrix_cols))]
                 for i in range(len(matrix_cols))]
@@ -291,7 +350,7 @@ def slow_intersect_with_coordinate_subspace(matrix_cols, keep):
         out.append(vec)
     basis = []
     for v in out:
-        if not in_span(basis, v):
+        if not dense_in_span(basis, v):
             basis.append(v)
     return basis
 
@@ -301,7 +360,7 @@ def slow_quotient_generators(cocycles, boundaries):
     reps = []
     span = [list(b) for b in boundaries]
     for z in cocycles:
-        if not in_span(span, z):
+        if not dense_in_span(span, z):
             reps.append(z)
             span.append(list(z))
     return reps

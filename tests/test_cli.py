@@ -1,11 +1,13 @@
 import io
 import json
+import math
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bigbracket import courant, specfile
+from bigbracket import cli, courant, specfile
 from bigbracket.cli import main
 
 
@@ -269,6 +271,60 @@ def test_invariants_reports_volume_of_symplectic_member():
     assert "symplectic-volume: pass (2*pi*ln(2) = " in out
     assert "euler-primitive: pass" in out and "affine-family: pass" in out
     assert "not-exact" not in out and "modular-cocycle" not in out
+
+
+def _volume(out):
+    return float(re.search(r"symplectic-volume: pass \(2\*pi\*ln\([0-9/]+\) = (.+)\)\n", out)[1])
+
+
+def test_invariants_volume_near_unit_parameter():
+    # (c + 1)/(c - 1) is about 2*10^401 here, beyond the float range
+    c = "1." + "0" * 400 + "1"
+    expected = 2 * math.pi * (math.log(2) + 401 * math.log(10))
+    for text, sign in ((c, 1), ("-" + c, -1)):
+        code, out, err = run(["invariants", "--c", text])
+        assert code == 0, err
+        assert abs(_volume(out) - sign * expected) <= 1e-9 * expected
+    # a subnormal ratio keeps only a few bits of a float
+    c = "1." + "0" * 320 + "1"
+    code, out, err = run(["invariants", "--c", "-" + c])
+    assert code == 0, err
+    expected = 2 * math.pi * (math.log(2) + 321 * math.log(10))
+    assert abs(_volume(out) + expected) <= 1e-9 * expected
+
+
+def test_invariants_volume_of_ordinary_member_is_unchanged():
+    code, out, _ = run(["invariants", "--c", "3"])
+    assert code == 0
+    assert "symplectic-volume: pass (2*pi*ln(2) = " in out
+    assert _volume(out) == 2.0 * math.pi * math.log(2.0)
+
+
+# one process, one cached parser: each call must print and exit as it does on
+# a parser built for that call alone.  Per sequence: the calls and their exit codes.
+_PARSER_SEQUENCES = {
+    "append-then-fewer": (
+        [["dirac-check", "--preset", "standard-R2", "--section", "xis1", "--section", "xis2"],
+         ["dirac-check", "--preset", "standard-R2", "--section", "xis1"]], [0, 1]),
+    "json-then-text": (
+        [["verify-algebroid", "--preset", "tangent-R2", "--format", "json"],
+         ["verify-algebroid", "--preset", "tangent-R2"]], [0, 0]),
+    "usage-error-then-valid": (
+        [["cohomology", "--c", "0", "--modes", "-1"],
+         ["cohomology", "--c", "0", "--modes", "1", "--truncate", "4"]], [2, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARSER_SEQUENCES))
+def test_cached_parser_keeps_no_state_between_calls(name, monkeypatch):
+    sequence, codes = _PARSER_SEQUENCES[name]
+    with monkeypatch.context() as fresh_parsers:
+        fresh_parsers.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(argv)[:2] for argv in sequence]
+    assert [code for code, _ in fresh] == codes and fresh[0][1] != fresh[1][1]
+    parser = cli.build_parser()
+    assert [run(argv)[:2] for argv in sequence] == fresh
+    assert cli.build_parser() is parser
 
 
 @pytest.mark.parametrize("separate, joined", [

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from bigbracket.chart import cotangent_chart
-from bigbracket.linalg import (PolyFrac, independent, intersect_with_coordinate_subspace,
-                               nullspace, rank, solve, solve_over_fractions)
+from bigbracket.linalg import (PolyFrac, _rref, independent,
+                               intersect_with_coordinate_subspace, nullspace, rank, solve,
+                               solve_over_fractions)
 from bigbracket.necklace import _quotient_generators, mode_matrices
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational, ZERO
 
-from oracles import (slow_independent, slow_intersect_with_coordinate_subspace,
+from oracles import (dense_rref, slow_independent, slow_intersect_with_coordinate_subspace,
                      slow_quotient_generators)
 
 
@@ -224,3 +225,66 @@ def test_rank_nullspace_and_solve_agree_with_sympy(seed):
     if x is not None:
         residual = theirs * sympy.Matrix([_sympy_scalar(sympy, v) for v in x]) - b
         assert residual.applyfunc(sympy.expand) == sympy.zeros(len(matrix), 1)
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination against the dense one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _sparse_rows(matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def _zero_heavy(rng, entry, zero):
+    """A matrix with zero rows, zero columns and at least 60% zero entries."""
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    matrix = [[entry() for _ in range(n)] for _ in range(m)]
+    if m > 2 and rng.random() < 0.5:        # a planted dependent row: entries cancel
+        matrix[-1] = [x + y for x, y in zip(matrix[0], matrix[1])]
+    for c in rng.sample(range(n), rng.randint(0, n // 2)):
+        for row in matrix:
+            row[c] = zero
+    while sum(not x for row in matrix for x in row) < 0.6 * len(matrix) * n:
+        matrix.insert(rng.randint(0, len(matrix)), [zero] * n)
+    return matrix, n
+
+
+def _eliminate_both(rng, matrix, width):
+    """Pivots and reduced rows of `_rref` and `dense_rref`, at a random `ncols`."""
+    ncols = width if rng.random() < 0.5 else rng.randint(0, width)   # augmented columns
+    sparse = _sparse_rows(matrix)
+    dense = [list(row) for row in matrix]
+    return _rref(sparse, ncols), sparse, dense_rref(dense, ncols), dense
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sparse_rref_matches_dense_rref(seed):
+    rng = random.Random(5000 + seed)
+    matrix, width = _zero_heavy(rng, lambda: _scalar(rng, zero_share=0.6), ZERO)
+    pivots, sparse, dense_pivots, dense = _eliminate_both(rng, matrix, width)
+    assert pivots == dense_pivots
+    assert [[row.get(j, ZERO) for j in range(width)] for row in sparse] == dense
+    assert all(all(sparse_row.values()) for sparse_row in sparse)    # no zero is stored
+
+
+_FRACTION_TEXTS = ("1", "-2", "x1", "x2", "x1 + 1", "x1*x2 - 2", "3*x2", "x1 - x2")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sparse_rref_matches_dense_rref_over_fractions(chart, seed):
+    rng = random.Random(6000 + seed)
+    zero = PolyFrac(SuperPolynomial.zero(chart))
+
+    def entry():
+        if rng.random() < 0.6:
+            return zero
+        return PolyFrac(parse_poly(rng.choice(_FRACTION_TEXTS), chart),
+                        parse_poly(rng.choice(_FRACTION_TEXTS[:4]), chart))
+    matrix, width = _zero_heavy(rng, entry, zero)
+    pivots, sparse, dense_pivots, dense = _eliminate_both(rng, matrix, width)
+    assert pivots == dense_pivots
+    # PolyFrac keeps num/den unreduced, so entries are compared as values
+    assert all(not (row.get(j, zero) - d[j])
+               for row, d in zip(sparse, dense) for j in range(width))
+    assert all(all(sparse_row.values()) for sparse_row in sparse)

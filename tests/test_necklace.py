@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bigbracket import necklace
 from bigbracket.brackets import canonical_bracket
 from bigbracket.cli import main
 from bigbracket.linalg import solve
@@ -19,7 +20,8 @@ from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational, ZERO, ONE
 
-from oracles import bruhat_w_chart, poisson_bracket_of, rescaled_pi_c, su2_bivector
+from oracles import (bruhat_w_chart, dense_nullspace, poisson_bracket_of, rescaled_pi_c,
+                     slow_independent, slow_intersect_with_coordinate_subspace, su2_bivector)
 
 
 # -- the structures ------------------------------------------------------------
@@ -221,6 +223,62 @@ def test_mode_sweep_output_is_pinned(args):
     with redirect_stdout(out):
         assert main(["cohomology", *args]) == 0
     assert out.getvalue() == _PINNED_COHOMOLOGY[args]
+
+
+# stdout of `cohomology` at the default modes and truncation and of `invariants`
+# in the mode model's range, recorded literally before the elimination stored
+# rows sparsely
+_PINNED_NECKLACE = {
+    ("cohomology", "--c", "-5/7"): (
+        "command: cohomology --c -5/7 --modes 5 --truncate 12\n"
+        "check mode-0: pass (dims (1, 2, 1) generators [1; I*d_I, d_theta; I*d_I^d_theta])\n"
+        "check mode-1: pass (dims (0, 0, 0))\n"
+        "check mode-2: pass (dims (0, 0, 0))\n"
+        "check mode-3: pass (dims (0, 0, 0))\n"
+        "check mode-4: pass (dims (0, 0, 0))\n"
+        "check mode-5: pass (dims (0, 0, 0))\n"
+        "check global: pass (dims (1, 1, 2) generators [1; Delta_omega; pi_c, pi])\n"
+        "check provenance-status: pass (assembled)\n"
+        "check provenance-local-annulus: pass (computed)\n"
+        "check provenance-disks: recorded (recorded-constant (2, 0, 0))\n"
+        "check provenance-annuli-overlap: recorded (recorded-constant (2, 2, 0))\n"
+        "check provenance-restriction-rank: recorded (recorded-constant 1 (dilation class survives, rotation class glues))\n"
+        "check provenance-flat-comparison: recorded (flat complex acyclic (recorded analytic input))\n"
+        "check provenance-generator-identification: recorded (recorded-constant)\n"
+        "result: PASS (9 pass, 0 fail, 5 recorded)\n"
+    ),
+    ("invariants", "--c", "1/3"): (
+        "command: invariants --c 1/3\n"
+        "check euler-primitive: pass\n"
+        "check affine-family: pass\n"
+        "check pi_c-not-exact: pass\n"
+        "check modular-not-exact: pass\n"
+        "check modular-cocycle: pass\n"
+        "check modular-field: pass (s*d_t - t*d_s (disk chart))\n"
+        "check structure-is-poisson: pass\n"
+        "result: PASS (7 pass, 0 fail)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_NECKLACE))
+def test_necklace_command_output_is_pinned(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0
+    assert out.getvalue() == _PINNED_NECKLACE[argv]
+
+
+@pytest.mark.parametrize("N", range(4, 19))
+def test_mode_cohomology_matches_the_oracle_elimination(N, monkeypatch):
+    c = Fraction(1, 3)
+    ours = [mode_cohomology(c, n, N) for n in range(-8, 9)]
+    monkeypatch.setattr(necklace, "nullspace", dense_nullspace)
+    monkeypatch.setattr(necklace, "independent", slow_independent)
+    monkeypatch.setattr(necklace, "intersect_with_coordinate_subspace",
+                        slow_intersect_with_coordinate_subspace)
+    theirs = [necklace._mode_cohomology_once(c, n, N) for n in range(-8, 9)]
+    assert [(r.dims, r.generators) for r in ours] == [(r.dims, r.generators) for r in theirs]
 
 
 def test_degree_restricted_zero_mode_is_acyclic_above_one():
