@@ -31,8 +31,10 @@ def canonical_bracket(p: SuperPolynomial, q: SuperPolynomial, chart=None) -> Sup
     Both parities share one sum over Darboux pairs (pos, mom) and the parity
     components f of p: sign1 * df/dmom * dq/dpos + sign2 * df/dpos * dq/dmom,
     where sign2 = -(-1)^{a fp} on either chart and sign1 comes from the table.
-    One sweep over p yields every nonzero df; q is differentiated at most
-    once per conjugate needed, and all products accumulate into one dict.
+    p's gradient yields every nonzero df; q is asked once per conjugate
+    needed for its partial.  Both are kept on the polynomials, so a
+    polynomial bracketed many times is differentiated once.  All products
+    accumulate into one dict.
     """
     if chart is None:
         chart = _require_darboux(p)

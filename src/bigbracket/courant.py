@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 from .algebroid import (AlgebroidSpec, Check, CheckReport, ProtoBialgebroidSpec,
@@ -260,6 +261,18 @@ def _first_nonzero(residuals, zero: SuperPolynomial) -> SuperPolynomial:
     return next((r for r in residuals if not r.is_zero()), zero)
 
 
+def _first_failure(sides, zero: SuperPolynomial) -> SuperPolynomial:
+    """lhs - rhs at the first (lhs, rhs) of a sweep whose sides differ, else zero.
+
+    Neither side stores a zero coefficient, so the sides are equal exactly
+    when their term dicts are, and only the failing tuple subtracts.
+    """
+    for lhs, rhs in sides:
+        if lhs.terms != rhs.terms:
+            return lhs - rhs
+    return zero
+
+
 def _t2_contractions(t2: SuperPolynomial, emb, last):
     """{{{T2, e_i}, e_j}, z} for every (i, j) and every z in `last`, in sweep order.
 
@@ -283,7 +296,9 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
     functions the base coordinates; anomalies are tensorial once the
     separately-tested derivation rules hold, so this family is conclusive.
     {theta, e_i}, the pair products e_i o e_j and {theta, e_i o e_j} come from
-    the structure's memo; anchors and pairings are kept for the sweep.
+    the structure's memo; anchors and pairings are kept for the sweep.  Each
+    term-by-term sweep yields the two sides of its identity per tuple and
+    subtracts them only at the first tuple where they differ.
 
     When every monomial of theta has total degree 3, axioms 1 and 2 are read
     off T2 = 1/2{theta, theta}: the Leibniz-Jacobi residual at (e_i, e_j, e_k)
@@ -320,28 +335,29 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
             for j in indices:
                 d_ij = theta_bracket(prod[i][j])
                 for k in indices:
-                    yield (canonical_bracket(d_of[i], prod[j][k])
-                           - canonical_bracket(d_ij, emb[k])
-                           - canonical_bracket(d_of[j], prod[i][k]))
+                    yield (canonical_bracket(d_of[i], prod[j][k]),
+                           canonical_bracket(d_ij, emb[k])
+                           + canonical_bracket(d_of[j], prod[i][k]))
 
     def anchor_homomorphism():
         for i in indices:
             for j in indices:
                 for f in functions:
-                    lhs = canonical_bracket(prod[i][j], theta_bracket(f))
-                    yield lhs - (rho(i, rho(j, f)) - rho(j, rho(i, f)))
+                    yield (canonical_bracket(prod[i][j], theta_bracket(f)),
+                           rho(i, rho(j, f)) - rho(j, rho(i, f)))
 
     def module_leibniz():
+        f_emb = [[f * e for f in functions] for e in emb]
         for i in indices:
             for j in indices:
-                for f in functions:
-                    lhs = canonical_bracket(d_of[i], f * emb[j])
-                    yield lhs - (f * prod[i][j] + rho(i, f) * emb[j])
+                for f, f_e in zip(functions, f_emb[j]):
+                    yield (canonical_bracket(d_of[i], f_e),
+                           f * prod[i][j] + rho(i, f) * emb[j])
 
     def symmetric_part():
         for i in indices:
             for j in indices:
-                yield prod[i][j] + prod[j][i] - theta_bracket(pair[i][j])
+                yield prod[i][j] + prod[j][i], theta_bracket(pair[i][j])
 
     def pairing_invariance():
         # the pairing is symmetric on degree 1 and kills degree 0, so
@@ -350,7 +366,7 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
             table = [[canonical_bracket(p, e) for e in emb] for p in prod[i]]
             for j in indices:
                 for k in indices:
-                    yield rho(i, pair[j][k]) - (table[j][k] + table[k][j])
+                    yield rho(i, pair[j][k]), table[j][k] + table[k][j]
 
     if all(k == 3 for (_e, _d, k) in theta.gradings()):
         t2 = canonical_bracket(theta, theta).scale(HALF)
@@ -360,12 +376,12 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
             axiom1 = -_first_nonzero(_t2_contractions(t2, emb, emb), zero)
             axiom2 = _first_nonzero(_t2_contractions(t2, emb, functions), zero)
     else:
-        axiom1 = _first_nonzero(leibniz_jacobi(), zero)
-        axiom2 = _first_nonzero(anchor_homomorphism(), zero)
+        axiom1 = _first_failure(leibniz_jacobi(), zero)
+        axiom2 = _first_failure(anchor_homomorphism(), zero)
     return CheckReport([
         Check.from_residual("axiom1-leibniz-jacobi", axiom1),
         Check.from_residual("axiom2-anchor-homomorphism", axiom2),
-        *(Check.from_residual(name, _first_nonzero(sweep(), zero))
+        *(Check.from_residual(name, _first_failure(sweep(), zero))
           for name, sweep in (("axiom3-module-leibniz", module_leibniz),
                               ("axiom4-symmetric-part", symmetric_part),
                               ("axiom5-pairing-invariance", pairing_invariance)))])
@@ -432,12 +448,6 @@ class ShlaMaps:
         return (self.l1, self.l2, self.l3)[i - 1](*args)
 
 
-def _unshuffles(n, i):
-    for chosen in combinations(range(n), i):
-        rest = tuple(k for k in range(n) if k not in chosen)
-        yield chosen + rest
-
-
 def _shla_sign(perm, degrees) -> int:
     """The permutation sign times the Koszul sign of reordering graded symbols.
 
@@ -453,7 +463,28 @@ def _shla_sign(perm, degrees) -> int:
     return sign
 
 
-def shla_identity(structure: CourantStructure, n: int, args) -> SuperPolynomial:
+@cache
+def _signed_unshuffles(n, degrees):
+    """(i, j, perm, sign) of every term of the n-th identity, in summation order.
+
+    i + j = n + 1 with i, j <= 3; perm runs over the (i, n-i)-unshuffles,
+    and sign is (-1)^{i(j-1)} times the SH-Lie sign of perm on symbols of
+    these degrees.  The table depends only on n and the degree pattern, so
+    it is built once per pattern.
+    """
+    out = []
+    for i in range(1, n + 1):
+        j = n + 1 - i
+        if i > 3 or j > 3:
+            continue
+        outer_sign = -1 if (i * (j - 1)) % 2 else 1
+        for chosen in combinations(range(n), i):
+            perm = chosen + tuple(k for k in range(n) if k not in chosen)
+            out.append((i, j, perm, outer_sign * _shla_sign(perm, degrees)))
+    return tuple(out)
+
+
+def shla_identity(maps: ShlaMaps, n: int, args) -> SuperPolynomial:
     """Value of the n-th generalized Jacobi identity on the given elements.
 
     sum over i + j = n + 1 of (-1)^{i(j-1)} sum over (i, n-i)-unshuffles of
@@ -462,26 +493,18 @@ def shla_identity(structure: CourantStructure, n: int, args) -> SuperPolynomial:
     embeddings, of total degree 1) and base functions (of total degree 0), so
     their one sum is zero exactly when every degree is.
     """
-    maps = ShlaMaps(structure)
-    degrees = [a.degree for a in args]
     terms = []
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        if i > 3 or j > 3:
+    for i, j, perm, sign in _signed_unshuffles(n, tuple(a.degree for a in args)):
+        inner = maps.apply(i, [args[k] for k in perm[:i]])
+        if inner is None:
             continue
-        outer_sign = -1 if (i * (j - 1)) % 2 else 1
-        for perm in _unshuffles(n, i):
-            inner = maps.apply(i, [args[perm[k]] for k in range(i)])
-            if inner is None:
-                continue
-            # the inner element lands in the first slot of l_j, already leftmost
-            outer = maps.apply(j, [inner] + [args[perm[k]] for k in range(i, n)])
-            if outer is None:
-                continue
-            value = outer.value.embedded if outer.degree == SECTION else outer.value
-            sign = outer_sign * _shla_sign(perm, degrees)
-            terms.append(value if sign > 0 else -value)
-    return poly_sum(structure.chart, terms)
+        # the inner element lands in the first slot of l_j, already leftmost
+        outer = maps.apply(j, [inner] + [args[k] for k in perm[i:]])
+        if outer is None:
+            continue
+        value = outer.value.embedded if outer.degree == SECTION else outer.value
+        terms.append(value if sign > 0 else -value)
+    return poly_sum(maps.structure.chart, terms)
 
 
 # the lemma each arity also reads off its sweep, and the shape of its tuples
@@ -508,6 +531,7 @@ def shla_check(structure: CourantStructure, n: int) -> CheckReport:
             generators.append(graded_section(structure._memo.keep(e.scaled_by(f))))
     generators += [graded_function(f) for f in coords]
     generators.append(graded_constant(structure, 1))
+    maps = ShlaMaps(structure)
     shapes = {f"identity-n{n}": None, **_LEMMAS.get(n, {})}
     first = dict.fromkeys(shapes, SuperPolynomial.zero(structure.chart))
     for combo in combinations_with_replacement(range(len(generators)), n):
@@ -517,7 +541,7 @@ def shla_check(structure: CourantStructure, n: int) -> CheckReport:
                        if first[name].is_zero() and want in (None, shape)]
         if not open_checks:
             continue
-        residual = shla_identity(structure, n, args)
+        residual = shla_identity(maps, n, args)
         if not residual.is_zero():
             for name in open_checks:
                 first[name] = residual

@@ -8,7 +8,7 @@ only.  All coefficients are exact Gaussian rationals.
 """
 from __future__ import annotations
 
-from .chart import Chart, ChartError, EVEN, ODD
+from .chart import Chart, ChartError, ODD
 from .rationals import GaussianRational, ONE
 
 
@@ -108,9 +108,13 @@ def mono_sort_key(mono):
 
 class SuperPolynomial:
     """Exact sparse polynomial attached to a chart; the constructor alone drops
-    zero coefficients, so the operators need not and none is ever stored."""
+    zero coefficients, so the operators need not and none is ever stored.
 
-    __slots__ = ("chart", "terms", "_hash")
+    Terms never change after construction, so the hash, the gradient and
+    each partial are computed on first use and kept on the polynomial.
+    """
+
+    __slots__ = ("chart", "terms", "_hash", "_grad", "_partials")
 
     def __init__(self, chart: Chart, terms=None):
         self.chart = chart
@@ -171,6 +175,10 @@ class SuperPolynomial:
             return self
         other = self._coerce(other)
         self._check_chart(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m)
@@ -225,42 +233,38 @@ class SuperPolynomial:
     # -- calculus ----------------------------------------------------------
 
     def partial(self, var) -> "SuperPolynomial":
-        """Left derivative with respect to a chart variable."""
+        """Left derivative with respect to a chart variable, kept per variable."""
         if isinstance(var, str):
             var = self.chart.var(var)
         if self.chart.by_name.get(var.name) is not var:
             raise ChartError(f"variable {var.name!r} does not belong to the chart")
-        # striking one factor of var is injective on the monomials that
-        # contain it, so no two terms land on the same monomial
-        out = {}
-        idx = var.index
-        for (evens, odds), coeff in self.terms.items():
-            if var.parity == EVEN:
-                for pos, (j, k) in enumerate(evens):
-                    if j == idx:
-                        new_evens = (
-                            evens[:pos] + ((j, k - 1),) + evens[pos + 1:]
-                            if k > 1 else evens[:pos] + evens[pos + 1:]
-                        )
-                        out[(new_evens, odds)] = coeff * k
-                        break
-            else:
-                for pos, j in enumerate(odds):
-                    if j == idx:
-                        # moving the left derivative past `pos` odd factors
-                        out[(evens, odds[:pos] + odds[pos + 1:])] = (
-                            coeff if pos % 2 == 0 else -coeff)
-                        break
-        return SuperPolynomial(self.chart, out)
+        try:
+            partials = self._partials
+        except AttributeError:
+            partials = self._partials = {}
+        out = partials.get(var.index)
+        if out is None:
+            # the two parity components' derivatives have opposite parities,
+            # so their monomials are disjoint
+            grad = self.gradient()
+            terms = dict(grad.get((0, var.index), ()))
+            terms.update(grad.get((1, var.index), ()))
+            out = partials[var.index] = SuperPolynomial(self.chart, terms)
+        return out
 
     def gradient(self):
-        """Every nonzero left partial, in one pass over the terms.
+        """Every nonzero left partial, in one pass over the terms, kept.
 
         Returns {(fp, j): {mono: coeff}}: the left derivative by variable j
         of the parity-fp component.  Striking one factor of variable j is
         injective on the monomials that contain it, so no two terms land on
-        the same entry and no coefficient cancels.
+        the same entry and no coefficient cancels.  The result is kept on the
+        polynomial, so callers must not mutate it.
         """
+        try:
+            return self._grad
+        except AttributeError:
+            pass
         out = {}
         for (evens, odds), coeff in self.terms.items():
             fp = len(odds) % 2
@@ -276,6 +280,7 @@ class SuperPolynomial:
                 # moving the left derivative past `pos` odd factors
                 mono = (evens, odds[:pos] + odds[pos + 1:])
                 out.setdefault((fp, j), {})[mono] = coeff if pos % 2 == 0 else -coeff
+        self._grad = out
         return out
 
     # -- gradings ----------------------------------------------------------
@@ -284,13 +289,6 @@ class SuperPolynomial:
         """Set of (eps, delta, kappa) triples occurring in the polynomial."""
         variables = self.chart.variables
         return {mono_grading(mono, variables) for mono in self.terms}
-
-    def grading(self):
-        """The unique (eps, delta, kappa) triple of a homogeneous polynomial."""
-        g = self.gradings()
-        if len(g) != 1:
-            raise ValueError(f"polynomial is not bigraded-homogeneous: {sorted(g)}")
-        return g.pop()
 
     def bigraded_components(self):
         """Split into homogeneous pieces keyed by (eps, delta, kappa)."""

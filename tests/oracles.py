@@ -23,6 +23,8 @@ The other routes here reach the same objects another way than the engine:
   the splitting change `splitting_shift` of a gauged twist;
 - `sweep_axioms_1_2`, Courant axioms 1 and 2 term by term on every tuple,
   where the gate reads them off 1/2{theta, theta};
+- `sweep_axioms_3_5`, Courant axioms 3-5 with a residual built on every
+  tuple, where the gate compares the two sides and subtracts once;
 - the su(2) origin of the sphere family: `su2_bivector`, its quotient
   `bruhat_w_chart`, and `rescaled_pi_c`, which maps the members into one
   another.
@@ -606,6 +608,57 @@ def sweep_axioms_1_2(structure) -> dict:
     return {name: next((r for r in sweep() if not r.is_zero()), zero)
             for name, sweep in (("axiom1-leibniz-jacobi", leibniz_jacobi),
                                 ("axiom2-anchor-homomorphism", anchor_homomorphism))}
+
+
+def sweep_axioms_3_5(structure) -> dict:
+    """The first nonzero residual of axioms 3-5, subtracting on every tuple.
+
+    The gate's sweeps before they compared the two sides of each identity:
+    every tuple builds its residual polynomial, over the gate's generator
+    family in the gate's order.
+    """
+    sections = generator_family(structure)
+    functions = coordinate_functions(structure)
+    memo = structure._memo
+    theta_bracket = memo.theta_bracket
+    emb = [s.embedded for s in sections]
+    d_of = [theta_bracket(e) for e in emb]
+    prod = [[memo.product(a, b) for b in emb] for a in emb]
+    pair = [[canonical_bracket(a, b) for b in emb] for a in emb]
+    zero = SuperPolynomial.zero(structure.chart)
+    indices = range(len(sections))
+    rho_of = {}
+
+    def rho(i, f):
+        """rho(e_i) f, once per generator and distinct function."""
+        out = rho_of.get((i, f))
+        if out is None:
+            out = rho_of[(i, f)] = canonical_bracket(emb[i], theta_bracket(f))
+        return out
+
+    def module_leibniz():
+        for i in indices:
+            for j in indices:
+                for f in functions:
+                    lhs = canonical_bracket(d_of[i], f * emb[j])
+                    yield lhs - (f * prod[i][j] + rho(i, f) * emb[j])
+
+    def symmetric_part():
+        for i in indices:
+            for j in indices:
+                yield prod[i][j] + prod[j][i] - theta_bracket(pair[i][j])
+
+    def pairing_invariance():
+        for i in indices:
+            table = [[canonical_bracket(p, e) for e in emb] for p in prod[i]]
+            for j in indices:
+                for k in indices:
+                    yield rho(i, pair[j][k]) - (table[j][k] + table[k][j])
+
+    return {name: next((r for r in sweep() if not r.is_zero()), zero)
+            for name, sweep in (("axiom3-module-leibniz", module_leibniz),
+                                ("axiom4-symmetric-part", symmetric_part),
+                                ("axiom5-pairing-invariance", pairing_invariance))}
 
 
 def splitting_shift(twisted, e: CourantSection) -> CourantSection:

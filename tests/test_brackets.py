@@ -225,6 +225,95 @@ def test_broken_theta_keeps_its_anomaly():
     assert anomaly == slow_bracket(broken, broken)
 
 
+# -- derivatives kept on the polynomials ------------------------------------------
+
+def _fresh(p):
+    """An equal polynomial with no kept hash, gradient or partial."""
+    return SuperPolynomial(p.chart, p.terms)
+
+
+@given(seeds(), st.sampled_from([CH, OC]))
+def test_bracket_matches_oracle_with_cold_and_warm_caches(seed, chart):
+    """Brackets agree with the oracle before and after the operands keep
+    their derivatives, and leave the operands' terms and hash as they were."""
+    rng = random.Random(seed)
+    p = random_poly(chart, rng, max_terms=6)
+    q = random_poly(chart, rng, max_terms=6)
+    snapshots = [dict(p.terms), dict(q.terms)]
+    want = {(a, b): slow_bracket(x, y)
+            for a, x in enumerate((p, q)) for b, y in enumerate((p, q))}
+    for _cold_then_warm in range(2):
+        for (a, b), expected in want.items():
+            assert canonical_bracket((p, q)[a], (p, q)[b]) == expected
+    for operand, snapshot in zip((p, q), snapshots):
+        assert operand.terms == snapshot
+        assert hash(operand) == hash(SuperPolynomial(chart, snapshot))
+
+
+@given(seeds(), st.sampled_from([CH, OC]))
+def test_kept_derivatives_equal_those_of_a_fresh_copy(seed, chart):
+    rng = random.Random(seed)
+    p = random_poly(chart, rng, max_terms=6)
+    q = random_poly(chart, rng, max_terms=6)
+    canonical_bracket(p, q)      # keeps p's gradient
+    canonical_bracket(q, p)      # keeps p's partials by q's conjugates
+    order = list(chart.variables)
+    rng.shuffle(order)
+    fresh = _fresh(p)            # asked for partials first, its gradient last
+    for var in order:
+        kept = p.partial(var)
+        assert kept == fresh.partial(var) == _fresh(p).partial(var)
+        assert p.partial(var.name) is kept
+    assert p.gradient() == fresh.gradient() == _fresh(p).gradient()
+
+
+def test_foreign_variable_raises_once_derivatives_are_kept():
+    """A variable of another chart with the same name and index is refused."""
+    twins = ((CH, cotangent_chart(["x1", "x2"], ["xi1", "xi2"]).chart, "x1"),
+             (OC, darboux_chart([("s", 0, "sigma"), ("t", 0, "tau")], ODD), "s"))
+    for chart, twin, name in twins:
+        p = SuperPolynomial.variable(chart, name) ** 2 + SuperPolynomial.variable(
+            chart, chart.variables[-1].name)
+        foreign = twin.var(name)
+        assert foreign.index == chart.var(name).index and foreign is not chart.var(name)
+        canonical_bracket(p, p)
+        p.partial(name)
+        for var in chart.variables:
+            p.partial(var)
+        with pytest.raises(ChartError):
+            p.partial(foreign)
+
+
+def test_canonical_bracket_reaches_partial(monkeypatch):
+    """The bracket asks its second argument for each partial, warm or cold.
+
+    The traced benchmark counts SuperPolynomial.partial and requires the
+    count to be nonzero on every workload, so a bracket that read the kept
+    gradient of q directly would break that gate without failing any other
+    test.
+    """
+    calls = []
+    original = SuperPolynomial.partial
+
+    def spy(self, var):
+        calls.append(var)
+        return original(self, var)
+
+    monkeypatch.setattr(SuperPolynomial, "partial", spy)
+    rng = random.Random(7)
+    for chart in (CH, OC):
+        p = random_poly(chart, rng, max_terms=6)
+        q = random_poly(chart, rng, max_terms=6)
+        while canonical_bracket(p, q).is_zero():
+            q = random_poly(chart, rng, max_terms=6)
+        counts = []
+        for _cold_then_warm in range(2):
+            calls.clear()
+            canonical_bracket(p, q)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
 # -- hamiltonian lift ---------------------------------------------------------
 
 def test_lift_of_coordinate_field():

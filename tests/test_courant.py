@@ -21,7 +21,7 @@ from bigbracket.specfile import PRESET_NAMES, load_preset, materialize, parse_do
 from conftest import standard_structure
 from oracles import (anchor_apply, base_field, de_rham, interior, k_expression,
                      lie_derivative, pi_tangent_chart, slow_circ, slow_skew,
-                     slow_t_tensor, splitting_shift, sweep_axioms_1_2)
+                     slow_t_tensor, splitting_shift, sweep_axioms_1_2, sweep_axioms_3_5)
 from test_algebroid import poisson_r2, su2_bialgebra
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -351,6 +351,65 @@ def test_nonzero_t2_reaches_the_contractions_and_a_probe_does_not(monkeypatch):
     probe = _axiom_structure("probe")
     assert _t2(probe).is_zero()
     assert not verify_axioms(probe)["axiom1-leibniz-jacobi"].passed
+
+
+# -- axioms 3-5: both sides compared, one subtraction ----------------------------------
+
+# the structures `twist --preset exact-twist-R3` checks, without and with --omega
+TWIST_GAUGES = {"twist": None, "twist-omega": "x1*xi2*xi3"}
+
+
+def _axiom_3_5_structure(source):
+    if source not in TWIST_GAUGES:
+        return _axiom_structure(source)
+    twisted = materialize(load_preset("exact-twist-R3")).twisted
+    if TWIST_GAUGES[source] is not None:
+        omega = parse_poly(TWIST_GAUGES[source], twisted.structure.chart)
+        twisted = twist_exact(twisted.proto, twisted.phi_raw, omega)
+    return twisted.structure
+
+
+def _assert_axioms_3_5_agree(structure):
+    report = verify_axioms(structure)
+    oracle = sweep_axioms_3_5(structure)
+    assert [c.name for c in report.checks[2:]] == list(oracle)
+    for name, residual in oracle.items():
+        assert report[name].passed == residual.is_zero(), name
+        assert report[name].residual == residual, name
+    return report
+
+
+@pytest.mark.parametrize("source", PRESET_NAMES + tuple(AXIOM_DOCUMENTS) + tuple(TWIST_GAUGES))
+def test_axioms_3_to_5_agree_with_the_subtracting_sweep(source):
+    """Every preset courant-verify and twist reach, the failing documents and
+    the off-degree probe."""
+    _assert_axioms_3_5_agree(_axiom_3_5_structure(source))
+
+
+def test_perturbed_anchor_fails_axioms_3_and_5_at_the_first_tuple(monkeypatch):
+    """rho(e_1) x1 is perturbed by 7: axiom 3 first fails at (e_1, e_0, x1) with
+    residual -7 e_0, axiom 5 at the first (e_1, e_j, e_k) whose pairing is x1."""
+    import oracles
+    structure = _axiom_structure("standard-R2")
+    assert verify_axioms(structure).passed
+    emb = [s.embedded for s in generator_family(structure)]
+    x1 = coordinate_functions(structure)[0]
+    d_x1 = structure._memo.theta_bracket(x1)
+    seven = SuperPolynomial.constant(structure.chart, 7)
+    original = canonical_bracket
+
+    def perturbed(p, q, chart=None):
+        out = original(p, q, chart)
+        return out + seven if p is emb[1] and q is d_x1 else out
+
+    monkeypatch.setattr(courant, "canonical_bracket", perturbed)
+    monkeypatch.setattr(oracles, "canonical_bracket", perturbed)
+    report = _assert_axioms_3_5_agree(structure)
+    assert [c.name for c in report.checks if not c.passed] == [
+        "axiom3-module-leibniz", "axiom5-pairing-invariance"]
+    assert report["axiom3-module-leibniz"].residual == -emb[0].scale(7)
+    assert any(original(a, b) == x1 for a in emb for b in emb)
+    assert report["axiom5-pairing-invariance"].residual == seven
 
 
 # -- Dirac subbundles ---------------------------------------------------------------

@@ -1,7 +1,8 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
-from bigbracket.courant import (ShlaMaps, _shla_sign, basis_sections,
+from bigbracket import courant
+from bigbracket.courant import (ShlaMaps, _shla_sign, _signed_unshuffles, basis_sections,
                                 d_operator, graded_constant, graded_function,
                                 graded_section, jacobiator, pairing,
                                 shla_check, shla_identity, skew_bracket,
@@ -36,7 +37,7 @@ def test_first_identity_on_each_degree():
                  for n in structure.bundle.base_names]
         gens.append(graded_constant(structure, 1))
         for g in gens:
-            assert shla_identity(structure, 1, [g]).is_zero()
+            assert shla_identity(ShlaMaps(structure), 1, [g]).is_zero()
 
 
 def test_identities_up_to_arity_four():
@@ -102,10 +103,11 @@ def test_chain_map_identity_with_scaled_sections():
     elements = ([graded_section(g) for g in gens + scaled]
                 + [graded_function(x1), graded_function(x2 * x1)]
                 + [graded_constant(structure, 3)])
+    maps = ShlaMaps(structure)
     for e1 in elements[:6]:
         for e2 in elements[6:12]:
             for f in elements[12:]:
-                assert shla_identity(structure, 3, [e1, e2, f]).is_zero()
+                assert shla_identity(maps, 3, [e1, e2, f]).is_zero()
 
 
 def test_shla_sign_is_the_permutation_sign_times_the_koszul_sign():
@@ -118,13 +120,12 @@ def test_shla_sign_is_the_permutation_sign_times_the_koszul_sign():
 
 def test_identity_sweep_evaluates_each_tuple_once(monkeypatch):
     """The lemma lines are read off the identity sweep, not swept again."""
-    import bigbracket.courant as courant
     seen = []
     original = courant.shla_identity
 
-    def counted(structure, n, args):
+    def counted(maps, n, args):
         seen.append((n, tuple(id(a) for a in args)))
-        return original(structure, n, args)
+        return original(maps, n, args)
 
     monkeypatch.setattr(courant, "shla_identity", counted)
     structure = standard_structure(2)
@@ -133,3 +134,34 @@ def test_identity_sweep_evaluates_each_tuple_once(monkeypatch):
         report = shla_check(structure, n)
         assert report.passed
         assert len(seen) == len(set(seen)) > 0
+
+
+def test_signed_unshuffles_match_the_oracle_signs():
+    """Every (i, n-i)-unshuffle with i + j = n + 1, i, j <= 3, in summation
+    order, signed by (-1)^{i(j-1)} perm_sign * koszul_sign."""
+    for n in range(1, 5):
+        for degrees in product((0, 1, 2), repeat=n):
+            want = []
+            for i in range(max(1, n - 2), min(n, 3) + 1):
+                j = n + 1 - i
+                for chosen in combinations(range(n), i):
+                    perm = chosen + tuple(k for k in range(n) if k not in chosen)
+                    sign = (-1) ** (i * (j - 1)) * perm_sign(perm) * koszul_sign(perm, degrees)
+                    want.append((i, j, perm, sign))
+            assert list(_signed_unshuffles(n, degrees)) == want
+
+
+def test_shla_check_builds_its_maps_and_each_sign_table_once(monkeypatch):
+    built = []
+
+    class CountedMaps(ShlaMaps):
+        def __init__(self, structure):
+            built.append(structure)
+            super().__init__(structure)
+
+    monkeypatch.setattr(courant, "ShlaMaps", CountedMaps)
+    _signed_unshuffles.cache_clear()
+    report = shla_check(standard_structure(2), 4)
+    assert report.passed and len(built) == 1
+    info = _signed_unshuffles.cache_info()
+    assert info.currsize == info.misses < info.hits
