@@ -614,8 +614,9 @@ def sweep_axioms_3_5(structure) -> dict:
     """The first nonzero residual of axioms 3-5, subtracting on every tuple.
 
     The gate's sweeps before they compared the two sides of each identity:
-    every tuple builds its residual polynomial, over the gate's generator
-    family in the gate's order.
+    every tuple builds its residual polynomial, over the whole generator
+    family in the gate's order, axiom 5 included (the gate sweeps axiom 5 on
+    the basis sections once axioms 3 and 4 pass on a theta of degree 3).
     """
     sections = generator_family(structure)
     functions = coordinate_functions(structure)

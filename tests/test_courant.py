@@ -269,6 +269,11 @@ AXIOM_DOCUMENTS = {
     "tangent-x2": "kind: algebroid\nbase: x1 x2\nrank: 2\nA[1][1] = x2\nA[2][2] = 1\n",
     # the two-form probe: T2 = 0, yet axiom 1 fails, so the sweep decides it
     "probe": "kind: exact-courant\nbase: x1 x2 x3\nrank: 3\nphi = x1*xi2*xi3\n",
+    # [e1, e2] = e1, but the action sends e1, e2 to the commuting d/dx, d/dy
+    "brst-non-homomorphic": "kind: brst\nbase: x y\nrank: 2\nlie[1][2][1] = 1\n"
+                            "rho[1][1] = 1\nrho[2][2] = 1\n",
+    # a bundle of Lie algebras: zero anchor, [e1, e2] = x1 e1
+    "zero-anchor": "kind: algebroid\nbase: x1\nrank: 2\nC[1][2][1] = x1\n",
 }
 
 
@@ -297,7 +302,8 @@ def test_axioms_1_and_2_fail_where_expected():
     axiom1, axiom2 = "axiom1-leibniz-jacobi", "axiom2-anchor-homomorphism"
     assert failing == {"twist-R4": [axiom1], "non-jacobi": [axiom1],
                        "non-cocycle": [axiom1], "tangent-x2": [axiom1, axiom2],
-                       "probe": [axiom1]}
+                       "probe": [axiom1], "brst-non-homomorphic": [axiom1, axiom2],
+                       "zero-anchor": []}
 
 
 def test_master_equation_signs():
@@ -379,6 +385,30 @@ def _assert_axioms_3_5_agree(structure):
     return report
 
 
+def _spy_brackets(monkeypatch):
+    """Every (p, q) that courant brackets from here on, in call order."""
+    calls = []
+    inner = courant.canonical_bracket
+
+    def spy(p, q, chart=None):
+        calls.append((p, q))
+        return inner(p, q, chart)
+
+    monkeypatch.setattr(courant, "canonical_bracket", spy)
+    return calls
+
+
+def _axiom5_columns(structure, calls):
+    """The section e_k of each axiom-5 table bracket {e_i o e_j, e_k}.
+
+    Only that table brackets a memo product with a generator, except the
+    term-by-term axiom 2 of an off-degree theta where some D f is a generator.
+    """
+    products = {id(p) for p in structure._memo.products.values()}
+    family = {e.embedded for e in generator_family(structure)}
+    return [q for p, q in calls if id(p) in products and q in family]
+
+
 @pytest.mark.parametrize("source", PRESET_NAMES + tuple(AXIOM_DOCUMENTS) + tuple(TWIST_GAUGES))
 def test_axioms_3_to_5_agree_with_the_subtracting_sweep(source):
     """Every preset courant-verify and twist reach, the failing documents and
@@ -404,12 +434,71 @@ def test_perturbed_anchor_fails_axioms_3_and_5_at_the_first_tuple(monkeypatch):
 
     monkeypatch.setattr(courant, "canonical_bracket", perturbed)
     monkeypatch.setattr(oracles, "canonical_bracket", perturbed)
+    calls = _spy_brackets(monkeypatch)
     report = _assert_axioms_3_5_agree(structure)
+    # axiom 3 fails, so axiom 5 reads every generator of the family
+    assert len(set(_axiom5_columns(structure, calls))) == len(emb) > 4
     assert [c.name for c in report.checks if not c.passed] == [
         "axiom3-module-leibniz", "axiom5-pairing-invariance"]
     assert report["axiom3-module-leibniz"].residual == -emb[0].scale(7)
     assert any(original(a, b) == x1 for a in emb for b in emb)
     assert report["axiom5-pairing-invariance"].residual == seven
+
+
+def test_tensorial_kernel_defect_fails_axiom_5_on_a_basis_triple(monkeypatch):
+    """Degree-1 brackets gain B(p, q) = p_xis1 * q_xis1 over a zero anchor.
+
+    D kills every function there, so rho and D<e, e'> see no defect and
+    axioms 3 and 4 pass; the axiom-5 anomaly -B(e_i o e_j, e_k) - B(e_i o e_k, e_j)
+    is C-infinity-linear, and [e1, e2] = x1 e1 makes it -x1 at (e1, e1, e2).
+    The basis sweep reports the full family's first failure.
+    """
+    import oracles
+    structure = _axiom_structure("zero-anchor")
+    assert verify_axioms(structure).passed
+    xis1 = structure.bundle.fiber_momenta[0]
+
+    def degree_one(p):
+        return p.terms and all(k == 1 for (_e, _d, k) in p.gradings())
+
+    def defective(p, q, chart=None):
+        out = canonical_bracket(p, q, chart)
+        return out + p.partial(xis1) * q.partial(xis1) if degree_one(p) and degree_one(q) else out
+
+    monkeypatch.setattr(courant, "canonical_bracket", defective)
+    monkeypatch.setattr(oracles, "canonical_bracket", defective)
+    calls = _spy_brackets(monkeypatch)
+    report = _assert_axioms_3_5_agree(structure)
+    assert [c.name for c in report.checks if not c.passed] == ["axiom5-pairing-invariance"]
+    assert report["axiom5-pairing-invariance"].residual == -x(structure, 1)
+    basis = [e.embedded for e in basis_sections(structure)]
+    assert set(_axiom5_columns(structure, calls)) == set(basis)
+
+
+# -- axiom 5 sweeps the basis sections once axioms 3 and 4 pass ------------------------
+
+@pytest.mark.parametrize("source", ["weil-su2", "twist-R4"])
+def test_axiom5_sweeps_basis_sections_once_axioms_3_and_4_pass(source, monkeypatch):
+    structure = _axiom_structure(source)
+    calls = _spy_brackets(monkeypatch)
+    report = verify_axioms(structure)
+    assert report["axiom3-module-leibniz"].passed and report["axiom4-symmetric-part"].passed
+    basis = [e.embedded for e in basis_sections(structure)]
+    columns = _axiom5_columns(structure, calls)
+    assert len(columns) == len(basis) ** 3
+    assert set(columns) == set(basis)
+    assert len(generator_family(structure)) >= 4 * len(basis)
+
+
+def test_axiom5_sweeps_the_whole_family_on_an_off_degree_theta(monkeypatch):
+    structure = _axiom_structure("probe")
+    calls = _spy_brackets(monkeypatch)
+    report = verify_axioms(structure)
+    assert report["axiom3-module-leibniz"].passed and report["axiom4-symmetric-part"].passed
+    n = len(generator_family(structure))
+    columns = _axiom5_columns(structure, calls)
+    assert len(columns) >= n ** 3
+    assert len(set(columns)) == n
 
 
 # -- Dirac subbundles ---------------------------------------------------------------
