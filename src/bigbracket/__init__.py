@@ -5,8 +5,10 @@ Poisson cohomology computed by finite exact linear algebra.
 
 A Courant structure is a cubic hamiltonian theta and its bracket the derived
 bracket {{theta, a}, b}; the package holds what the command-line gates built
-on these two constructions use.  Independent routes to the same objects (the
-Cartan calculus, Schouten brackets and hamiltonian lifts) are test oracles."""
+on these two constructions use.  Every vector field is hamiltonian, the
+canonical bracket {h, .} of one function.  Independent routes to the same
+objects (vector fields as component maps, the Cartan calculus, Schouten
+brackets and hamiltonian lifts) are test oracles."""
 
 from .chart import Chart, DarbouxChart, GradedVariable, cotangent_chart, darboux_chart
 from .poly import SuperPolynomial

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .brackets import canonical_bracket, legendre
 from .cartan import VectorField
-from .chart import CotangentOfParityReversed, cotangent_chart, ODD
+from .chart import CotangentOfParityReversed, cotangent_chart
 from .poly import SuperPolynomial, poly_sum
 from .rationals import GaussianRational
 
@@ -370,42 +370,33 @@ def swap_proto(proto: ProtoBialgebroidSpec) -> ProtoBialgebroidSpec:
 
 
 def double_differential(theta: ThetaHamiltonian):
-    """D = {theta, .} as a component map; (field, anomaly) with anomaly = {theta,theta}."""
-    chart = theta.chart
+    """(D, anomaly): the double's differential D = {theta, .} and {theta, theta}."""
     total = theta.total
-    comps = {}
-    for v in chart.variables:
-        comps[v] = canonical_bracket(total, SuperPolynomial.variable(chart, v.name))
-    field = VectorField(chart, comps, ODD)
-    anomaly = canonical_bracket(total, total)
-    return field, anomaly
+    return VectorField(total), canonical_bracket(total, total)
 
 
 def homomorphism_residuals(spec: AlgebroidSpec):
     """rho([e_a, e_b]) - [rho e_a, rho e_b] on every generator pair (a, b), 1-based.
 
-    For the action algebroid of a Lie algebra acting by vector fields, these
-    vanish exactly when the action map is a homomorphism.
+    Each anchor is the momentum-linear function h_a = A^i_a xs_i, whose
+    bracket {h_a, f} is rho(e_a) f, so [rho e_a, rho e_b] is the field of
+    {h_a, h_b}.  The residual sum_c C^c_ab h_c - {h_a, h_b} is momentum-linear
+    too; it is shown with each xs_i written as x^i, the coordinate marking
+    its component.  For the action algebroid of a Lie algebra acting by
+    vector fields, these vanish exactly when the action map is a homomorphism.
     """
-    chart = spec.chart
-    base = spec.base_names
-    rho = [VectorField(chart, {base[i]: spec.anchor[a][i] for i in range(len(base))})
-           for a in range(spec.rank)]
+    bundle = spec.bundle
+    chart = bundle.chart
+    momenta = [SuperPolynomial.variable(chart, xs.name) for xs in bundle.base_momenta]
+    h = [poly_sum(chart, [entry * xs for entry, xs in zip(spec.anchor[a], momenta)])
+         for a in range(spec.rank)]
+    as_coordinates = {xs.name: SuperPolynomial.variable(chart, x.name)
+                      for x, xs in zip(bundle.base, bundle.base_momenta)}
     out = []
     for a in range(spec.rank):
         for b in range(spec.rank):
-            comm = rho[a].commutator(rho[b])
-            expect = {}
-            for i, x in enumerate(base):
-                acc = SuperPolynomial.zero(chart)
-                for c in range(spec.rank):
-                    entry = spec.structure[a][b][c]
-                    if not entry.is_zero():
-                        acc = acc + entry * spec.anchor[c][i]
-                expect[x] = acc
-            residual = poly_sum(chart, [
-                (expect[x] - comm.component(x)) * SuperPolynomial.variable(chart, x)
-                for x in base
-            ])
-            out.append(((a + 1, b + 1), residual))
+            expect = poly_sum(chart, [spec.structure[a][b][c] * h[c]
+                                      for c in range(spec.rank)])
+            residual = expect - canonical_bracket(h[a], h[b])
+            out.append(((a + 1, b + 1), residual.substitute(chart, as_coordinates)))
     return out

@@ -247,7 +247,7 @@ def cmd_invariants(args) -> Report:
     ids = structure_identities(c, _rational(args.cprime, "cprime"), args.truncate)
     for name, ok in ids.items():
         report.add(name, ok)
-    field, desc, value = modular_and_volume(c)
+    _h, desc, value = modular_and_volume(c)
     report.add_info("modular-field", "s*d_t - t*d_s (disk chart)")
     if value is not None:
         report.add_info("symplectic-volume", f"{desc} = {value!r}")

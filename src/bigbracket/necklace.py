@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brackets import canonical_bracket
-from .cartan import VectorField
 from .chart import darboux_chart, ODD
 from .linalg import in_span, independent, intersect_with_coordinate_subspace, nullspace
 from .poly import SuperPolynomial
@@ -313,23 +312,21 @@ def mode_0_summary(c) -> CohomologyReport:
 def modular_and_volume(c):
     """The rotation field, and for nondegenerate members the total volume.
 
-    Returns (field, volume_description, volume_value); the field is the
-    modular vector field of pi_c for the rotation-invariant area form,
-    expressed in the disk chart as s d/dt - t d/ds.  The volume uses the
-    closed form 2*pi*ln((c+1)/(c-1)); its evaluation is the only floating
-    point number in the package.
+    Returns (h, volume_description, volume_value); h = -t*sigma + s*tau is
+    the hamiltonian of the modular vector field of pi_c for the
+    rotation-invariant area form, whose field {h, .} is s d/dt - t d/ds in
+    the disk chart.  The volume uses the closed form 2*pi*ln((c+1)/(c-1));
+    its evaluation is the only floating point number in the package.
     """
     c = Fraction(c)
     structure = build_structures(c)
     chart = structure.chart
     s = SuperPolynomial.variable(chart, "s")
     t = SuperPolynomial.variable(chart, "t")
-    comps = {"s": -t, "t": s}
-    field = VectorField(chart, comps)
     sig = SuperPolynomial.variable(chart, "sigma")
     tau = SuperPolynomial.variable(chart, "tau")
-    h_field = (-t) * sig + s * tau
-    commutes = canonical_bracket(h_field, structure.pi_c, chart).is_zero()
+    h = (-t) * sig + s * tau
+    commutes = canonical_bracket(h, structure.pi_c, chart).is_zero()
     if not commutes:
         raise AssertionError("modular field fails to preserve the structure")
     if abs(c) > 1:
@@ -342,8 +339,8 @@ def modular_and_volume(c):
             log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
         value = 2.0 * math.pi * log_ratio
         desc = f"2*pi*ln({ratio})"
-        return field, desc, value
-    return field, "volume undefined for |c| <= 1", None
+        return h, desc, value
+    return h, "volume undefined for |c| <= 1", None
 
 
 class StructureIdentityError(RuntimeError):

@@ -13,6 +13,11 @@ and the SH-Lie sign is the product `perm_sign * koszul_sign` of a cycle count
 and an odd-inversion count.
 
 The other routes here reach the same objects another way than the engine:
+- `VectorField`, a vector field as a component map with its own
+  supercommutator, where the engine keeps one hamiltonian h and applies
+  {h, .}: `bracket_fields` stores {h, x^A} for every coordinate, and
+  `commutator_homomorphism_residuals` decides an action's homomorphism by
+  commutators of anchors instead of brackets of momentum-linear functions;
 - the Cartan calculus on Pi TM (`pi_tangent_chart`, `de_rham`, `interior`,
   `lie_derivative`, `base_field`) and the vector field `cartan_differential`
   of an anchored bundle, squared without any bracket;
@@ -34,7 +39,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from bigbracket.brackets import canonical_bracket, derived_bracket
-from bigbracket.cartan import VectorField
 from bigbracket.chart import (Chart, ChartError, DarbouxChart, GradedVariable,
                               darboux_chart, EVEN, ODD)
 from bigbracket.courant import (CourantSection, circ, coordinate_functions,
@@ -369,8 +373,124 @@ def slow_quotient_generators(cocycles, boundaries):
 
 
 # ---------------------------------------------------------------------------
-# Cartan calculus on Pi TM
+# Vector fields as component maps, and the Cartan calculus on Pi TM
 # ---------------------------------------------------------------------------
+
+
+class VectorField:
+    """Derivation X = sum c^A(x) d/dx^A with left coefficients."""
+
+    __slots__ = ("chart", "components", "parity")
+
+    def __init__(self, chart: Chart, components, parity=None):
+        self.chart = chart
+        comps = {}
+        for key, poly in components.items():
+            var = chart.var(key) if isinstance(key, str) else key
+            if not isinstance(poly, SuperPolynomial):
+                poly = SuperPolynomial.constant(chart, poly)
+            if poly.chart is not chart:
+                raise ChartError("component polynomial on a different chart")
+            if not poly.is_zero():
+                comps[var] = poly
+        self.components = comps
+        parities = set()
+        for var, poly in comps.items():
+            pp = poly.parity()
+            if pp is None:
+                raise ChartError(
+                    f"component of d/d{var.name} is not parity-homogeneous")
+            parities.add((pp + var.parity) % 2)
+        if len(parities) > 1:
+            raise ChartError("vector field mixes parities")
+        if parity is None:
+            parity = parities.pop() if parities else EVEN
+        elif parities and parities != {parity}:
+            raise ChartError("declared parity contradicts the components")
+        self.parity = parity
+
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def component(self, var) -> SuperPolynomial:
+        if isinstance(var, str):
+            var = self.chart.var(var)
+        return self.components.get(var, SuperPolynomial.zero(self.chart))
+
+    def apply(self, p: SuperPolynomial) -> SuperPolynomial:
+        if p.chart is not self.chart:
+            raise ChartError("argument lives on a different chart")
+        out = SuperPolynomial.zero(self.chart)
+        for var, coeff in self.components.items():
+            out = out + coeff * p.partial(var)
+        return out
+
+    def commutator(self, other: "VectorField") -> "VectorField":
+        """[X, Y] = X Y - (-1)^{X~ Y~} Y X, computed on chart generators."""
+        if self.chart is not other.chart:
+            raise ChartError("vector fields on different charts")
+        sign = -1 if (self.parity * other.parity) % 2 else 1
+        comps = {}
+        for var in set(self.components) | set(other.components):
+            lead = self.apply(other.component(var))
+            trail = other.apply(self.component(var))
+            comps[var] = lead - trail if sign > 0 else lead + trail
+        return VectorField(self.chart, comps, (self.parity + other.parity) % 2)
+
+    def __eq__(self, other):
+        if not isinstance(other, VectorField):
+            return NotImplemented
+        if self.chart is not other.chart:
+            raise ChartError("vector fields on different charts")
+        keys = set(self.components) | set(other.components)
+        return all(self.component(v) == other.component(v) for v in keys)
+
+    def __repr__(self):
+        body = " + ".join(f"({p})*d/d{v.name}" for v, p in sorted(
+            self.components.items(), key=lambda kv: kv[0].index))
+        return f"<field {body or '0'}>"
+
+
+def bracket_fields(h: SuperPolynomial):
+    """{h, .} as component maps, one per parity component of h.
+
+    Each field stores the coefficients {h_p, x^A} of the coordinate
+    derivations; applying the list and summing is {h, .} on any function.
+    """
+    chart = h.chart
+    return [VectorField(chart, {v: canonical_bracket(part, SuperPolynomial.variable(chart, v.name))
+                                for v in chart.variables})
+            for part in h.parity_components() if not part.is_zero()]
+
+
+def commutator_homomorphism_residuals(spec):
+    """rho([e_a, e_b]) - [rho e_a, rho e_b] as commutators of component maps.
+
+    Each residual component is multiplied by its coordinate as a marker, so
+    the result is one polynomial per generator pair (a, b), 1-based.
+    """
+    chart = spec.chart
+    base = spec.base_names
+    rho = [VectorField(chart, {base[i]: spec.anchor[a][i] for i in range(len(base))})
+           for a in range(spec.rank)]
+    out = []
+    for a in range(spec.rank):
+        for b in range(spec.rank):
+            comm = rho[a].commutator(rho[b])
+            expect = {}
+            for i, x in enumerate(base):
+                acc = SuperPolynomial.zero(chart)
+                for c in range(spec.rank):
+                    entry = spec.structure[a][b][c]
+                    if not entry.is_zero():
+                        acc = acc + entry * spec.anchor[c][i]
+                expect[x] = acc
+            residual = poly_sum(chart, [
+                (expect[x] - comm.component(x)) * SuperPolynomial.variable(chart, x)
+                for x in base
+            ])
+            out.append(((a + 1, b + 1), residual))
+    return out
 
 
 def plain_chart(specs) -> Chart:

@@ -338,6 +338,6 @@ def test_criterion_12_structure_identities():
 
 @criterion(13)
 def test_criterion_13_volume_value():
-    _field, desc, value = modular_and_volume(3)
+    _h, desc, value = modular_and_volume(3)
     assert abs(value - 2 * math.pi * math.log(2)) < 1e-12
     assert desc == "2*pi*ln(2)"

@@ -1,12 +1,21 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from bigbracket.algebroid import AlgebroidSpec, double_differential, homomorphism_residuals
 from bigbracket.chart import ChartError
-from bigbracket.poly import SuperPolynomial
+from bigbracket.poly import SuperPolynomial, poly_sum
+from bigbracket.rationals import GaussianRational
+from bigbracket.specfile import (PRESET_NAMES, DocumentError, load_preset, materialize,
+                                 parse_document)
 
 from conftest import random_poly
-from oracles import base_field, de_rham, interior, lie_derivative, pi_tangent_chart
+from oracles import (base_field, bracket_fields, commutator_homomorphism_residuals,
+                     de_rham, interior, lie_derivative, pi_tangent_chart)
+from test_algebroid import rotation_action
+from test_cli import MIXED_PARITY_DOUBLES
+from test_cli_surface import DOCUMENTS as SURFACE_DOCUMENTS
 
 PT = pi_tangent_chart(["x1", "x2", "x3"])
 
@@ -77,3 +86,97 @@ def test_cartan_needs_a_pairing_table():
     from bigbracket.chart import cotangent_chart
     with pytest.raises(ChartError):
         de_rham(cotangent_chart(["x1"], ["xi1"]).chart)
+
+
+# -- the engine's hamiltonian fields against the component maps ------------------
+
+def _fields_apply(fields, p):
+    return poly_sum(p.chart, [field.apply(p) for field in fields])
+
+
+def _load(name):
+    if name in PRESET_NAMES:
+        return load_preset(name)
+    text = SURFACE_DOCUMENTS.get(name) or MIXED_PARITY_DOUBLES[name][0]
+    return parse_document(text)
+
+
+REFUSED = ("exact-rank.spec", "exact-table.spec")
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, *SURFACE_DOCUMENTS, *MIXED_PARITY_DOUBLES])
+def test_double_differential_matches_component_maps(name):
+    """D = {theta, .} and D(D(x)) agree with the fields of {theta_p, x^A}, one
+    per parity component of theta, on every coordinate of the chart."""
+    if name in REFUSED:
+        # `double` refuses these before any differential is built
+        with pytest.raises(DocumentError):
+            materialize(_load(name))
+        return
+    theta = materialize(_load(name)).proto.theta()
+    field, _ = double_differential(theta)
+    oracle = bracket_fields(theta.total)
+    for var in theta.chart.variables:
+        x = SuperPolynomial.variable(theta.chart, var.name)
+        dx = field.apply(x)
+        assert dx == _fields_apply(oracle, x), var.name
+        assert field.apply(dx) == _fields_apply(oracle, dx), var.name
+
+
+def _random_base_poly(chart, rng):
+    x, y = SuperPolynomial.variable(chart, "x"), SuperPolynomial.variable(chart, "y")
+    terms = []
+    for _ in range(rng.randint(0, 3)):
+        term = SuperPolynomial.constant(chart, GaussianRational(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+        for _ in range(rng.randint(0, 2)):
+            term = term * rng.choice((x, y))
+        terms.append(term)
+    return poly_sum(chart, terms)
+
+
+def _random_action(rng):
+    rank = rng.randint(2, 3)      # a rank-1 action is always a homomorphism
+    fibers = tuple(f"xi{k+1}" for k in range(rank))
+    chart = AlgebroidSpec.build(("x", "y"), fibers, {}, {}).chart
+    anchor = {(a, i): _random_base_poly(chart, rng)
+              for a in range(1, rank + 1) for i in (1, 2)}
+    structure = {}
+    for a in range(1, rank + 1):
+        for b in range(a + 1, rank + 1):
+            for c in range(1, rank + 1):
+                if rng.random() < 0.5:
+                    structure[(a, b, c)] = (_random_base_poly(chart, rng) if rng.random() < 0.3
+                                            else rng.randint(-2, 2))
+    return AlgebroidSpec.build(("x", "y"), fibers, anchor, structure)
+
+
+def _actions():
+    rng = random.Random(17)
+    actions = {"rotation": rotation_action(),
+               "brst-so2-on-R2": materialize(load_preset("brst-so2-on-R2")).action,
+               "brst-non-homomorphic.spec": materialize(parse_document(
+                   SURFACE_DOCUMENTS["brst-non-homomorphic.spec"])).action}
+    actions.update((f"random-{k}", _random_action(rng)) for k in range(12))
+    return actions
+
+
+ACTIONS = _actions()
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_homomorphism_residuals_match_commutators(name):
+    spec = ACTIONS[name]
+    got = homomorphism_residuals(spec)
+    expected = commutator_homomorphism_residuals(spec)
+    assert [pair for pair, _ in got] == [pair for pair, _ in expected]
+    for (pair, residual), (_, oracle) in zip(got, expected):
+        assert residual == oracle, pair
+        assert str(residual) == str(oracle), pair
+
+
+def test_random_actions_are_mostly_not_homomorphisms():
+    failing = [name for name, spec in ACTIONS.items()
+               if any(not res.is_zero() for _pair, res in homomorphism_residuals(spec))]
+    assert "brst-non-homomorphic.spec" in failing
+    assert sum(name.startswith("random-") for name in failing) >= 8

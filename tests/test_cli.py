@@ -134,6 +134,37 @@ def test_phi_and_psi_probes_are_read_alike(tmp_path):
     assert "check axiom1-leibniz-jacobi: fail" in out["psi", "courant-verify"]
 
 
+# off-degree probes whose theta mixes parities: D = {theta, .} is then not odd,
+# so D^2 need not vanish where {theta, theta} does; `double` decides it anyway
+MIXED_PARITY_DOUBLES = {
+    "su2-phi.spec": ("kind: proto\nbase:\nrank: 3\nC[1][2][3] = 1\nC[2][3][1] = 1\n"
+                     "C[3][1][2] = 1\nphi = xi1*xi2\n", 1, """command: double --spec {path}
+check antisymmetry-completion: pass (auto-completed 3 mirrored entries)
+check self-commuting-hamiltonian: pass
+check differential-squares-to-zero: fail residual=-2*xi1*xi3
+result: FAIL (2 pass, 1 fail)
+"""),
+    "psi-mirror.spec": ("kind: proto\nbase: x1\nrank: 3\npsi = th1*th2*th3 + x1*th1*th2\n",
+                        0, """command: double --spec {path}
+check self-commuting-hamiltonian: pass
+check differential-squares-to-zero: pass
+result: PASS (2 pass, 0 fail)
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_PARITY_DOUBLES))
+def test_double_decides_mixed_parity_probes(tmp_path, name):
+    text, expected_code, expected_out = MIXED_PARITY_DOUBLES[name]
+    doc = tmp_path / name
+    doc.write_text(text)
+    code, out, err = run(["double", "--spec", str(doc)])
+    assert (code, err) == (expected_code, "")
+    assert out == expected_out.format(path=doc)
+    # the same document passes verify-proto: its structure equations hold
+    assert run(["verify-proto", "--spec", str(doc)])[0] == 0
+
+
 @pytest.mark.parametrize("scalar, message", [
     ("phi = x1*xi1", "phi has bidegree (0, 1), expected (0, 3) or the (0, 2) probe"),
     ("psi = x1*th1", "psi* has bidegree (1, 0), expected (3, 0) or the (2, 0) probe"),

@@ -49,11 +49,3 @@ def test_necklace_script_bad_input_exits_two(args):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
-
-
-def test_verify_presets_script_passes():
-    done = run_script("verify_presets.py")
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "Traceback" not in done.stderr
-    assert sum(line.startswith("== ") for line in done.stdout.splitlines()) == 23
-    assert done.stdout.count("result: PASS") == 23
