@@ -16,6 +16,7 @@ from . import courant as crt
 from .algebroid import (ProtoBialgebroidSpec, SpecError, check_bialgebroid,
                         check_lie_algebroid, check_proto, double_differential,
                         homomorphism_residuals, swap_proto)
+from .brackets import canonical_bracket
 from .chart import ChartError
 from .necklace import (AssemblyError, RecordedConstants, StructureIdentityError,
                        TruncationInstability, build_structures, global_assembly,
@@ -192,11 +193,13 @@ def cmd_twist(args) -> Report:
         twisted = crt.twist_exact(twisted.proto, twisted.phi_raw, omega)
     for check in crt.verify_axioms(twisted.structure).checks:
         report.add_check(check)
-    diff = twisted.phi - twisted.phi_raw
-    report.add_info("gauge-difference-exact",
-                    str(crt.is_exact_difference(twisted.structure.bundle, diff)))
-    closed = crt.de_rham_on_fibers(twisted.structure.bundle, twisted.phi).is_zero()
-    report.add_info("twist-closed", str(closed))
+    # theta is mu + phi and {phi, form} = 0, so {theta, form} is d(form); on
+    # R^n a closed form is exact
+    d = twisted.structure.theta_bracket
+    for name, form in (("gauge-difference-exact", twisted.phi - twisted.phi_raw),
+                       ("twist-closed", twisted.phi)):
+        residual = d(form)
+        report.add(name, residual.is_zero(), str(residual), str(residual.is_zero()))
     return report
 
 
@@ -244,14 +247,15 @@ def cmd_cohomology(args) -> Report:
 def cmd_invariants(args) -> Report:
     c = _necklace_parameter(args)
     report = Report(f"invariants --c {c}")
-    ids = structure_identities(c, _rational(args.cprime, "cprime"), args.truncate)
+    structure = build_structures(c)
+    ids = structure_identities(structure, _rational(args.cprime, "cprime"), args.truncate)
     for name, ok in ids.items():
         report.add(name, ok)
-    _h, desc, value = modular_and_volume(c)
-    report.add_info("modular-field", "s*d_t - t*d_s (disk chart)")
+    h, desc, value = modular_and_volume(structure)
+    residual = canonical_bracket(h, structure.pi_c)
+    report.add("modular-field", residual.is_zero(), str(residual), "s*d_t - t*d_s (disk chart)")
     if value is not None:
         report.add_info("symplectic-volume", f"{desc} = {value!r}")
-    structure = build_structures(c)
     report.add("structure-is-poisson", schouten_square(structure.pi_c).is_zero())
     return report
 

@@ -8,13 +8,13 @@ embeddings, and e1 o e2 = {{theta, e1}, e2}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 from .algebroid import (AlgebroidSpec, Check, CheckReport, ProtoBialgebroidSpec,
-                        SpecError, ThetaHamiltonian)
+                        SpecError, ThetaHamiltonian, build_mu)
 from .brackets import canonical_bracket, derived_bracket
 from .chart import ChartError, CotangentOfParityReversed
 from .linalg import PolyFrac, rank, solve_over_fractions
@@ -25,37 +25,44 @@ HALF = GaussianRational(Fraction(1, 2))
 SIXTH = GaussianRational(Fraction(1, 6))
 
 
-class _SectionMemo:
-    """Products of one structure, each computed once, keyed by embedded polynomials.
+class CourantStructure:
+    """A Courant structure: its hamiltonian theta and the products of its
+    sections, each computed once and kept as long as the structure lives.
 
-    theta is the total hamiltonian; `brackets` maps p to {theta, p},
-    `products` a pair (a, b) to {{theta, a}, b}, `pairings` a pair to {a, b},
-    `skews` a pair to its skew bracket section, and `sections` an embedding
-    to its validated section.
+    `total` is theta summed once.  The other slots are keyed by embedded
+    polynomials: `brackets` maps p to {theta, p}, `products` a pair (a, b)
+    to {{theta, a}, b}, `pairings` a pair to {a, b}, `skews` a pair to its
+    skew bracket section, and `sections` an embedding to its validated
+    section.
     """
 
-    __slots__ = ("theta", "brackets", "products", "pairings", "skews", "sections")
+    __slots__ = ("theta", "total", "brackets", "products", "pairings", "skews", "sections")
 
-    def __init__(self, theta: SuperPolynomial):
+    def __init__(self, theta: ThetaHamiltonian):
         self.theta = theta
+        self.total = theta.total
         self.brackets = {}
         self.products = {}
         self.pairings = {}
         self.skews = {}
         self.sections = {}
 
-    def keep(self, section: "CourantSection") -> "CourantSection":
-        """The kept section for this embedding; a constructed one is valid as it is.
+    @property
+    def chart(self):
+        return self.theta.chart
 
-        Products that land on a kept section then return that same object,
-        so later lookups keyed by it compare by identity.
-        """
-        return self.sections.setdefault(section.embedded, section)
+    @property
+    def bundle(self) -> CotangentOfParityReversed:
+        return self.theta.bundle
+
+    @property
+    def rank(self):
+        return len(self.bundle.fiber_names)
 
     def theta_bracket(self, p: SuperPolynomial) -> SuperPolynomial:
         out = self.brackets.get(p)
         if out is None:
-            out = self.brackets[p] = canonical_bracket(self.theta, p)
+            out = self.brackets[p] = canonical_bracket(self.total, p)
         return out
 
     def pairing(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
@@ -69,30 +76,9 @@ class _SectionMemo:
         key = (a, b)
         out = self.products.get(key)
         if out is None:
-            out = self.products[key] = derived_bracket(self.theta, a, b, self.theta.chart,
+            out = self.products[key] = derived_bracket(self.total, a, b, self.chart,
                                                        self.theta_bracket)
         return out
-
-
-@dataclass(frozen=True)
-class CourantStructure:
-    theta: ThetaHamiltonian
-    _memo: _SectionMemo = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_memo", _SectionMemo(self.theta.total))
-
-    @property
-    def chart(self):
-        return self.theta.chart
-
-    @property
-    def bundle(self) -> CotangentOfParityReversed:
-        return self.theta.bundle
-
-    @property
-    def rank(self):
-        return len(self.bundle.fiber_names)
 
 
 def structure_from_proto(proto: ProtoBialgebroidSpec) -> CourantStructure:
@@ -108,76 +94,52 @@ def standard_proto(n: int) -> ProtoBialgebroidSpec:
 
 
 class CourantSection:
-    """An element X + xi of the doubled bundle, cached with its embedding."""
+    """An element X + xi of the doubled bundle, kept as its embedding
+    sum X^a(x) xis_a + sum xi_a(x) xi^a on the structure's chart.
 
-    __slots__ = ("structure", "vector", "covector", "embedded")
+    A polynomial is such an embedding exactly when every monomial has total
+    degree 1 (weights: x 0, xi 1, xis 1, xs 2), that is one fiber symbol or
+    fiber momentum times a base function.
+    """
 
-    def __init__(self, structure: CourantStructure, vector=None, covector=None):
+    __slots__ = ("structure", "embedded")
+
+    def __init__(self, structure: CourantStructure, embedded: SuperPolynomial):
+        if embedded.chart is not structure.chart:
+            raise ChartError("embedded polynomial on the wrong chart")
+        if any(k != 1 for (_e, _d, k) in embedded.gradings()):
+            raise SpecError("polynomial is not the embedding of a section")
         self.structure = structure
-        chart = structure.chart
-        bundle = structure.bundle
-        base_vars = set(bundle.base)
-        vec = {}
-        cov = {}
-        for src, dst, label in ((vector, vec, "vector"), (covector, cov, "covector")):
-            for key, val in (src or {}).items():
-                if not isinstance(val, SuperPolynomial):
-                    val = SuperPolynomial.constant(chart, val)
-                elif val.chart is not chart:
-                    val = val.substitute(chart, {})   # match by variable name
-                if not val.uses_only(base_vars):
-                    raise SpecError(f"{label} components must be base functions")
-                if not val.is_zero():
-                    dst[key] = val
-        self.vector = vec
-        self.covector = cov
-        terms = []
-        for a, name in enumerate(bundle.fiber_names):
-            comp = vec.get(a + 1)
-            if comp is not None:
-                terms.append(comp * SuperPolynomial.variable(chart, bundle.fiber_momenta[a].name))
-            comp = cov.get(a + 1)
-            if comp is not None:
-                terms.append(comp * SuperPolynomial.variable(chart, name))
-        self.embedded = poly_sum(chart, terms)
-        for (_e, _d, k) in self.embedded.gradings():
-            if k != 1:
-                raise SpecError("section embedding must have total degree 1")
+        self.embedded = embedded
 
     @staticmethod
     def from_embedded(structure: CourantStructure, poly: SuperPolynomial) -> "CourantSection":
-        """The section embedding as `poly`; validated once per distinct polynomial."""
-        if poly.chart is not structure.chart:
-            raise ChartError("embedded polynomial on the wrong chart")
-        sections = structure._memo.sections
-        section = sections.get(poly)
-        if section is not None:
-            return section
-        bundle = structure.bundle
-        vec = {}
-        cov = {}
-        for a, (xi, xis) in enumerate(zip(bundle.fiber, bundle.fiber_momenta)):
-            vcomp = poly.partial(xis)
-            ccomp = poly.partial(xi)
-            if not vcomp.is_zero():
-                vec[a + 1] = vcomp
-            if not ccomp.is_zero():
-                cov[a + 1] = ccomp
-        section = CourantSection(structure, vec, cov)
-        if not (section.embedded - poly).is_zero():
-            raise SpecError("polynomial is not the embedding of a section")
-        sections[section.embedded] = section
+        """The structure's section embedding as `poly`, validated once per distinct polynomial.
+
+        A polynomial that fails is never kept, so it fails on every call.
+        """
+        section = structure.sections.get(poly)
+        if section is None:
+            section = structure.sections[poly] = CourantSection(structure, poly)
         return section
 
+    @property
+    def vector(self) -> dict:
+        """{a: X^a} for the nonzero components, read off as d/dxis_a."""
+        return _components(self.embedded, self.structure.bundle.fiber_momenta)
+
+    @property
+    def covector(self) -> dict:
+        """{a: xi_a} for the nonzero components, read off as d/dxi^a."""
+        return _components(self.embedded, self.structure.bundle.fiber)
+
     def scaled_by(self, f) -> "CourantSection":
-        vec = {a: f * p for a, p in self.vector.items()}
-        cov = {a: f * p for a, p in self.covector.items()}
-        return CourantSection(self.structure, vec, cov)
+        return CourantSection(self.structure, f * self.embedded)
 
     def __eq__(self, other):
         if not isinstance(other, CourantSection):
             return NotImplemented
-        return (self.embedded - other.embedded).is_zero()
+        return self.embedded == other.embedded
 
     def is_zero(self):
         return self.embedded.is_zero()
@@ -186,12 +148,21 @@ class CourantSection:
         return f"<section {self.embedded}>"
 
 
+def _components(poly: SuperPolynomial, symbols) -> dict:
+    out = {}
+    for a, v in enumerate(symbols):
+        comp = poly.partial(v)
+        if not comp.is_zero():
+            out[a + 1] = comp
+    return out
+
+
 def basis_sections(structure: CourantStructure):
-    """The fiber basis e_a and the dual basis, as the memo's sections."""
-    ranks = range(1, structure.rank + 1)
-    basis = ([CourantSection(structure, vector={a: 1}) for a in ranks]
-             + [CourantSection(structure, covector={a: 1}) for a in ranks])
-    return [structure._memo.keep(e) for e in basis]
+    """The fiber basis e_a (the xis_a) and the dual basis (the xi^a), as kept sections."""
+    bundle = structure.bundle
+    chart = structure.chart
+    return [CourantSection.from_embedded(structure, SuperPolynomial.variable(chart, v.name))
+            for v in bundle.fiber_momenta + bundle.fiber]
 
 
 def generator_family(structure: CourantStructure):
@@ -200,11 +171,10 @@ def generator_family(structure: CourantStructure):
     verify_axioms relies on this order: every basis section comes before its
     multiples.
     """
-    chart = structure.chart
-    family = list(basis_sections(structure))
-    for x in structure.bundle.base_names:
-        f = SuperPolynomial.variable(chart, x)
-        family.extend(s.scaled_by(f) for s in basis_sections(structure))
+    basis = basis_sections(structure)
+    family = list(basis)
+    for f in coordinate_functions(structure):
+        family.extend(s.scaled_by(f) for s in basis)
     return family
 
 
@@ -215,24 +185,24 @@ def coordinate_functions(structure: CourantStructure):
 
 def pairing(e1: CourantSection, e2: CourantSection) -> SuperPolynomial:
     """<e1, e2> = xi1(X2) + xi2(X1), realized as the bracket of embeddings."""
-    return e1.structure._memo.pairing(e1.embedded, e2.embedded)
+    return e1.structure.pairing(e1.embedded, e2.embedded)
 
 
 def circ(e1: CourantSection, e2: CourantSection) -> CourantSection:
     """e1 o e2 through the derived bracket of the structure hamiltonian."""
     s = e1.structure
-    return CourantSection.from_embedded(s, s._memo.product(e1.embedded, e2.embedded))
+    return CourantSection.from_embedded(s, s.product(e1.embedded, e2.embedded))
 
 
 def d_operator(structure: CourantStructure, f: SuperPolynomial) -> CourantSection:
     """D f as a section; the embedding is {theta, f}."""
     if not f.uses_only(structure.bundle.base):
         raise SpecError("D applies to base functions only")
-    return CourantSection.from_embedded(structure, structure._memo.theta_bracket(f))
+    return CourantSection.from_embedded(structure, structure.theta_bracket(f))
 
 
 def skew_bracket(e1, e2) -> CourantSection:
-    skews = e1.structure._memo.skews
+    skews = e1.structure.skews
     key = (e1.embedded, e2.embedded)
     out = skews.get(key)
     if out is None:
@@ -338,12 +308,11 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
     """
     sections = generator_family(structure)
     functions = coordinate_functions(structure)
-    memo = structure._memo
-    theta = memo.theta
-    theta_bracket = memo.theta_bracket
+    theta = structure.total
+    theta_bracket = structure.theta_bracket
     emb = [s.embedded for s in sections]
     d_of = [theta_bracket(e) for e in emb]
-    prod = [[memo.product(a, b) for b in emb] for a in emb]
+    prod = [[structure.product(a, b) for b in emb] for a in emb]
     zero = SuperPolynomial.zero(structure.chart)
     indices = range(len(sections))
     pair = [[None] * len(emb) for _ in emb]
@@ -573,7 +542,8 @@ def shla_check(structure: CourantStructure, n: int) -> CheckReport:
     if coords and basis:
         # a coordinate-scaled section keeps T and the anomalies nonzero
         for e, f in ((basis[-1], coords[0]), (basis[0], coords[-1])):
-            generators.append(graded_section(structure._memo.keep(e.scaled_by(f))))
+            scaled = CourantSection.from_embedded(structure, f * e.embedded)
+            generators.append(graded_section(scaled))
     generators += [graded_function(f) for f in coords]
     generators.append(graded_constant(structure, 1))
     maps = ShlaMaps(structure)
@@ -623,14 +593,12 @@ def _lemma_a2_residual(structure, generators):
 def _section_component_matrix(sections):
     """Rows of base-function components (vector block then covector block)."""
     structure = sections[0].structure
-    r = structure.rank
-    chart = structure.chart
-    zero = SuperPolynomial.zero(chart)
+    ranks = range(1, structure.rank + 1)
+    zero = SuperPolynomial.zero(structure.chart)
     rows = []
     for s in sections:
-        row = [s.vector.get(a + 1, zero) for a in range(r)]
-        row += [s.covector.get(a + 1, zero) for a in range(r)]
-        rows.append(row)
+        vec, cov = s.vector, s.covector
+        rows.append([vec.get(a, zero) for a in ranks] + [cov.get(a, zero) for a in ranks])
     return rows
 
 
@@ -726,32 +694,15 @@ class TwistedStructure:
     proto: ProtoBialgebroidSpec     # identity anchor, zero dual side, active phi
 
 
-def de_rham_on_fibers(bundle: CotangentOfParityReversed,
-                      form: SuperPolynomial) -> SuperPolynomial:
-    """d(form) for forms written in base coordinates and fiber symbols.
-
-    Realized as {mu_standard, form}; on the standard doubled tangent bundle
-    this is the exterior derivative.
-    """
-    chart = bundle.chart
-    if form.chart is not chart:
-        form = form.substitute(chart, {})
-    mu_terms = []
-    for x, xs, xi in zip(bundle.base, bundle.base_momenta, bundle.fiber):
-        mu_terms.append(SuperPolynomial.variable(chart, xi.name)
-                        * SuperPolynomial.variable(chart, xs.name))
-    mu = poly_sum(chart, mu_terms)
-    return canonical_bracket(mu, form)
-
-
 def twist_exact(std: ProtoBialgebroidSpec, phi: SuperPolynomial,
                 omega: SuperPolynomial | None = None) -> TwistedStructure:
     """The standard structure `std` on R^n twisted by a three-form, optionally re-gauged.
 
     `std` is `standard_proto(n)`; only its two sides are read, so the proto
     of an earlier twist serves as well.  With a gauge two-form the active
-    twist is phi + d(omega); the result keeps both the raw and the active
-    twist.  The active twist is checked where every phi is, by
+    twist is phi + d(omega), where d is {mu, .} for the mu of `std`'s
+    identity anchor; the result keeps both the raw and the active twist.
+    The active twist is checked where every phi is, by
     `ProtoBialgebroidSpec.theta`.
     """
     bundle = std.a_side.bundle
@@ -765,15 +716,6 @@ def twist_exact(std: ProtoBialgebroidSpec, phi: SuperPolynomial,
         for (_e, d, _k) in omega.gradings():
             if d != 2:
                 raise SpecError("gauge must be a two-form (delta degree 2)")
-        active = phi + de_rham_on_fibers(bundle, omega)
+        active = phi + canonical_bracket(build_mu(std.a_side), omega)
     proto = ProtoBialgebroidSpec(std.a_side, std.astar_side, active, None)
     return TwistedStructure(structure_from_proto(proto), active, omega, phi, proto)
-
-
-def is_exact_difference(bundle: CotangentOfParityReversed, form: SuperPolynomial) -> bool:
-    """Whether a three-form difference is d of a polynomial two-form.
-
-    On a coordinate space closed polynomial forms are exact, so the decision
-    reduces to closedness.
-    """
-    return de_rham_on_fibers(bundle, form).is_zero()

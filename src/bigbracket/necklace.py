@@ -309,26 +309,23 @@ def mode_0_summary(c) -> CohomologyReport:
 # ---------------------------------------------------------------------------
 
 
-def modular_and_volume(c):
+def modular_and_volume(structure: NecklaceStructure):
     """The rotation field, and for nondegenerate members the total volume.
 
-    Returns (h, volume_description, volume_value); h = -t*sigma + s*tau is
-    the hamiltonian of the modular vector field of pi_c for the
-    rotation-invariant area form, whose field {h, .} is s d/dt - t d/ds in
-    the disk chart.  The volume uses the closed form 2*pi*ln((c+1)/(c-1));
-    its evaluation is the only floating point number in the package.
+    Returns (h, volume_description, volume_value); h = -t*sigma + s*tau, on
+    the structure's chart, is the hamiltonian of the modular vector field of
+    pi_c for the rotation-invariant area form, whose field {h, .} is
+    s d/dt - t d/ds in the disk chart.  That {h, pi_c} = 0 is for the caller
+    to check.  The volume uses the closed form 2*pi*ln((c+1)/(c-1)); its
+    evaluation is the only floating point number in the package.
     """
-    c = Fraction(c)
-    structure = build_structures(c)
+    c = structure.c
     chart = structure.chart
     s = SuperPolynomial.variable(chart, "s")
     t = SuperPolynomial.variable(chart, "t")
     sig = SuperPolynomial.variable(chart, "sigma")
     tau = SuperPolynomial.variable(chart, "tau")
     h = (-t) * sig + s * tau
-    commutes = canonical_bracket(h, structure.pi_c, chart).is_zero()
-    if not commutes:
-        raise AssertionError("modular field fails to preserve the structure")
     if abs(c) > 1:
         ratio = Fraction(c + 1, c - 1)
         if sys.float_info.min <= ratio <= sys.float_info.max:
@@ -347,7 +344,7 @@ class StructureIdentityError(RuntimeError):
     pass
 
 
-def structure_identities(c, c_prime=Fraction(1, 2), N: int = 12):
+def structure_identities(structure: NecklaceStructure, c_prime=Fraction(1, 2), N: int = 12):
     """Exact identities tying the family together, plus the no-rescaling facts.
 
     Verifies [pi_c, E] = pi for the Euler field E = (s d_s + t d_t)/(2(c-1)),
@@ -355,12 +352,11 @@ def structure_identities(c, c_prime=Fraction(1, 2), N: int = 12):
     neither pi_c nor the rotation field is exact in the truncated zero mode.
     The |c| > 1 members get the first two identities only.
     """
-    c = Fraction(c)
+    c = structure.c
     if abs(c) == 1:
         raise StructureIdentityError(
             "the |c| = 1 members are outside the identities "
             "(the Euler primitive is undefined at c = 1)")
-    structure = build_structures(c)
     chart = structure.chart
     s = SuperPolynomial.variable(chart, "s")
     t = SuperPolynomial.variable(chart, "t")

@@ -4,7 +4,10 @@ Multiplication sorts explicit symbol sequences with a bubble sort counting
 odd transpositions; the brackets are defined by the generator table plus the
 graded Leibniz recursion, never touching the partial-derivative formulas of
 the package.  The section oracles rebuild every product from the bracket
-kernel with no memo: nothing is kept between calls.  The span oracles grow a
+kernel with no memo: nothing is kept between calls.  A section is built
+from its components by `section_from_components`, and `slow_components`
+decides a polynomial by taking its partials and rebuilding it, where the
+engine checks the total degree of each monomial.  The span oracles grow a
 basis one `dense_in_span` decision at a time, each a fresh elimination by
 `dense_rref`, the dense elimination the engine used before it stored rows
 sparsely; none of them calls `bigbracket.linalg`.  The table
@@ -20,7 +23,8 @@ The other routes here reach the same objects another way than the engine:
   commutators of anchors instead of brackets of momentum-linear functions;
 - the Cartan calculus on Pi TM (`pi_tangent_chart`, `de_rham`, `interior`,
   `lie_derivative`, `base_field`) and the vector field `cartan_differential`
-  of an anchored bundle, squared without any bracket;
+  of an anchored bundle, squared without any bracket; `fiber_de_rham` is
+  `de_rham` on forms of a big chart, where the engine takes {mu, .};
 - derived brackets of other hamiltonians: the Schouten bracket of gamma*,
   the lift `hamiltonian_lift` of a vector field and `poisson_bracket_of` a
   bivector;
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from bigbracket.algebroid import SpecError
 from bigbracket.brackets import canonical_bracket, derived_bracket
 from bigbracket.chart import (Chart, ChartError, DarbouxChart, GradedVariable,
                               darboux_chart, EVEN, ODD)
@@ -171,8 +176,32 @@ def slow_bracket(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
     return out
 
 
-def slow_section(structure, poly: SuperPolynomial) -> CourantSection:
-    """The section embedding as `poly`, decomposed afresh by partials."""
+def section_from_components(structure, vector=None, covector=None) -> CourantSection:
+    """X + xi from its components {a: X^a} and {a: xi_a}, embedded as
+    sum X^a xis_a + sum xi_a xi^a.
+
+    A component may be a number or a base function on any chart with the
+    same variable names; anything else raises SpecError.
+    """
+    chart = structure.chart
+    bundle = structure.bundle
+    base_vars = set(bundle.base)
+    terms = []
+    for comps, symbols in ((vector, bundle.fiber_momenta), (covector, bundle.fiber)):
+        for a, val in (comps or {}).items():
+            if not isinstance(val, SuperPolynomial):
+                val = SuperPolynomial.constant(chart, val)
+            elif val.chart is not chart:
+                val = val.substitute(chart, {})   # match by variable name
+            if not val.uses_only(base_vars):
+                raise SpecError("section components must be base functions")
+            terms.append(val * SuperPolynomial.variable(chart, symbols[a - 1].name))
+    return CourantSection(structure, poly_sum(chart, terms))
+
+
+def slow_components(structure, poly: SuperPolynomial):
+    """(vector, covector) of the section embedding as `poly`, decomposed afresh
+    by partials and checked by rebuilding it; SpecError if it is no section."""
     bundle = structure.bundle
     vec, cov = {}, {}
     for a, (xi, xis) in enumerate(zip(bundle.fiber, bundle.fiber_momenta)):
@@ -181,9 +210,14 @@ def slow_section(structure, poly: SuperPolynomial) -> CourantSection:
             vec[a + 1] = vcomp
         if not ccomp.is_zero():
             cov[a + 1] = ccomp
-    section = CourantSection(structure, vec, cov)
-    assert section.embedded == poly, "not the embedding of a section"
-    return section
+    if section_from_components(structure, vec, cov).embedded != poly:
+        raise SpecError("not the embedding of a section")
+    return vec, cov
+
+
+def slow_section(structure, poly: SuperPolynomial) -> CourantSection:
+    """The section embedding as `poly`, decomposed afresh by partials."""
+    return section_from_components(structure, *slow_components(structure, poly))
 
 
 def slow_circ(e1: CourantSection, e2: CourantSection) -> CourantSection:
@@ -541,6 +575,15 @@ def de_rham(chart: TangentPiChart) -> VectorField:
     return VectorField(chart, comps, ODD)
 
 
+def fiber_de_rham(bundle, form: SuperPolynomial) -> SuperPolynomial:
+    """d(form) for a form on the big chart of `bundle` written in base
+    coordinates and fiber symbols, each fiber symbol xi_k read as dx_k: the
+    Cartan `de_rham` on the Pi T chart whose velocities carry the fiber
+    names, and back."""
+    pit = pi_tangent_chart(bundle.base_names, bundle.fiber_names)
+    return de_rham(pit).apply(form.substitute(pit, {})).substitute(bundle.chart, {})
+
+
 def interior(components, chart: TangentPiChart) -> VectorField:
     """i_X = (-1)^{X~} X^A d/dxi^A for X given by base components."""
     _require_pit(chart)
@@ -693,11 +736,10 @@ def sweep_axioms_1_2(structure) -> dict:
     """
     sections = generator_family(structure)
     functions = coordinate_functions(structure)
-    memo = structure._memo
-    theta_bracket = memo.theta_bracket
+    theta_bracket = structure.theta_bracket
     emb = [s.embedded for s in sections]
     d_of = [theta_bracket(e) for e in emb]
-    prod = [[memo.product(a, b) for b in emb] for a in emb]
+    prod = [[structure.product(a, b) for b in emb] for a in emb]
     zero = SuperPolynomial.zero(structure.chart)
     indices = range(len(sections))
     rho_of = {}
@@ -740,11 +782,10 @@ def sweep_axioms_3_5(structure) -> dict:
     """
     sections = generator_family(structure)
     functions = coordinate_functions(structure)
-    memo = structure._memo
-    theta_bracket = memo.theta_bracket
+    theta_bracket = structure.theta_bracket
     emb = [s.embedded for s in sections]
     d_of = [theta_bracket(e) for e in emb]
-    prod = [[memo.product(a, b) for b in emb] for a in emb]
+    prod = [[structure.product(a, b) for b in emb] for a in emb]
     pair = [[canonical_bracket(a, b) for b in emb] for a in emb]
     zero = SuperPolynomial.zero(structure.chart)
     indices = range(len(sections))
@@ -799,7 +840,7 @@ def splitting_shift(twisted, e: CourantSection) -> CourantSection:
         comp = ix.partial(name)
         if not comp.is_zero():
             cov[a + 1] = cov.get(a + 1, SuperPolynomial.zero(chart)) - comp
-    return CourantSection(structure, dict(e.vector), cov)
+    return section_from_components(structure, e.vector, cov)
 
 
 # ---------------------------------------------------------------------------

@@ -15,21 +15,20 @@ from bigbracket.algebroid import check_bialgebroid, swap_proto
 from bigbracket.brackets import canonical_bracket
 from bigbracket.chart import cotangent_chart, darboux_chart, ODD
 from bigbracket.cli import main as cli_main
-from bigbracket.courant import (CourantSection, basis_sections,
-                                circ, d_operator, de_rham_on_fibers,
-                                generator_family, jacobiator, pairing,
-                                shla_check, skew_bracket, standard_proto,
-                                structure_from_proto, t_tensor, twist_exact,
-                                verify_axioms)
-from bigbracket.necklace import (global_assembly, mode_cohomology,
+from bigbracket.courant import (basis_sections, circ, d_operator, generator_family,
+                                jacobiator, pairing, shla_check, skew_bracket,
+                                standard_proto, structure_from_proto, t_tensor,
+                                twist_exact, verify_axioms)
+from bigbracket.necklace import (build_structures, global_assembly, mode_cohomology,
                                  modular_and_volume, structure_identities)
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
 
 from conftest import random_homogeneous, standard_structure
-from oracles import (anchor_apply, base_field, de_rham, interior, lie_derivative,
-                     pi_tangent_chart, splitting_shift)
+from oracles import (anchor_apply, base_field, de_rham, fiber_de_rham, interior,
+                     lie_derivative, pi_tangent_chart, section_from_components,
+                     splitting_shift)
 from test_algebroid import poisson_r2, su2_bialgebra
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -181,7 +180,7 @@ def test_criterion_5_derived_bracket_fidelity():
             coeff = form.partial(f"dx{a}")
             if not coeff.is_zero():
                 cov[a] = coeff.substitute(structure.chart, {})
-        return CourantSection(structure, back, cov)
+        return section_from_components(structure, back, cov)
 
     gens = basis_sections(structure)
     pairs = [(v, w) for v in gens[:2] for w in gens]
@@ -279,12 +278,12 @@ def test_criterion_8_twists_and_gauges():
     plain = twist_exact(standard_proto(3), phi)
     gauged = twist_exact(standard_proto(3), phi, omega)
     assert gauged.phi - gauged.phi_raw.substitute(gauged.structure.chart, {}) == (
-        de_rham_on_fibers(gauged.structure.bundle, omega))
+        fiber_de_rham(gauged.structure.bundle, omega))
     for e1 in basis_sections(gauged.structure):
         for e2 in basis_sections(gauged.structure):
             f1, f2 = splitting_shift(gauged, e1), splitting_shift(gauged, e2)
-            lhs = circ(CourantSection(plain.structure, dict(f1.vector), dict(f1.covector)),
-                       CourantSection(plain.structure, dict(f2.vector), dict(f2.covector)))
+            lhs = circ(section_from_components(plain.structure, f1.vector, f1.covector),
+                       section_from_components(plain.structure, f2.vector, f2.covector))
             rhs = splitting_shift(gauged, circ(e1, e2))
             assert str(lhs.embedded) == str(rhs.embedded)
 
@@ -328,7 +327,7 @@ def test_criterion_11_global_assembly():
 @criterion(12)
 def test_criterion_12_structure_identities():
     for c in (0, Fraction(1, 2)):
-        results = structure_identities(c, N=12)
+        results = structure_identities(build_structures(c), N=12)
         assert results["euler-primitive"]
         assert results["affine-family"]
         assert results["pi_c-not-exact"]
@@ -338,6 +337,6 @@ def test_criterion_12_structure_identities():
 
 @criterion(13)
 def test_criterion_13_volume_value():
-    _h, desc, value = modular_and_volume(3)
+    _h, desc, value = modular_and_volume(build_structures(3))
     assert abs(value - 2 * math.pi * math.log(2)) < 1e-12
     assert desc == "2*pi*ln(2)"

@@ -107,7 +107,8 @@ phi = x1*xi2*xi3
     code, out, _ = run(["twist", "--spec", str(probe)])
     assert code == 1
     assert "axiom1-leibniz-jacobi: fail" in out
-    assert "twist-closed: pass (False)" in out
+    assert "check gauge-difference-exact: pass (True)" in out
+    assert "check twist-closed: fail residual=xi1*xi2*xi3 (False)" in out
 
 
 # the (0,2) phi probe and its mirror, the (2,0) psi probe, each over an anchor on its side
@@ -207,6 +208,16 @@ def test_invariants_command():
     code, out, _ = run(["invariants", "--c", "0"])
     assert code == 0
     assert "euler-primitive: pass" in out
+
+
+def test_modular_field_is_a_decided_check(monkeypatch):
+    """A nonzero {h, pi_c} fails the modular-field line with its residual."""
+    monkeypatch.setattr(cli, "canonical_bracket", lambda h, _pi_c: h)
+    code, out, err = run(["invariants", "--c", "0"])
+    assert code == 1
+    assert "check modular-field: fail residual=s*tau - t*sigma (s*d_t - t*d_s (disk chart))" in out
+    assert "result: FAIL (6 pass, 1 fail)" in out
+    assert err == ""
 
 
 def test_byte_identical_reruns():

@@ -3,25 +3,26 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bigbracket import courant
 from bigbracket.algebroid import SpecError, ThetaHamiltonian
 from bigbracket.brackets import canonical_bracket
 from bigbracket.courant import (CourantSection, CourantStructure,
                                 basis_sections, check_dirac, circ, coordinate_functions,
-                                d_operator, de_rham_on_fibers, generator_family,
-                                is_exact_difference, jacobiator, pairing, skew_bracket,
-                                standard_proto, structure_from_proto, t_tensor,
-                                twist_exact, verify_axioms)
+                                d_operator, generator_family, jacobiator, pairing,
+                                skew_bracket, standard_proto, structure_from_proto,
+                                t_tensor, twist_exact, verify_axioms)
 from bigbracket.parsing import parse_poly
-from bigbracket.poly import SuperPolynomial
+from bigbracket.poly import SuperPolynomial, poly_sum
 from bigbracket.rationals import GaussianRational
 from bigbracket.specfile import PRESET_NAMES, load_preset, materialize, parse_document
 
-from conftest import standard_structure
-from oracles import (anchor_apply, base_field, de_rham, interior, k_expression,
-                     lie_derivative, pi_tangent_chart, slow_circ, slow_skew,
-                     slow_t_tensor, splitting_shift, sweep_axioms_1_2, sweep_axioms_3_5)
+from conftest import random_poly, standard_structure
+from oracles import (anchor_apply, base_field, de_rham, fiber_de_rham, interior,
+                     k_expression, lie_derivative, pi_tangent_chart, section_from_components,
+                     slow_circ, slow_components, slow_skew, slow_t_tensor, splitting_shift,
+                     sweep_axioms_1_2, sweep_axioms_3_5)
 from test_algebroid import poisson_r2, su2_bialgebra
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -31,11 +32,11 @@ STD2 = standard_structure(2)
 
 
 def sec_v(structure, a, f=None):
-    return CourantSection(structure, vector={a: 1 if f is None else f})
+    return section_from_components(structure, vector={a: 1 if f is None else f})
 
 
 def sec_c(structure, a, f=None):
-    return CourantSection(structure, covector={a: 1 if f is None else f})
+    return section_from_components(structure, covector={a: 1 if f is None else f})
 
 
 def x(structure, k):
@@ -45,7 +46,7 @@ def x(structure, k):
 # -- pairing -------------------------------------------------------------------
 
 def test_pairing_of_mixed_section_with_itself():
-    e = CourantSection(STD2, vector={1: 1}, covector={1: 1})
+    e = section_from_components(STD2, vector={1: 1}, covector={1: 1})
     assert pairing(e, e) == SuperPolynomial.constant(STD2.chart, 2)
 
 
@@ -59,10 +60,10 @@ def test_pairing_evaluates_components():
 
 
 def test_embedding_has_total_degree_one():
-    e = CourantSection(STD2, vector={1: x(STD2, 2)}, covector={2: x(STD2, 1)})
+    e = section_from_components(STD2, vector={1: x(STD2, 2)}, covector={2: x(STD2, 1)})
     assert all(k == 1 for (_e, _d, k) in e.embedded.gradings())
     with pytest.raises(SpecError):
-        CourantSection(STD2, vector={1: SuperPolynomial.variable(STD2.chart, "xi1")})
+        section_from_components(STD2, vector={1: SuperPolynomial.variable(STD2.chart, "xi1")})
 
 
 # -- circle product -------------------------------------------------------------
@@ -73,7 +74,7 @@ def test_lie_derivative_term():
 
 
 def test_symmetric_part_is_half_d_of_square():
-    e = CourantSection(STD2, vector={1: 1}, covector={1: x(STD2, 1)})
+    e = section_from_components(STD2, vector={1: 1}, covector={1: x(STD2, 1)})
     lhs = circ(e, e)
     rhs = d_operator(STD2, pairing(e, e).scale(HALF))
     assert lhs == rhs
@@ -96,7 +97,7 @@ def test_d_operator_on_coordinates_and_constants():
 
 
 def test_anchor_application():
-    e = CourantSection(STD2, vector={1: 1}, covector={2: 1})
+    e = section_from_components(STD2, vector={1: 1}, covector={2: 1})
     f = x(STD2, 1) * x(STD2, 2)
     assert anchor_apply(e, f) == x(STD2, 2)
 
@@ -133,7 +134,7 @@ def test_circ_matches_cartan_calculus_componentwise():
             coeff = form.partial(f"dx{a}")
             if not coeff.is_zero():
                 cov[a] = coeff.substitute(STD2.chart, {})
-        return CourantSection(STD2, vec, cov)
+        return section_from_components(STD2, vec, cov)
 
     gens = basis_sections(STD2)
     vectors = gens[:2]
@@ -404,7 +405,7 @@ def _axiom5_columns(structure, calls):
     Only that table brackets a memo product with a generator, except the
     term-by-term axiom 2 of an off-degree theta where some D f is a generator.
     """
-    products = {id(p) for p in structure._memo.products.values()}
+    products = {id(p) for p in structure.products.values()}
     family = {e.embedded for e in generator_family(structure)}
     return [q for p, q in calls if id(p) in products and q in family]
 
@@ -424,7 +425,7 @@ def test_perturbed_anchor_fails_axioms_3_and_5_at_the_first_tuple(monkeypatch):
     assert verify_axioms(structure).passed
     emb = [s.embedded for s in generator_family(structure)]
     x1 = coordinate_functions(structure)[0]
-    d_x1 = structure._memo.theta_bracket(x1)
+    d_x1 = structure.theta_bracket(x1)
     seven = SuperPolynomial.constant(structure.chart, 7)
     original = canonical_bracket
 
@@ -511,26 +512,26 @@ def test_tangent_subbundle_is_dirac():
 def test_exact_two_form_graph_is_dirac():
     std3 = standard_structure(3)
     # graph of the constant area form in the first two directions
-    g1 = CourantSection(std3, vector={1: 1}, covector={2: 1})
-    g2 = CourantSection(std3, vector={2: 1}, covector={1: -1})
-    g3 = CourantSection(std3, vector={3: 1})
+    g1 = section_from_components(std3, vector={1: 1}, covector={2: 1})
+    g2 = section_from_components(std3, vector={2: 1}, covector={1: -1})
+    g3 = section_from_components(std3, vector={3: 1})
     assert check_dirac(std3, [g1, g2, g3]).passed
 
 
 def test_plane_graph_of_any_two_form_is_dirac():
     # in two base dimensions every two-form has vanishing differential
     x1 = x(STD2, 1)
-    g1 = CourantSection(STD2, vector={1: 1}, covector={2: x1})
-    g2 = CourantSection(STD2, vector={2: 1}, covector={1: -x1})
+    g1 = section_from_components(STD2, vector={1: 1}, covector={2: x1})
+    g2 = section_from_components(STD2, vector={2: 1}, covector={1: -x1})
     assert check_dirac(STD2, [g1, g2]).passed
 
 
 def test_nonclosed_graph_fails_closure():
     std3 = standard_structure(3)
     x3 = SuperPolynomial.variable(std3.chart, "x3")
-    g1 = CourantSection(std3, vector={1: 1}, covector={2: x3})
-    g2 = CourantSection(std3, vector={2: 1}, covector={1: -x3})
-    g3 = CourantSection(std3, vector={3: 1})
+    g1 = section_from_components(std3, vector={1: 1}, covector={2: x3})
+    g2 = section_from_components(std3, vector={2: 1}, covector={1: -x3})
+    g3 = section_from_components(std3, vector={3: 1})
     report = check_dirac(std3, [g1, g2, g3])
     assert report["isotropy"].passed
     assert not report["closure"].passed
@@ -604,12 +605,12 @@ def test_gauge_reproduces_shifted_twist_section_by_section():
     plain = twist_exact(standard_proto(3), phi)            # the structure over sigma
     gauged = twist_exact(standard_proto(3), phi, omega)    # phi' = phi + d(omega)
     dphi = gauged.phi - gauged.phi_raw.substitute(gauged.structure.chart, {})
-    assert dphi == de_rham_on_fibers(gauged.structure.bundle, omega)
+    assert dphi == fiber_de_rham(gauged.structure.bundle, omega)
     for e1 in basis_sections(gauged.structure):
         for e2 in basis_sections(gauged.structure):
             f1, f2 = splitting_shift(gauged, e1), splitting_shift(gauged, e2)
-            lhs = circ(CourantSection(plain.structure, dict(f1.vector), dict(f1.covector)),
-                       CourantSection(plain.structure, dict(f2.vector), dict(f2.covector)))
+            lhs = circ(section_from_components(plain.structure, f1.vector, f1.covector),
+                       section_from_components(plain.structure, f2.vector, f2.covector))
             prod = circ(e1, e2)
             rhs = splitting_shift(gauged, prod)
             assert str(lhs.embedded) == str(rhs.embedded)
@@ -620,7 +621,39 @@ def test_difference_of_gauged_twists_is_exact():
     omega = parse_poly("x1*xi2*xi3", std3.chart)
     gauged = twist_exact(standard_proto(3), parse_poly("0", std3.chart), omega)
     diff = gauged.phi - gauged.phi_raw.substitute(gauged.structure.chart, {})
-    assert is_exact_difference(gauged.structure.bundle, diff)
+    assert not diff.is_zero()
+    assert gauged.structure.theta_bracket(diff).is_zero()
+
+
+def _random_form(chart, rng, n, degrees=(0, 1, 2, 3)):
+    """A polynomial form on R^n: rational times base monomial times fiber symbols."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        term = SuperPolynomial.constant(
+            chart, GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+        for k in range(1, n + 1):
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                term = term * SuperPolynomial.variable(chart, f"x{k}")
+        for k in sorted(rng.sample(range(1, n + 1), rng.choice(degrees))):
+            term = term * SuperPolynomial.variable(chart, f"xi{k}")
+        terms.append(term)
+    return poly_sum(chart, terms)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_twist_differential_is_the_cartan_de_rham(seed):
+    """d(omega) of a gauge and {theta, form} of the twisted structure (which
+    the twist checks read) are the oracle Cartan d on random polynomial forms."""
+    rng = random.Random(seed)
+    std = standard_proto(3)
+    chart = std.a_side.chart
+    bundle = std.a_side.bundle
+    phi = _random_form(chart, rng, 3, degrees=(3,))
+    omega = _random_form(chart, rng, 3, degrees=(2,))
+    twisted = twist_exact(std, phi, omega)
+    assert twisted.phi == phi + fiber_de_rham(bundle, omega)
+    for form in (_random_form(chart, rng, 3), phi, twisted.phi):
+        assert twisted.structure.theta_bracket(form) == fiber_de_rham(bundle, form)
 
 
 def test_skew_bracket_module_leibniz_anomaly():
@@ -705,7 +738,7 @@ def test_structures_on_one_chart_keep_separate_memos():
     zero = SuperPolynomial.zero(theta.chart)
     full = CourantStructure(theta)
     lie = CourantStructure(ThetaHamiltonian(theta.bundle, theta.mu, zero, zero, zero))
-    assert full.chart is lie.chart and full._memo is not lie._memo
+    assert full.chart is lie.chart and full.sections is not lie.sections
     polys = [e.embedded for e in basis_sections(full)]
     differ = False
     for a in polys:
@@ -721,11 +754,11 @@ def test_structures_on_one_chart_keep_separate_memos():
             differ = differ or pf.embedded != pl.embedded
     assert differ
     for name in ("brackets", "products", "sections"):
-        kept_full = {id(v) for v in getattr(full._memo, name).values()}
-        kept_lie = {id(v) for v in getattr(lie._memo, name).values()}
+        kept_full = {id(v) for v in getattr(full, name).values()}
+        kept_lie = {id(v) for v in getattr(lie, name).values()}
         assert not kept_full & kept_lie, name
-    assert all(s.structure is full for s in full._memo.sections.values())
-    assert all(s.structure is lie for s in lie._memo.sections.values())
+    assert all(s.structure is full for s in full.sections.values())
+    assert all(s.structure is lie for s in lie.sections.values())
 
 
 @pytest.mark.parametrize("text", ["x1", "xi1*xi2", "xis1 + x1"])
@@ -735,11 +768,61 @@ def test_non_section_polynomial_raises_every_time(text):
     for _ in range(3):
         with pytest.raises(SpecError):
             CourantSection.from_embedded(structure, poly)
-    assert poly not in structure._memo.sections
+    assert poly not in structure.sections
     good = parse_poly("xis1 + x1*xi2", structure.chart)
     first = CourantSection.from_embedded(structure, good)
     assert CourantSection.from_embedded(structure, good) is first
-    assert list(structure._memo.sections) == [good]
+    assert list(structure.sections) == [good]
+
+
+def _section_candidate(structure, rng):
+    """A sum of terms, each a base monomial times one fiber symbol or momentum
+    (a section term) or, one time in four, a random polynomial of the chart."""
+    chart = structure.chart
+    bundle = structure.bundle
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.25:
+            terms.append(random_poly(chart, rng, max_terms=2))
+            continue
+        term = SuperPolynomial.constant(chart, rng.randint(-3, 3))
+        for x in bundle.base_names:
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                term = term * SuperPolynomial.variable(chart, x)
+        symbol = rng.choice(bundle.fiber + bundle.fiber_momenta)
+        terms.append(term * SuperPolynomial.variable(chart, symbol.name))
+    return poly_sum(chart, terms)
+
+
+def _same_verdict(structure, poly):
+    """Assert that from_embedded and the partials-and-rebuild oracle give poly
+    the same verdict and components; return whether it is a section."""
+    try:
+        vector, covector = slow_components(structure, poly)
+    except SpecError:
+        with pytest.raises(SpecError):
+            CourantSection.from_embedded(structure, poly)
+        assert poly not in structure.sections
+        return False
+    section = CourantSection.from_embedded(structure, poly)
+    assert section.embedded == poly
+    assert section.vector == vector and section.covector == covector
+    return True
+
+
+SECTION_STRUCTURES = (standard_structure(2), structure_from_proto(su2_bialgebra()))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SECTION_STRUCTURES))
+def test_from_embedded_accepts_exactly_the_oracle_sections(seed, structure):
+    _same_verdict(structure, _section_candidate(structure, random.Random(seed)))
+
+
+def test_section_candidates_are_accepted_and_rejected():
+    """The candidates above reach both verdicts, so the comparison is not vacuous."""
+    verdicts = [_same_verdict(STD2, _section_candidate(STD2, random.Random(seed)))
+                for seed in range(200)]
+    assert 40 < sum(verdicts) < 160
 
 
 def test_products_landing_on_a_basis_element_return_it():

@@ -365,33 +365,34 @@ def test_assembly_rejects_unit_parameter():
 
 def test_modular_field_preserves_every_member():
     for c in (0, Fraction(1, 2), 3):
-        h, _desc, _val = modular_and_volume(c)
+        structure = build_structures(c)
+        h, _desc, _val = modular_and_volume(structure)
         chart = h.chart
         s, t = SuperPolynomial.variable(chart, "s"), SuperPolynomial.variable(chart, "t")
         # {h, .} is the printed s*d_t - t*d_s
         assert canonical_bracket(h, s, chart) == -t
         assert canonical_bracket(h, t, chart) == s
-        pi_c = build_structures(c).pi_c.substitute(chart, {})   # onto h's chart
-        assert canonical_bracket(h, pi_c, chart).is_zero()
+        # h lives on the chart of the structure it was built for: no rebinding
+        assert canonical_bracket(h, structure.pi_c).is_zero()
 
 
 def test_volume_of_symplectic_members():
-    _h, desc, val = modular_and_volume(3)
+    _h, desc, val = modular_and_volume(build_structures(3))
     assert abs(val - 2 * math.pi * math.log(2)) < 1e-12
     assert "2*pi*ln(2)" == desc
-    _h, _d, none_val = modular_and_volume(0)
+    _h, _d, none_val = modular_and_volume(build_structures(0))
     assert none_val is None
 
 
 def test_structure_identities_for_sample_parameters():
     for c in (0, Fraction(1, 2)):
-        results = structure_identities(c)
+        results = structure_identities(build_structures(c))
         assert all(results.values()), results
 
 
 def test_euler_identity_defined_away_from_one():
     with pytest.raises(StructureIdentityError):
-        structure_identities(1)
+        structure_identities(build_structures(1))
 
 
 def test_modular_commutation_directly():
@@ -457,5 +458,5 @@ def test_volume_formula_against_quadrature():
         t0, t1 = k * h, (k + 1) * h
         tm = 0.5 * (t0 + t1)
         total += (t1 - t0) / 6.0 * (f(t0) + 4.0 * f(tm) + f(t1))
-    _h, _desc, value = modular_and_volume(3)
+    _h, _desc, value = modular_and_volume(build_structures(3))
     assert abs(total - value) < 1e-9
