@@ -283,19 +283,33 @@ class ProtoBialgebroidSpec:
         theta.validate_bidegrees()
         return theta
 
-def check_bialgebroid(proto: ProtoBialgebroidSpec) -> CheckReport:
-    """{mu,mu}, {gamma,gamma} and {mu, gamma*} residuals; all empty iff compatible.
 
-    Nonzero cubic terms come first, as a failing `cubic-terms` line."""
+def _pair_lines(pair: SuperPolynomial) -> CheckReport:
+    """{mu,mu}, {gamma,gamma} and {mu,gamma*} of pair = mu + gamma*, read off
+    its one self-bracket: their bidegrees differ, so all vanish iff it does."""
+    components = canonical_bracket(pair, pair).bigraded_components()
+    part = lambda key: components.get(key, SuperPolynomial.zero(pair.chart))
+    half = GaussianRational(Fraction(1, 2))
+    return CheckReport([
+        Check.from_residual("{mu,mu}", part((1, 3, 4))),
+        Check.from_residual("{gamma,gamma}", part((3, 1, 4))),
+        # {mu, gamma*} = {gamma*, mu} on odd functions, so it enters twice
+        Check.from_residual("{mu,gamma*}", part((2, 2, 4)).scale(half)),
+    ])
+
+
+def check_bialgebroid(proto: ProtoBialgebroidSpec) -> CheckReport:
+    """The three lines of (A, A*), then `self-duality`: the same lines of the
+    swapped pair (A*, A), which is the Legendre image of mu + gamma* on the
+    dual chart.  Nonzero cubic terms come first, as a failing `cubic-terms`
+    line."""
     theta = proto.theta()
-    mu, gs = theta.mu, theta.gamma_star
+    pair = theta.mu + theta.gamma_star
     cubic = theta.phi + theta.psi_star
     checks = [] if cubic.is_zero() else [Check.from_residual("cubic-terms", cubic)]
-    checks += [
-        Check.from_residual("{mu,mu}", canonical_bracket(mu, mu)),
-        Check.from_residual("{gamma,gamma}", canonical_bracket(gs, gs)),
-        Check.from_residual("{mu,gamma*}", canonical_bracket(mu, gs)),
-    ]
+    checks += _pair_lines(pair).checks
+    swapped = _pair_lines(legendre(pair, theta.chart, proto.astar_side.chart))
+    checks.append(Check("self-duality", None, swapped.passed))
     return CheckReport(checks)
 
 
@@ -318,50 +332,6 @@ def check_proto(proto: ProtoBialgebroidSpec) -> CheckReport:
         Check.from_residual("{gamma*,psi*}", br(gs, psi)),
     ]
     return CheckReport(checks)
-
-
-def swap_proto(proto: ProtoBialgebroidSpec) -> ProtoBialgebroidSpec:
-    """Exchange the two sides (A*, A); fibers are renamed to the fixed decorations."""
-    a, astar = proto.a_side, proto.astar_side
-    n = len(a.base_names)
-
-    def entries_from(spec, new_chart):
-        base_map = {x: SuperPolynomial.variable(new_chart, x) for x in spec.base_names}
-        anchor = {}
-        for ai in range(spec.rank):
-            for i in range(n):
-                if not spec.anchor[ai][i].is_zero():
-                    anchor[(ai + 1, i + 1)] = spec.anchor[ai][i].substitute(new_chart, base_map)
-        structure = {}
-        for x in range(spec.rank):
-            for y in range(spec.rank):
-                for z in range(spec.rank):
-                    entry = spec.structure[x][y][z]
-                    if x < y and not entry.is_zero():
-                        structure[(x + 1, y + 1, z + 1)] = entry.substitute(new_chart, base_map)
-        return anchor, structure
-
-    primal_fibers = tuple(f"xi{k+1}" for k in range(astar.rank))
-    primal_bundle = cotangent_chart(a.base_names, primal_fibers)
-    anchor_p, structure_p = entries_from(astar, primal_bundle.chart)
-    new_primal = AlgebroidSpec.build(a.base_names, primal_fibers, anchor_p, structure_p,
-                                     bundle=primal_bundle)
-    dual_bundle = dual_chart_for(new_primal)
-    anchor_d, structure_d = entries_from(a, dual_bundle.chart)
-    new_dual = AlgebroidSpec.build(a.base_names, tuple(f.name for f in dual_bundle.fiber),
-                                   anchor_d, structure_d, bundle=dual_bundle)
-    # cubic terms swap roles: the old psi becomes the new phi and vice versa
-    new_phi = None
-    if proto.psi is not None and not proto.psi.is_zero():
-        ren = {f"th{k+1}": SuperPolynomial.variable(primal_bundle.chart, f"xi{k+1}")
-               for k in range(astar.rank)}
-        new_phi = proto.psi.substitute(primal_bundle.chart, ren)
-    new_psi = None
-    if proto.phi is not None and not proto.phi.is_zero():
-        ren = {f"xi{k+1}": SuperPolynomial.variable(dual_bundle.chart, f"th{k+1}")
-               for k in range(a.rank)}
-        new_psi = proto.phi.substitute(dual_bundle.chart, ren)
-    return ProtoBialgebroidSpec(new_primal, new_dual, new_phi, new_psi)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ import time
 from fractions import Fraction
 
 from . import courant as crt
-from .algebroid import (ProtoBialgebroidSpec, SpecError, check_bialgebroid,
-                        check_lie_algebroid, check_proto, double_differential,
-                        homomorphism_residuals, swap_proto)
+from .algebroid import (SpecError, check_bialgebroid, check_lie_algebroid, check_proto,
+                        double_differential, homomorphism_residuals)
 from .brackets import canonical_bracket
 from .chart import ChartError
 from .necklace import (AssemblyError, RecordedConstants, StructureIdentityError,
@@ -105,9 +104,6 @@ def cmd_verify_bialgebroid(args) -> Report:
         return report
     for check in check_bialgebroid(mat.proto).checks:
         report.add_check(check)
-    # the brackets of the swapped pair (A*, A); cubic terms have their own line
-    bare = ProtoBialgebroidSpec(mat.proto.a_side, mat.proto.astar_side)
-    report.add("self-duality", check_bialgebroid(swap_proto(bare)).passed)
     return report
 
 

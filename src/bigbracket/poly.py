@@ -87,18 +87,17 @@ def mono_grading(mono, variables):
     return e, d, e + d
 
 
-def mono_index_word(mono):
-    word = []
-    for idx, k in mono[0]:
-        word.extend([idx] * k)
-    word.extend(mono[1])
-    return tuple(sorted(word))
-
-
 def mono_sort_key(mono):
-    # graded-lexicographic: total degree first (descending on print),
-    # then the expanded declaration-index word
-    return (-mono_degree(mono), mono_index_word(mono))
+    """Graded-lexicographic: total degree first (descending on print), then
+    the sorted declaration-index word with each variable repeated by its
+    exponent.  The word is compared run by run, as (index, -exponent): at
+    equal degree a longer run of a lower index sorts first, as it would
+    letter by letter, and x^k costs one pair instead of k letters."""
+    evens, odds = mono
+    runs = [(idx, -k) for idx, k in evens]
+    runs.extend((idx, -1) for idx in odds)
+    runs.sort()
+    return (-mono_degree(mono), tuple(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +222,17 @@ class SuperPolynomial:
         return SuperPolynomial(self.chart, {m: c * value for m, c in self.terms.items()})
 
     def __pow__(self, k: int):
+        """Square-and-multiply: about 2 log2(k) products, not k."""
         if k < 0:
             raise ValueError("negative power")
         out = SuperPolynomial.constant(self.chart, 1)
-        for _ in range(k):
-            out = out * self
+        square = self
+        while k:
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
         return out
 
     # -- calculus ----------------------------------------------------------

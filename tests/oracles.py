@@ -15,6 +15,9 @@ oracle `collect_table` antisymmetrizes a document table the loader's old way,
 and the SH-Lie sign is the product `perm_sign * koszul_sign` of a cycle count
 and an odd-inversion count.
 
+The print order `expanded_word_sort_key` writes each monomial out as its
+full index word, where the engine compares runs of one index.
+
 The other routes here reach the same objects another way than the engine:
 - `VectorField`, a vector field as a component map with its own
   supercommutator, where the engine keeps one hamiltonian h and applies
@@ -34,6 +37,8 @@ The other routes here reach the same objects another way than the engine:
   where the gate reads them off 1/2{theta, theta};
 - `sweep_axioms_3_5`, Courant axioms 3-5 with a residual built on every
   tuple, where the gate compares the two sides and subtracts once;
+- `swap_proto`, the swapped pair (A*, A) rebuilt table by table, where the
+  engine takes the Legendre image of mu + gamma*;
 - the su(2) origin of the sphere family: `su2_bivector`, its quotient
   `bruhat_w_chart`, and `rescaled_pi_c`, which maps the members into one
   another.
@@ -42,10 +47,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from bigbracket.algebroid import SpecError
+from bigbracket.algebroid import (AlgebroidSpec, ProtoBialgebroidSpec, SpecError,
+                                  dual_chart_for)
 from bigbracket.brackets import canonical_bracket, derived_bracket
 from bigbracket.chart import (Chart, ChartError, DarbouxChart, GradedVariable,
-                              darboux_chart, EVEN, ODD)
+                              cotangent_chart, darboux_chart, EVEN, ODD)
 from bigbracket.courant import (CourantSection, circ, coordinate_functions,
                                 generator_family)
 from bigbracket.necklace import build_structures
@@ -63,6 +69,13 @@ def mono_symbols(chart, mono):
         seq.extend([idx] * k)
     seq.extend(odds)
     return seq
+
+
+def expanded_word_sort_key(mono):
+    """The print order spelled out: total degree descending, then the sorted
+    declaration-index word with each variable written out once per power."""
+    word = mono_symbols(None, mono)
+    return (-len(word), tuple(sorted(word)))
 
 
 def slow_multiply(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
@@ -821,6 +834,50 @@ def sweep_axioms_3_5(structure) -> dict:
             for name, sweep in (("axiom3-module-leibniz", module_leibniz),
                                 ("axiom4-symmetric-part", symmetric_part),
                                 ("axiom5-pairing-invariance", pairing_invariance))}
+
+
+def swap_proto(proto: ProtoBialgebroidSpec) -> ProtoBialgebroidSpec:
+    """Exchange the two sides (A*, A); fibers are renamed to the fixed decorations."""
+    a, astar = proto.a_side, proto.astar_side
+    n = len(a.base_names)
+
+    def entries_from(spec, new_chart):
+        base_map = {x: SuperPolynomial.variable(new_chart, x) for x in spec.base_names}
+        anchor = {}
+        for ai in range(spec.rank):
+            for i in range(n):
+                if not spec.anchor[ai][i].is_zero():
+                    anchor[(ai + 1, i + 1)] = spec.anchor[ai][i].substitute(new_chart, base_map)
+        structure = {}
+        for x in range(spec.rank):
+            for y in range(spec.rank):
+                for z in range(spec.rank):
+                    entry = spec.structure[x][y][z]
+                    if x < y and not entry.is_zero():
+                        structure[(x + 1, y + 1, z + 1)] = entry.substitute(new_chart, base_map)
+        return anchor, structure
+
+    primal_fibers = tuple(f"xi{k+1}" for k in range(astar.rank))
+    primal_bundle = cotangent_chart(a.base_names, primal_fibers)
+    anchor_p, structure_p = entries_from(astar, primal_bundle.chart)
+    new_primal = AlgebroidSpec.build(a.base_names, primal_fibers, anchor_p, structure_p,
+                                     bundle=primal_bundle)
+    dual_bundle = dual_chart_for(new_primal)
+    anchor_d, structure_d = entries_from(a, dual_bundle.chart)
+    new_dual = AlgebroidSpec.build(a.base_names, tuple(f.name for f in dual_bundle.fiber),
+                                   anchor_d, structure_d, bundle=dual_bundle)
+    # cubic terms swap roles: the old psi becomes the new phi and vice versa
+    new_phi = None
+    if proto.psi is not None and not proto.psi.is_zero():
+        ren = {f"th{k+1}": SuperPolynomial.variable(primal_bundle.chart, f"xi{k+1}")
+               for k in range(astar.rank)}
+        new_phi = proto.psi.substitute(primal_bundle.chart, ren)
+    new_psi = None
+    if proto.phi is not None and not proto.phi.is_zero():
+        ren = {f"xi{k+1}": SuperPolynomial.variable(dual_bundle.chart, f"th{k+1}")
+               for k in range(a.rank)}
+        new_psi = proto.phi.substitute(dual_bundle.chart, ren)
+    return ProtoBialgebroidSpec(new_primal, new_dual, new_phi, new_psi)
 
 
 def splitting_shift(twisted, e: CourantSection) -> CourantSection:

@@ -11,7 +11,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-from bigbracket.algebroid import check_bialgebroid, swap_proto
+from bigbracket.algebroid import check_bialgebroid
 from bigbracket.brackets import canonical_bracket
 from bigbracket.chart import cotangent_chart, darboux_chart, ODD
 from bigbracket.cli import main as cli_main
@@ -28,7 +28,7 @@ from bigbracket.rationals import GaussianRational
 from conftest import random_homogeneous, standard_structure
 from oracles import (anchor_apply, base_field, de_rham, fiber_de_rham, interior,
                      lie_derivative, pi_tangent_chart, section_from_components,
-                     splitting_shift)
+                     splitting_shift, swap_proto)
 from test_algebroid import poisson_r2, su2_bialgebra
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -141,7 +141,7 @@ def test_criterion_3_bialgebroid_gate():
     for proto in (su2_bialgebra(), poisson_r2()):
         report = check_bialgebroid(proto)
         assert [c.name for c in report.checks] == [
-            "{mu,mu}", "{gamma,gamma}", "{mu,gamma*}"]
+            "{mu,mu}", "{gamma,gamma}", "{mu,gamma*}", "self-duality"]
         assert report.passed
         assert check_bialgebroid(swap_proto(proto)).passed
 

@@ -4,16 +4,17 @@ from fractions import Fraction
 import pytest
 
 from bigbracket.algebroid import (AlgebroidSpec, ProtoBialgebroidSpec, SpecError,
-                                  build_gamma_star, build_mu,
+                                  _pair_lines, build_gamma_star, build_mu,
                                   check_bialgebroid, check_lie_algebroid,
                                   check_proto, double_differential, dual_chart_for,
-                                  homomorphism_residuals, swap_proto)
+                                  homomorphism_residuals)
 from bigbracket.brackets import canonical_bracket, legendre
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
+from bigbracket.specfile import PRESET_NAMES, load_preset, materialize, parse_document
 
-from oracles import cartan_differential, schouten_bracket
+from oracles import cartan_differential, schouten_bracket, swap_proto
 
 EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1}
 
@@ -137,7 +138,8 @@ def test_zero_dual_structure_is_compatible():
 
 def test_su2_bialgebra_passes():
     report = check_bialgebroid(su2_bialgebra())
-    assert [c.name for c in report.checks] == ["{mu,mu}", "{gamma,gamma}", "{mu,gamma*}"]
+    assert [c.name for c in report.checks] == ["{mu,mu}", "{gamma,gamma}", "{mu,gamma*}",
+                                               "self-duality"]
     assert report.passed
 
 
@@ -156,6 +158,65 @@ def test_self_duality_by_swapping():
     bad = ProtoBialgebroidSpec(su2_spec(), bad_dual)
     assert not check_bialgebroid(bad).passed
     assert not check_bialgebroid(swap_proto(bad)).passed
+
+
+def _assert_legendre_image_is_the_swap(proto):
+    """The three lines are the explicit brackets, and self-duality is the
+    verdict of the swapped pair rebuilt table by table, whose lines equal
+    those of the Legendre image term for term; returns that verdict."""
+    report = check_bialgebroid(proto)
+    theta = proto.theta()
+    mu, gs = theta.mu, theta.gamma_star
+    for name, left, right in (("{mu,mu}", mu, mu), ("{gamma,gamma}", gs, gs),
+                              ("{mu,gamma*}", mu, gs)):
+        assert report[name].residual == canonical_bracket(left, right), name
+    swapped_proto = swap_proto(ProtoBialgebroidSpec(proto.a_side, proto.astar_side))
+    image = legendre(mu + gs, theta.chart, proto.astar_side.chart)
+    # the dual chart orders its variables as the swapped primal chart does
+    assert image.terms == swapped_proto.theta().total.terms
+    swapped = check_bialgebroid(swapped_proto)
+    lines = ("{mu,mu}", "{gamma,gamma}", "{mu,gamma*}")
+    for line, name in zip(_pair_lines(image).checks, lines):
+        assert line.residual.terms == swapped[name].residual.terms, name
+    verdict = report["self-duality"].passed
+    assert verdict == all(swapped[name].passed for name in lines)
+    assert verdict == all(report[name].passed for name in lines)
+    return verdict
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_self_duality_is_the_legendre_image_on_presets(name):
+    assert _assert_legendre_image_is_the_swap(materialize(load_preset(name)).proto)
+
+
+def random_bialgebroid_document(rng, n_base, rank):
+    """Sparse random A, Abar, C and Cbar tables with constant or linear entries."""
+    base = [f"x{k + 1}" for k in range(n_base)]
+    lines = ["kind: bialgebroid", f"base: {' '.join(base)}", f"rank: {rank}"]
+    density = rng.choice((0.2, 0.4))
+
+    def entry():
+        coeff = rng.choice(("1", "-1", "2", "1/2", "-3/2"))
+        return "*".join([coeff] + [x for x in base if rng.random() < 0.4])
+
+    fibers = range(1, rank + 1)
+    for table in ("A", "Abar"):
+        lines += [f"{table}[{a}][{i}] = {entry()}" for a in fibers
+                  for i in range(1, n_base + 1) if rng.random() < density]
+    for table in ("C", "Cbar"):
+        lines += [f"{table}[{a}][{b}][{c}] = {entry()}" for a in fibers for b in fibers
+                  for c in fibers if a < b and rng.random() < density]
+    return "\n".join(lines) + "\n"
+
+
+def test_self_duality_is_the_legendre_image_on_random_documents():
+    rng = random.Random(13)
+    shapes = [(0, 2), (2, 0)] + [(rng.randint(0, 2), rng.randint(1, 3)) for _ in range(48)]
+    verdicts = set()
+    for n_base, rank in shapes:
+        doc = parse_document(random_bialgebroid_document(rng, n_base, rank))
+        verdicts.add(_assert_legendre_image_is_the_swap(materialize(doc).proto))
+    assert verdicts == {True, False}
 
 
 def test_compatibility_equals_derivation_property():

@@ -1,14 +1,23 @@
 import io
 import json
 import math
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bigbracket import cli, courant, specfile
+from bigbracket.brackets import canonical_bracket
 from bigbracket.cli import main
+from bigbracket.parsing import parse_poly
+from bigbracket.rationals import GaussianRational
 
 
 def run(argv):
@@ -204,6 +213,22 @@ def test_cohomology_command():
     assert "recorded" in out
 
 
+def test_cohomology_on_small_input():
+    """c = 1/3 at truncation 5: the mode-0 generators and the global dims."""
+    code, out, err = run(["cohomology", "--c", "1/3", "--modes", "1", "--truncate", "5"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert ("check mode-0: pass (dims (1, 2, 1) generators "
+            "[1; I*d_I, d_theta; I*d_I^d_theta])") in lines
+    assert "check global: pass (dims (1, 1, 2) generators [1; Delta_omega; pi_c, pi])" in lines
+
+
+def test_cohomology_on_symplectic_member():
+    code, out, _ = run(["cohomology", "--c", "3"])
+    assert code == 0
+    assert "check global: pass (dims (1, 0, 1) generators [1; pi_c])" in out.splitlines()
+
+
 def test_invariants_command():
     code, out, _ = run(["invariants", "--c", "0"])
     assert code == 0
@@ -276,6 +301,12 @@ def test_golden_text_reports():
     ["verify-algebroid", "--spec", "/nonexistent"],
     ["shla-check", "--preset", "standard-R1", "--n", "5"],
     ["twist", "--preset", "exact-twist-R3", "--omega", ""],
+    ["cohomology", "--c", "1"],                 # |c| = 1: outside the assembly
+    ["cohomology", "--c", "-1"],
+    ["cohomology", "--c", "x"],
+    ["cohomology", "--c", "1/0"],
+    ["cohomology", "--c", "0", "--modes", "two"],
+    ["cohomology", "--c", "0", "--modes", "2", "--truncate", "4.5"],
 ])
 def test_bad_input_is_a_usage_error(argv):
     code, out, err = run(argv)
@@ -707,3 +738,67 @@ def test_invalid_twist_is_a_usage_error(tmp_path, phi, omega):
         code, out, err = run([command, "--spec", str(doc)])
         assert (code, out) == (2, ""), (command, err)
         assert "error:" in err
+
+
+# phi = x1^k with k ~ 1e9: parsing squares and multiplies, and printing
+# compares the exponent, so no step grows with k
+HUGE_EXPONENT = "kind: proto\nbase: x1\nrank: 3\nphi = x1^999999999*xi1*xi2*xi3\n"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command", STRUCTURE_COMMANDS, ids=lambda argv: argv[0])
+def test_huge_exponent_is_decided_quickly(tmp_path, command):
+    doc = tmp_path / "huge.spec"
+    doc.write_text(HUGE_EXPONENT)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "bigbracket.cli", command[0], "--spec", str(doc), *command[1:]],
+        capture_output=True, text=True, env=env, timeout=5, preexec_fn=_cap_address_space)
+    assert done.returncode in (0, 1), done.stderr
+    assert done.stderr == ""
+    assert done.stdout.endswith(")\n")
+
+
+# twists of the standard structure: closed, closed with a base factor, the
+# R^4 document and a non-closed sum of two terms
+TWISTS = [("x1 x2 x3", "xi1*xi2*xi3", True), ("x1 x2 x3", "x1*xi1*xi2*xi3", True),
+          ("x1 x2 x3 x4", "x1*xi2*xi3*xi4", False),
+          ("x1 x2 x3 x4", "x2*xi1*xi3*xi4 + x1^2*xi2*xi3*xi4", False)]
+
+
+@pytest.mark.parametrize("base, phi, closed", TWISTS + [("gauge", "x1*xi2*xi3", True)],
+                         ids=lambda value: value if isinstance(value, str) else None)
+def test_twist_gates_agree(tmp_path, base, phi, closed):
+    """1/2{theta, theta} = {mu, phi} is the twist-closed residual, and axiom 1
+    passes iff it vanishes; the gauge row is exact-twist-R3 with --omega."""
+    if base == "gauge":
+        argv = ["twist", "--preset", "exact-twist-R3", "--omega", phi]
+        twisted = specfile.materialize(specfile.load_preset("exact-twist-R3")).twisted
+        omega = parse_poly(phi, twisted.structure.chart)
+        twisted = courant.twist_exact(twisted.proto, twisted.phi_raw, omega)
+    else:
+        doc = tmp_path / "twist.spec"
+        doc.write_text(f"kind: exact-courant\nbase: {base}\nrank: {len(base.split())}\n"
+                       f"phi = {phi}\n")
+        argv = ["twist", "--spec", str(doc)]
+        twisted = specfile.materialize(specfile.load_document(str(doc))).twisted
+    structure = twisted.structure
+    theta = structure.theta
+    residual = canonical_bracket(theta.mu, theta.phi)
+    half = GaussianRational(Fraction(1, 2))
+    assert canonical_bracket(structure.total, structure.total).scale(half) == residual
+    assert residual.is_zero() == closed
+    axiom1 = courant.verify_axioms(structure)["axiom1-leibniz-jacobi"]
+    assert axiom1.passed == closed
+    code, out, err = run(argv)
+    assert (code, err) == (0 if closed else 1, "")
+    expect = "pass (True)" if closed else f"fail residual={residual} (False)"
+    assert f"check twist-closed: {expect}" in out.splitlines()
+    assert out.splitlines()[1].startswith(
+        f"check axiom1-leibniz-jacobi: {'pass' if closed else 'fail'}")

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bigbracket.chart import ChartError, cotangent_chart, darboux_chart, ODD
-from bigbracket.poly import SuperPolynomial
+from bigbracket.poly import SuperPolynomial, mono_sort_key
 from bigbracket.rationals import GaussianRational
 
 from conftest import random_poly
-from oracles import slow_multiply
+from oracles import expanded_word_sort_key, slow_multiply
 
 CC = cotangent_chart(["x1", "x2"], ["xi1", "xi2"])
 CH = CC.chart
@@ -184,3 +184,34 @@ def test_operators_never_store_a_zero_coefficient(p, q):
     results += [r.partial(var) for r in (p, p * q, p + q) for var in CH.variables]
     for r in results:
         assert all(r.terms.values()), r.terms
+
+
+@given(small_polys(), st.integers(min_value=0, max_value=7))
+def test_power_is_the_repeated_product(p, k):
+    product = SuperPolynomial.constant(CH, 1)
+    for _ in range(k):
+        product = product * p
+    assert p ** k == product
+
+
+def test_huge_power_of_a_monomial_is_one_term():
+    x1 = CH.var("x1").index
+    assert (v("x1") ** 999_999_999).terms == {(((x1, 999_999_999),), ()): 1}
+    assert str((v("x1") * v("xi1")).scale(2) ** 1) == "2*x1*xi1"
+
+
+@st.composite
+def monomials(draw):
+    """Normal-ordered monomials over indices 0..5; an index is even or odd."""
+    indices = draw(st.lists(st.integers(min_value=0, max_value=5), unique=True, max_size=4))
+    parities = draw(st.lists(st.booleans(), min_size=len(indices), max_size=len(indices)))
+    evens = tuple(sorted((idx, draw(st.integers(min_value=1, max_value=6)))
+                         for idx, odd in zip(indices, parities) if not odd))
+    odds = tuple(sorted(idx for idx, odd in zip(indices, parities) if odd))
+    return evens, odds
+
+
+@given(st.lists(monomials(), unique=True, max_size=12))
+def test_sort_key_orders_like_the_expanded_word(monos):
+    """Comparing runs (index, -exponent) gives the order of the written-out word."""
+    assert sorted(monos, key=mono_sort_key) == sorted(monos, key=expanded_word_sort_key)
