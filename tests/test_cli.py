@@ -307,6 +307,7 @@ def test_golden_text_reports():
     ["cohomology", "--c", "1/0"],
     ["cohomology", "--c", "0", "--modes", "two"],
     ["cohomology", "--c", "0", "--modes", "2", "--truncate", "4.5"],
+    ["cohomology", "--c", "0", "--modes", "2", "--truncate", "3"],  # below the mode model's bound
 ])
 def test_bad_input_is_a_usage_error(argv):
     code, out, err = run(argv)
