@@ -269,10 +269,11 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
     The sections are the basis sections followed by each of them scaled by
     every base coordinate, and the functions the base coordinates.
     {theta, e_i}, the pair products e_i o e_j and {theta, e_i o e_j} come from
-    the structure's memo; anchors and pairings are kept for the sweep, the
-    pairing once per unordered pair (it is symmetric on degree 1).  Each
-    term-by-term sweep yields the two sides of its identity per tuple and
-    subtracts them only at the first tuple where they differ.
+    the structure's memo, only for the indices a sweep reads; anchors and
+    pairings are kept for the sweep, the pairing once per unordered pair (it
+    is symmetric on degree 1).  Each term-by-term sweep yields the two sides
+    of its identity per tuple and subtracts them only at the first tuple
+    where they differ.
 
     When every monomial of theta has total degree 3, axioms 1 and 2 are read
     off T2 = 1/2{theta, theta}: the Leibniz-Jacobi residual at (e_i, e_j, e_k)
@@ -280,46 +281,40 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
     +{{{T2, e_i}, e_j}, f} (the Jacobiator of a derived bracket is the derived
     bracket of the square of its differential).  Both sweeps keep their order,
     so the first failing tuple and its residual are those of the term-by-term
-    identities, and a zero T2 passes both without a tuple.  An off-degree
-    theta (the (0,2) phi or (2,0) psi probe) breaks that relation, so its
-    axioms 1 and 2 are swept term by term.  Axioms 3 and 4 are always swept
-    over the whole family.
+    identities, and a zero T2 passes both without a tuple.
 
-    Axiom 5 is swept after them.  Its anomaly
-    A(e1, e2, e3) = rho(e1)<e2, e3> - <e1 o e2, e3> - <e2, e1 o e3>
-    is symmetric in e2, e3, and C-infinity-linear in each argument given
-    three facts: axiom 3, e1 o (f e2) = f e1 o e2 + (rho(e1)f) e2; axiom 4,
-    e o e' + e' o e = D<e, e'>; and <Df, e> = rho(e) f, which is how rho is
-    built ({e, {theta, f}}).  In e3, axiom 3 gives <e2, e1 o (f e3)> the
-    term (rho(e1)f)<e2, e3> that the Leibniz rule gives rho(e1)<e2, f e3>.
-    In e1, axiom 4, axiom 3 and axiom 4 again, with D(fg) = f Dg + g Df, give
-    (f e1) o e2 = f e1 o e2 - (rho(e2)f) e1 + <e1, e2> Df, and by the third
-    fact the extra terms of <(f e1) o e2, e3> and <e2, (f e1) o e3> cancel in
-    pairs.  These steps use axioms 3 and 4 only at generators and a
-    coordinate f, where their sweeps check them.  So when every monomial of
-    theta has total degree 3 (the guard of the T2 path) and axioms 3 and 4
-    pass, A at a scaled generator is a coordinate times A at its basis
-    section, which comes earlier in the family: the first failing tuple of
-    the full sweep is a triple of basis sections, with the same residual,
-    and axiom 5 is swept on the 2 * rank basis sections only.  Otherwise (an
-    off-degree theta, whose products need not be sections, or axiom 3 or 4
-    failing) it is swept over the whole family, where the first failing
-    tuple may lie.  Axiom 5 is always evaluated, never passed by theorem.
+    Axioms 3-5 hold for every such theta: with e o e' = {{theta, e}, e'} and
+    rho(e) f = {e, {theta, f}}, axiom 3 is the Leibniz rule of {., .} with
+    {e, f} = 0 (it has degree -1), which by graded Jacobi makes
+    {{theta, e}, f} = rho(e) f, and axioms 4 and 5 are the graded Jacobi
+    identity with the pairing symmetric on degree 1.  So they are swept on
+    the 2 * rank basis sections only, where they check the bracket.  An
+    axiom 3 or 4 failing there is swept again over the whole family, and so
+    is axiom 5, so a bracket defect reports the full family's first failing
+    tuple and residual.  Axiom 5 failing alone is reported at its basis
+    triple, the full family's first: where axioms 3 and 4 hold its anomaly
+    is C-infinity-linear, so at a scaled generator it is a coordinate times
+    its value at the basis section, which comes earlier.  An off-degree theta
+    (the (0,2) phi or (2,0) psi probe) is not odd, so neither T2 nor these
+    identities decide it: all five axioms are swept over the whole family.
     """
     sections = generator_family(structure)
     functions = coordinate_functions(structure)
     theta = structure.total
     theta_bracket = structure.theta_bracket
     emb = [s.embedded for s in sections]
-    d_of = [theta_bracket(e) for e in emb]
-    prod = [[structure.product(a, b) for b in emb] for a in emb]
     zero = SuperPolynomial.zero(structure.chart)
-    indices = range(len(sections))
-    pair = [[None] * len(emb) for _ in emb]
-    for i in indices:
-        for j in indices[i:]:
-            pair[i][j] = pair[j][i] = canonical_bracket(emb[i], emb[j])
+    n = len(sections)
+    indices = range(n)
     rho_of = {}
+
+    @cache
+    def tables(m):
+        """{theta, e_i} first (so the memo keys it by e_i), e_i o e_j, <e_i, e_j> at i <= j."""
+        ix = range(m)
+        return ([theta_bracket(e) for e in emb[:m]],
+                [[structure.product(emb[i], emb[j]) for j in ix] for i in ix],
+                [[canonical_bracket(emb[i], emb[j]) if i <= j else None for j in ix] for i in ix])
 
     def rho(i, f):
         """rho(e_i) f, once per generator and distinct function."""
@@ -329,6 +324,7 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
         return out
 
     def leibniz_jacobi():
+        d_of, prod, _pair = tables(n)
         for i in indices:
             for j in indices:
                 d_ij = theta_bracket(prod[i][j])
@@ -338,37 +334,38 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
                            + canonical_bracket(d_of[j], prod[i][k]))
 
     def anchor_homomorphism():
+        prod = tables(n)[1]
         for i in indices:
             for j in indices:
                 for f in functions:
                     yield (canonical_bracket(prod[i][j], theta_bracket(f)),
                            rho(i, rho(j, f)) - rho(j, rho(i, f)))
 
-    def module_leibniz():
-        f_emb = [[f * e for f in functions] for e in emb]
-        for i in indices:
-            for j in indices:
+    def module_leibniz(m):
+        d_of, prod, _pair = tables(m)
+        f_emb = [[f * e for f in functions] for e in emb[:m]]
+        for i in range(m):
+            for j in range(m):
                 for f, f_e in zip(functions, f_emb[j]):
                     yield (canonical_bracket(d_of[i], f_e),
                            f * prod[i][j] + rho(i, f) * emb[j])
 
-    def symmetric_part():
+    def symmetric_part(m):
         # both sides are symmetric in (i, j), so the first failing pair has i <= j
-        for i in indices:
-            for j in indices[i:]:
+        _d_of, prod, pair = tables(m)
+        for i in range(m):
+            for j in range(i, m):
                 yield prod[i][j] + prod[j][i], theta_bracket(pair[i][j])
 
-    def pairing_invariance(swept):
+    def pairing_invariance(m):
         # the pairing is symmetric on degree 1 and kills degree 0, so
         # {e_j, e_i o e_k} is {e_i o e_k, e_j}: one bracket table per i; the
         # anchor term rho(e_i)<e_j, e_k> is {e_i, D<e_j, e_k>}, keyed by (j, k)
         # with j <= k and bracketed only where D<e_j, e_k> is nonzero
-        d_pair = {}
-        for j in swept:
-            for k in swept[j:]:
-                d = theta_bracket(pair[j][k])
-                if not d.is_zero():
-                    d_pair[(j, k)] = d
+        _d_of, prod, pair = tables(m)
+        swept = range(m)
+        d_pair = {(j, k): d for j in swept for k in swept[j:]
+                  if not (d := theta_bracket(pair[j][k])).is_zero()}
         for i in swept:
             table = [[canonical_bracket(prod[i][j], emb[k]) for k in swept] for j in swept]
             anchor = {jk: canonical_bracket(emb[i], d) for jk, d in d_pair.items()}
@@ -377,8 +374,13 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
                     yield (anchor.get((j, k) if j <= k else (k, j), zero),
                            table[j][k] + table[k][j])
 
-    cubic = all(k == 3 for (_e, _d, k) in theta.gradings())
-    if cubic:
+    def first_failure(sweep, m):
+        """The first failure on the first m generators; if there is one, the first of all n."""
+        failure = _first_failure(sweep(m), zero)
+        return failure if failure.is_zero() or m == n else _first_failure(sweep(n), zero)
+
+    if all(k == 3 for (_e, _d, k) in theta.gradings()):
+        basis = 2 * structure.rank
         t2 = canonical_bracket(theta, theta).scale(HALF)
         if t2.is_zero():
             axiom1 = axiom2 = zero
@@ -386,12 +388,12 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
             axiom1 = -_first_nonzero(_t2_contractions(t2, emb, emb), zero)
             axiom2 = _first_nonzero(_t2_contractions(t2, emb, functions), zero)
     else:
+        basis = n
         axiom1 = _first_failure(leibniz_jacobi(), zero)
         axiom2 = _first_failure(anchor_homomorphism(), zero)
-    axiom3 = _first_failure(module_leibniz(), zero)
-    axiom4 = _first_failure(symmetric_part(), zero)
-    tensorial = cubic and axiom3.is_zero() and axiom4.is_zero()
-    swept = range(2 * structure.rank) if tensorial else indices
+    axiom3 = first_failure(module_leibniz, basis)
+    axiom4 = first_failure(symmetric_part, basis)
+    swept = basis if axiom3.is_zero() and axiom4.is_zero() else n
     axiom5 = _first_failure(pairing_invariance(swept), zero)
     return CheckReport([
         Check.from_residual("axiom1-leibniz-jacobi", axiom1),
@@ -611,10 +613,7 @@ def _eval_at_point(poly: SuperPolynomial, point: dict):
             raise SpecError("not a base function")
         val = coeff
         for idx, k in evens:
-            name = chart.variables[idx].name
-            base = GaussianRational.coerce(point[name])
-            for _ in range(k):
-                val = val * base
+            val = val * GaussianRational(Fraction(point[chart.variables[idx].name]) ** k)
         acc = acc + val
     return acc
 

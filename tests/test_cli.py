@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -103,6 +104,14 @@ def test_dirac_command():
         "--section", "xis1 + x3*xi2", "--section", "xis2 - x3*xi1",
         "--section", "xis3"])
     assert code == 1 and "closure: fail" in out
+
+
+def test_dirac_check_raises_a_sample_coordinate_to_a_huge_power_at_once():
+    start = time.perf_counter()
+    code, out, _ = run(["dirac-check", "--preset", "standard-R1",
+                        "--section", "x1^100000*xis1 + xis1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "check maximal: pass (rank 1 of expected 1)\n" in out
 
 
 def test_twist_command_reports_closedness(tmp_path):

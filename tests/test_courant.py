@@ -399,6 +399,17 @@ def _spy_brackets(monkeypatch):
     return calls
 
 
+def _axiom3_pairs(structure, calls):
+    """(i, j) of each axiom-3 bracket {{theta, e_i}, f e_j}, by family index.
+
+    On a theta of total degree 3 only axiom 3 brackets a kept {theta, e_i}.
+    """
+    emb = [e.embedded for e in generator_family(structure)]
+    d_of = {id(structure.brackets[e]): i for i, e in enumerate(emb) if e in structure.brackets}
+    scaled = {f * e: j for f in coordinate_functions(structure) for j, e in enumerate(emb)}
+    return [(d_of[id(p)], scaled[q]) for p, q in calls if id(p) in d_of and q in scaled]
+
+
 def _axiom5_columns(structure, calls):
     """The section e_k of each axiom-5 table bracket {e_i o e_j, e_k}.
 
@@ -437,7 +448,8 @@ def test_perturbed_anchor_fails_axioms_3_and_5_at_the_first_tuple(monkeypatch):
     monkeypatch.setattr(oracles, "canonical_bracket", perturbed)
     calls = _spy_brackets(monkeypatch)
     report = _assert_axioms_3_5_agree(structure)
-    # axiom 3 fails, so axiom 5 reads every generator of the family
+    # axiom 3 fails on the basis, so it and axiom 5 read every generator of the family
+    assert {j for _i, j in _axiom3_pairs(structure, calls)} == set(range(len(emb)))
     assert len(set(_axiom5_columns(structure, calls))) == len(emb) > 4
     assert [c.name for c in report.checks if not c.passed] == [
         "axiom3-module-leibniz", "axiom5-pairing-invariance"]
@@ -476,6 +488,45 @@ def test_tensorial_kernel_defect_fails_axiom_5_on_a_basis_triple(monkeypatch):
     assert set(_axiom5_columns(structure, calls)) == set(basis)
 
 
+def _random_proto_document(rng):
+    """Random A, Abar and C tables over 1-2 base coordinates and rank 2-3, with
+    a cubic phi one time in three at rank 3; most fail axiom 1 or 2."""
+    n_base, rank = rng.randint(1, 2), rng.randint(2, 3)
+    base = [f"x{k + 1}" for k in range(n_base)]
+    fibers = range(1, rank + 1)
+
+    def entry():
+        coeff = rng.choice(("1", "-1", "2", "1/2", "-3/2"))
+        return "*".join([coeff] + [x for x in base if rng.random() < 0.4])
+
+    lines = ["kind: proto", f"base: {' '.join(base)}", f"rank: {rank}"]
+    for table in ("A", "Abar"):
+        lines += [f"{table}[{a}][{i}] = {entry()}" for a in fibers
+                  for i in range(1, n_base + 1) if rng.random() < 0.4]
+    lines += [f"C[{a}][{b}][{c}] = {entry()}" for a in fibers for b in fibers
+              for c in fibers if a < b and rng.random() < 0.3]
+    if rank == 3 and rng.random() < 1 / 3:
+        lines.append(f"phi = {entry()}*xi1*xi2*xi3")
+    return "\n".join(lines) + "\n"
+
+
+def test_generated_documents_agree_with_the_term_by_term_sweeps():
+    """verify_axioms against the full-family sweeps of all five axioms."""
+    rng = random.Random(22)
+    verdicts = set()
+    for _ in range(24):
+        structure = structure_from_proto(
+            materialize(parse_document(_random_proto_document(rng))).proto)
+        report = verify_axioms(structure)
+        oracle = {**sweep_axioms_1_2(structure), **sweep_axioms_3_5(structure)}
+        assert [c.name for c in report.checks] == list(oracle)
+        for name, residual in oracle.items():
+            assert report[name].passed == residual.is_zero(), name
+            assert report[name].residual == residual, name
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
+
+
 # -- axiom 5 sweeps the basis sections once axioms 3 and 4 pass ------------------------
 
 @pytest.mark.parametrize("source", ["weil-su2", "twist-R4"])
@@ -488,6 +539,23 @@ def test_axiom5_sweeps_basis_sections_once_axioms_3_and_4_pass(source, monkeypat
     columns = _axiom5_columns(structure, calls)
     assert len(columns) == len(basis) ** 3
     assert set(columns) == set(basis)
+    assert len(generator_family(structure)) >= 4 * len(basis)
+
+
+@pytest.mark.parametrize("source", ["weil-su2", "twist-R4"])
+def test_axioms_3_and_4_sweep_basis_sections_on_a_cubic_theta(source, monkeypatch):
+    """Only the basis pair products are built, and axiom 3 brackets
+    {{theta, e_i}, f e_j} for basis sections e_i, e_j and every coordinate f."""
+    structure = _axiom_structure(source)
+    calls = _spy_brackets(monkeypatch)
+    report = verify_axioms(structure)
+    assert report["axiom3-module-leibniz"].passed and report["axiom4-symmetric-part"].passed
+    basis = [e.embedded for e in basis_sections(structure)]
+    assert set(structure.products) == set(product(basis, repeat=2))
+    assert len(structure.products) == len(basis) ** 2
+    pairs = _axiom3_pairs(structure, calls)
+    assert sorted(set(pairs)) == list(product(range(len(basis)), repeat=2))
+    assert len(pairs) == len(basis) ** 2 * len(coordinate_functions(structure)) > 0
     assert len(generator_family(structure)) >= 4 * len(basis)
 
 
