@@ -592,16 +592,12 @@ def _lemma_a2_residual(structure, generators):
 # ---------------------------------------------------------------------------
 
 
-def _section_component_matrix(sections):
-    """Rows of base-function components (vector block then covector block)."""
-    structure = sections[0].structure
-    ranks = range(1, structure.rank + 1)
-    zero = SuperPolynomial.zero(structure.chart)
-    rows = []
-    for s in sections:
-        vec, cov = s.vector, s.covector
-        rows.append([vec.get(a, zero) for a in ranks] + [cov.get(a, zero) for a in ranks])
-    return rows
+def _section_components(section):
+    """Sparse row {column: nonzero base function}: vector block, then covector block."""
+    n = section.structure.rank
+    row = {a - 1: p for a, p in section.vector.items()}
+    row.update((n + a - 1, p) for a, p in section.covector.items())
+    return row
 
 
 def _eval_at_point(poly: SuperPolynomial, point: dict):
@@ -622,13 +618,13 @@ def check_dirac(structure: CourantStructure, sections) -> CheckReport:
     """Isotropy, constant maximal rank and closure under the circle product."""
     if not sections:
         raise SpecError("empty spanning set")
-    rows = _section_component_matrix(sections)
+    rows = [_section_components(s) for s in sections]
+    ncols = 2 * structure.rank
     chart = structure.chart
-    n_base = len(structure.bundle.base_names)
-    constant = all(all(len(p.terms) == 0 or p.max_degree() == 0 for p in row) for row in rows)
+    constant = all(p.max_degree() == 0 for row in rows for p in row.values())
     if constant:
-        mat = [[next(iter(p.terms.values()), GaussianRational(0)) for p in row] for row in rows]
-        rk = rank(mat)
+        rk = rank([{j: next(iter(p.terms.values())) for j, p in row.items()} for row in rows],
+                  ncols)
     else:
         pts = [
             {x: 0 for x in structure.bundle.base_names},
@@ -638,8 +634,9 @@ def check_dirac(structure: CourantStructure, sections) -> CheckReport:
         ]
         ranks = set()
         for pt in pts:
-            mat = [[_eval_at_point(p, pt) for p in row] for row in rows]
-            ranks.add(rank(mat))
+            mat = [{j: v for j, p in row.items() if (v := _eval_at_point(p, pt))}
+                   for row in rows]
+            ranks.add(rank(mat, ncols))
         if len(ranks) != 1:
             raise SpecError(f"spanning set rank varies over sample points: {sorted(ranks)}")
         rk = ranks.pop()
@@ -659,16 +656,16 @@ def check_dirac(structure: CourantStructure, sections) -> CheckReport:
 
     closure_ok = True
     witness = SuperPolynomial.zero(chart)
-    frac_rows = None
+    # the matrix whose columns are the sections' components
+    frac_rows = [{} for _ in range(ncols)]
+    for j, row in enumerate(rows):
+        for a, p in row.items():
+            frac_rows[a][j] = PolyFrac(p)
     for s1 in sections:
         for s2 in sections:
             prod = circ(s1, s2)
-            target_row = _section_component_matrix([prod])[0]
-            if frac_rows is None:
-                cols = list(zip(*rows))
-                frac_rows = [[PolyFrac(entry) for entry in col] for col in cols]
-            rhs = [PolyFrac(entry) for entry in target_row]
-            sol = solve_over_fractions(frac_rows, rhs)
+            rhs = {a: PolyFrac(p) for a, p in _section_components(prod).items()}
+            sol = solve_over_fractions(frac_rows, len(sections), rhs)
             if sol is None:
                 closure_ok = False
                 witness = prod.embedded

@@ -1,20 +1,21 @@
 """Exact linear algebra over the Gaussian rationals and over rational-function
-fields of a polynomial base, on sparse rows with one conversion.
+fields of a polynomial base, on sparse rows.
 
 Sizes here are tiny (mode complexes and section spans), so plain fraction
-arithmetic is both adequate and auditable.  The public routines take and
-return dense lists; each converts its matrix once, in `_reduce`, to rows
-stored as {column: nonzero entry}, which the one elimination, `_rref`,
-reduces.  Its pivot row for a column is the first row at or below the
-current one holding that column (no magnitude search: arithmetic is exact),
-so the reduced form and the pivots are those of the dense elimination; it
-scales and clears over the nonzero entries of the pivot row only, since the
-matrices here are mostly zeros.
+arithmetic is both adequate and auditable.  A matrix is a list of rows, each
+a dict {column: nonzero entry}, with its column count `ncols` given
+separately; a vector is a dict {index: nonzero entry}.  Every routine takes
+and returns these shapes, stores no zero and leaves its arguments alone: each
+reduces its own rows with the one elimination, `_rref`.  Its pivot row for a
+column is the first row at or below the current one holding it (no magnitude
+search: arithmetic is exact), so the reduced form and the pivots are those of
+the dense elimination; it scales and clears over the entries of the pivot row
+only, since the matrices here are mostly zeros.
 """
 from __future__ import annotations
 
 from .poly import SuperPolynomial
-from .rationals import ZERO, ONE
+from .rationals import ONE
 
 
 def _rref(rows, ncols):
@@ -56,29 +57,20 @@ def _rref(rows, ncols):
     return pivots
 
 
-def _reduce(matrix, ncols):
-    """The sparse rows of a dense matrix after `_rref`, and the pivot columns."""
-    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
-    return rows, _rref(rows, ncols)
+def rank(rows, ncols) -> int:
+    return len(_rref([dict(row) for row in rows], ncols))
 
 
-def rank(matrix) -> int:
-    if not matrix:
-        return 0
-    return len(_reduce(matrix, len(matrix[0]))[1])
-
-
-def nullspace(matrix, ncols=None):
-    """Basis of the right kernel; matrix given as list of rows."""
-    if ncols is None:
-        ncols = len(matrix[0]) if matrix else 0
-    rows, pivots = _reduce(matrix, ncols)
+def nullspace(rows, ncols):
+    """Basis of the right kernel, one vector per non-pivot column."""
+    rows = [dict(row) for row in rows]
+    pivots = _rref(rows, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        vec = [ZERO] * ncols
-        vec[f] = ONE
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = {f: ONE}
         for row, c in zip(rows, pivots):
             if f in row:
                 vec[c] = -row[f]
@@ -86,56 +78,65 @@ def nullspace(matrix, ncols=None):
     return basis
 
 
-def solve(matrix, rhs):
-    """One solution x of M x = b, or None when inconsistent."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    rows, pivots = _reduce([list(matrix[i]) + [rhs[i]] for i in range(m)], n)
-    if any(row.keys() == {n} for row in rows):      # 0 = b with b nonzero
+def solve(rows, ncols, rhs):
+    """One solution x of M x = b, or None when inconsistent; free unknowns are 0.
+
+    `rhs` is the vector b, indexed by row.
+    """
+    aug = [dict(row) for row in rows]
+    for i, b in rhs.items():
+        aug[i][ncols] = b
+    pivots = _rref(aug, ncols)
+    if any(row.keys() == {ncols} for row in aug):      # 0 = b with b nonzero
         return None
-    x = [ZERO] * n
-    for row, c in zip(rows, pivots):
-        x[c] = row.get(n, ZERO)
-    return x
+    return {c: row[ncols] for row, c in zip(aug, pivots) if ncols in row}
 
 
-def in_span(vectors, target) -> bool:
-    if not vectors:
-        return all(not x for x in target)
-    return solve(list(zip(*vectors)), target) is not None
+def in_span(rows, ncols, target) -> bool:
+    """Whether the target is in the column span of the rows."""
+    if not ncols:
+        return not target
+    return solve(rows, ncols, target) is not None
 
 
-def independent(vectors):
+def independent(vectors, dim):
     """Indices of the vectors a greedy basis keeps, in order.
 
     Vector j is kept when it is not in the span of vectors 0..j-1, which is
-    exactly when j is a pivot column of the matrix whose columns are the
-    vectors; one elimination decides every j.
+    exactly when j is a pivot column of the dim x len(vectors) matrix whose
+    columns are the vectors; one elimination decides every j.
     """
-    return _reduce(zip(*vectors), len(vectors))[1]
+    rows = [{} for _ in range(dim)]
+    for j, v in enumerate(vectors):
+        for i, x in v.items():
+            rows[i][j] = x
+    return _rref(rows, len(vectors))
 
 
-def intersect_with_coordinate_subspace(matrix_cols, keep):
-    """Basis of the image vectors whose components outside `keep` vanish.
+def intersect_with_coordinate_subspace(rows, ncols, keep):
+    """Basis of the column span's vectors whose components outside `keep` vanish.
 
-    matrix_cols: list of column vectors of M; keep: set of row indices.
-    Returns full-length vectors (zero outside the kept rows).
+    rows: the matrix M, whose ncols columns span the image; keep: set of row
+    indices.  Returns vectors indexed by row, pruned by `independent`.
     """
-    if not matrix_cols:
+    if not ncols:
         return []
-    nrows = len(matrix_cols[0])
-    drop = [r for r in range(nrows) if r not in keep]
-    kern = nullspace([[col[r] for col in matrix_cols] for r in drop], len(matrix_cols))
+    kern = nullspace([row for r, row in enumerate(rows) if r not in keep], ncols)
     out = []
     for coeffs in kern:
-        vec = [ZERO] * nrows
-        for c, col in zip(coeffs, matrix_cols):
-            if c:
-                for r, x in enumerate(col):
-                    if x:
-                        vec[r] = vec[r] + c * x
+        vec = {}
+        for r, row in enumerate(rows):
+            if r not in keep:
+                continue
+            acc = None
+            for j, x in row.items():
+                c = coeffs.get(j)
+                if c is not None:
+                    acc = c * x if acc is None else acc + c * x
+            if acc:
+                vec[r] = acc
         out.append(vec)
-    return [out[j] for j in independent(out)]
+    return [out[j] for j in independent(out, len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +178,9 @@ class PolyFrac:
         return PolyFrac(self.den * other, self.num)
 
 
-def solve_over_fractions(matrix, rhs):
+def solve_over_fractions(rows, ncols, rhs):
     """One solution of M x = b over the base rational-function field, or None.
 
-    matrix and rhs hold PolyFrac entries; free unknowns come back as the
-    PolyFrac zero.
+    The rows and rhs hold PolyFrac entries.
     """
-    x = solve(matrix, rhs)
-    if x is None:
-        return None
-    zero = PolyFrac(SuperPolynomial.zero(matrix[0][0].num.chart))
-    return [v if isinstance(v, PolyFrac) else zero for v in x]
+    return solve(rows, ncols, rhs)

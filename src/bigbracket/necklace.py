@@ -18,7 +18,7 @@ from .brackets import canonical_bracket
 from .chart import darboux_chart, ODD
 from .linalg import in_span, independent, intersect_with_coordinate_subspace, nullspace
 from .poly import SuperPolynomial
-from .rationals import GaussianRational, ONE, ZERO
+from .rationals import GaussianRational, ONE
 
 HALF = GaussianRational(Fraction(1, 2))
 QUARTER = GaussianRational(Fraction(1, 4))
@@ -80,6 +80,8 @@ class ModeComplex:
     of blocks (xi-coefficients, eta-coefficients) each 0..N; two-fields by
     I-degree 0..N.  Entries follow d(f) = (in f_{m-1}) xi_m - (m f_m) eta_m
     and d(X) = ((m-1) a_m + in b_{m-1}) (xi eta)_m, all degrees <= N kept.
+    Each matrix is a list of sparse rows {column: nonzero entry}: d0 has
+    2(N+1) rows over N+1 columns, d1 has N+1 rows over 2(N+1) columns.
     """
     n: int
     N: int
@@ -95,17 +97,16 @@ def mode_matrices(c, n: int, N: int) -> ModeComplex:
         raise ValueError("the mode model applies to the degenerate family members only")
     size = N + 1
     i_n = GaussianRational(0, n)
-    d0 = [[ZERO for _ in range(size)] for _ in range(2 * size)]
-    for m in range(1, size):
-        d0[m][m - 1] = i_n                      # xi block, raises I-degree
-    for m in range(0, size):
+    d0 = [{} for _ in range(2 * size)]
+    d1 = [{} for _ in range(size)]
+    for m in range(size):
+        if m != 1:
+            d1[m][m] = GaussianRational(m - 1)  # from the xi block
+        if m and n:
+            d0[m][m - 1] = i_n                  # xi block, raises I-degree
+            d1[m][size + m - 1] = i_n           # from the eta block
         if m:
             d0[size + m][m] = GaussianRational(-m)   # eta block, preserves degree
-    d1 = [[ZERO for _ in range(2 * size)] for _ in range(size)]
-    for m in range(0, size):
-        d1[m][m] = GaussianRational(m - 1)      # from the xi block
-        if m >= 1:
-            d1[m][size + m - 1] = i_n           # from the eta block
     return ModeComplex(n, N, d0, d1)
 
 
@@ -125,31 +126,32 @@ class CohomologyReport:
 _BLOCK_SUFFIXES = (("",), ("d_I", "d_theta"), ("d_I^d_theta",))
 
 
-def _format_generator(vec, degree):
-    """Text of a mode vector: each basis element is an I-power times a suffix."""
+def _format_generator(vec, degree, size):
+    """Text of a mode vector: each basis element is an I-power times a suffix.
+
+    Index block * size + m of the sparse vector is I^m times the block's suffix.
+    """
     suffixes = _BLOCK_SUFFIXES[degree]
-    size = len(vec) // len(suffixes)
     parts = []
-    for block, suffix in enumerate(suffixes):
-        for m in range(size):
-            x = vec[block * size + m]
-            if x:
-                power = "" if m == 0 else ("I" if m == 1 else f"I^{m}")
-                factors = [f for f in (power, suffix) if f]
-                if x != ONE:
-                    factors.insert(0, f"({x})")
-                parts.append("*".join(factors) or "1")
+    for k in sorted(vec):
+        block, m = divmod(k, size)
+        x = vec[k]
+        power = "" if m == 0 else ("I" if m == 1 else f"I^{m}")
+        factors = [f for f in (power, suffixes[block]) if f]
+        if x != ONE:
+            factors.insert(0, f"({x})")
+        parts.append("*".join(factors) or "1")
     return " + ".join(parts) if parts else "0"
 
 
-def _quotient_generators(cocycles, boundaries):
+def _quotient_generators(cocycles, boundaries, dim):
     """Representatives of cocycles modulo boundaries, greedily in basis order.
 
     A cocycle is kept when it is outside the span of the boundaries and the
     cocycles before it: a pivot column of boundaries followed by cocycles.
     """
     skip = len(boundaries)
-    return [cocycles[j - skip] for j in independent(boundaries + cocycles) if j >= skip]
+    return [cocycles[j - skip] for j in independent(boundaries + cocycles, dim) if j >= skip]
 
 
 class TruncationInstability(RuntimeError):
@@ -161,43 +163,30 @@ def _mode_cohomology_once(c, n, N):
     size = N + 1
     M = N - 1                     # trusted degree range
     # degree-0: kernel of d0 on inputs of degree <= M
-    cols0 = [[comp.d0[r][m] for r in range(2 * size)] for m in range(M + 1)]
-    sub_d0 = [[cols0[m][r] for m in range(M + 1)] for r in range(2 * size)]
-    kern0 = nullspace(sub_d0, M + 1)
+    kern0 = nullspace([{m: x for m, x in row.items() if m <= M} for row in comp.d0], M + 1)
     h0 = len(kern0)
-    gens0 = tuple(_format_generator(v, 0) for v in kern0)
+    gens0 = tuple(_format_generator(v, 0, size) for v in kern0)
 
     # degree-1: cocycles supported in the trusted degrees, modulo the part of
     # the image landing there (primitives may use the full truncated space)
     keep1 = set(range(M + 1)) | {size + m for m in range(M + 1)}
     cols1_idx = sorted(keep1)
-    sub_d1 = [[comp.d1[r][cidx] for cidx in cols1_idx] for r in range(size)]
-    kern1 = nullspace(sub_d1, len(cols1_idx))
-    cocycles1 = []
-    for v in kern1:
-        full = [ZERO] * (2 * size)
-        for val, cidx in zip(v, cols1_idx):
-            full[cidx] = val
-        cocycles1.append(full)
-    image1 = intersect_with_coordinate_subspace(
-        [[comp.d0[r][m] for r in range(2 * size)] for m in range(size)], keep1)
-    reps1 = _quotient_generators([_swap_blocks(v) for v in cocycles1],
-                                 [_swap_blocks(v) for v in image1])
+    position = {cidx: k for k, cidx in enumerate(cols1_idx)}
+    sub_d1 = [{position[j]: x for j, x in row.items() if j in position} for row in comp.d1]
+    cocycles1 = [{cols1_idx[k]: x for k, x in v.items()}
+                 for v in nullspace(sub_d1, len(cols1_idx))]
+    image1 = intersect_with_coordinate_subspace(comp.d0, size, keep1)
+    reps1 = _quotient_generators([_swap_blocks(v, size) for v in cocycles1],
+                                 [_swap_blocks(v, size) for v in image1], 2 * size)
     h1 = len(reps1)
-    gens1 = tuple(_format_generator(_swap_blocks(v), 1) for v in reps1)
+    gens1 = tuple(_format_generator(_swap_blocks(v, size), 1, size) for v in reps1)
 
     # degree-2: everything of degree <= M is a cocycle
-    cocycles2 = []
-    for m in range(M + 1):
-        vec = [ZERO] * size
-        vec[m] = ONE
-        cocycles2.append(vec)
-    image2 = intersect_with_coordinate_subspace(
-        [[comp.d1[r][cidx] for r in range(size)] for cidx in range(2 * size)],
-        set(range(M + 1)))
-    reps2 = _quotient_generators(cocycles2, image2)
+    cocycles2 = [{m: ONE} for m in range(M + 1)]
+    image2 = intersect_with_coordinate_subspace(comp.d1, 2 * size, set(range(M + 1)))
+    reps2 = _quotient_generators(cocycles2, image2, size)
     h2 = len(reps2)
-    gens2 = tuple(_format_generator(v, 2) for v in reps2)
+    gens2 = tuple(_format_generator(v, 2, size) for v in reps2)
 
     return CohomologyReport(
         dims=(h0, h1, h2), generators=(gens0, gens1, gens2),
@@ -205,11 +194,10 @@ def _mode_cohomology_once(c, n, N):
         label=f"mode {n}")
 
 
-def _swap_blocks(v):
+def _swap_blocks(v, size):
     # list one-field coordinates angular block first, so representative
     # extraction prefers low-degree rotation terms; an involution
-    half = len(v) // 2
-    return list(v[half:]) + list(v[:half])
+    return {(k + size) % (2 * size): x for k, x in v.items()}
 
 
 def mode_cohomology(c, n: int, N: int) -> CohomologyReport:
@@ -328,7 +316,11 @@ def modular_and_volume(structure: NecklaceStructure):
     h = (-t) * sig + s * tau
     if abs(c) > 1:
         ratio = Fraction(c + 1, c - 1)
-        if sys.float_info.min <= ratio <= sys.float_info.max:
+        if abs(ratio - 1) < Fraction(1, 2):
+            # far from |c| = 1 the ratio nears 1, where a float of it loses
+            # the digits the log needs; ratio - 1 = 2/(c-1) is exact
+            log_ratio = math.log1p(float(ratio - 1))
+        elif sys.float_info.min <= ratio <= sys.float_info.max:
             log_ratio = math.log(ratio)
         else:
             # near |c| = 1 the ratio overflows a float or loses its precision;
@@ -377,24 +369,8 @@ def structure_identities(structure: NecklaceStructure, c_prime=Fraction(1, 2), N
     comp = mode_matrices(c, 0, N)
     size = N + 1
     # pi_c in action-angle form is the degree-1 two-field
-    target2 = [ZERO] * size
-    target2[1] = ONE
-    results["pi_c-not-exact"] = not in_span(list(zip(*comp.d1)), target2)
-    # the rotation field is the constant eta one-field
-    target1 = [ZERO] * (2 * size)
-    target1[size] = ONE
-    results["modular-not-exact"] = not in_span(list(zip(*comp.d0)), target1)
-    results["modular-cocycle"] = all(
-        not x for x in _apply_matrix(comp.d1, target1))
+    results["pi_c-not-exact"] = not in_span(comp.d1, 2 * size, {1: ONE})
+    # the rotation field is the constant eta one-field; d1 of it is column size of d1
+    results["modular-not-exact"] = not in_span(comp.d0, size, {size: ONE})
+    results["modular-cocycle"] = all(size not in row for row in comp.d1)
     return results
-
-
-def _apply_matrix(matrix, vec):
-    out = []
-    for row in matrix:
-        acc = ZERO
-        for a, b in zip(row, vec):
-            if a and b:
-                acc = acc + a * b
-        out.append(acc)
-    return out

@@ -158,8 +158,12 @@ class SuperPolynomial:
         return None
 
     def parity_components(self):
-        """Split into (even part, odd part)."""
+        """Split into (even part, odd part); a homogeneous polynomial is its own part."""
         ev = {m: c for m, c in self.terms.items() if mono_parity(m) == 0}
+        if len(ev) == len(self.terms):
+            return self, SuperPolynomial(self.chart)
+        if not ev:
+            return SuperPolynomial(self.chart), self
         od = {m: c for m, c in self.terms.items() if mono_parity(m) == 1}
         return SuperPolynomial(self.chart, ev), SuperPolynomial(self.chart, od)
 

@@ -8,14 +8,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 class GaussianRational:
-    """A number a + b*i with exact rational a, b and i^2 = -1."""
+    """A number a + b*i with exact rational a, b and i^2 = -1.
+
+    An operation on real operands computes the real part only, and a part
+    left out is one shared `Fraction(0)`.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+    def __init__(self, re=_FRACTION_ZERO, im=_FRACTION_ZERO):
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     # -- constructors ------------------------------------------------------
 
@@ -33,25 +40,31 @@ class GaussianRational:
         return not self.re and not self.im
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re) or bool(self.im)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
+        other = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        if not self.im and not other.im:
+            return GaussianRational(self.re + other.re)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.im:
+            return GaussianRational(-self.re)
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
+        other = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        if not self.im and not other.im:
+            return GaussianRational(self.re - other.re)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
+        other = other if type(other) is GaussianRational else GaussianRational.coerce(other)
         if not self.im and not other.im:
             return GaussianRational(self.re * other.re)
         return GaussianRational(
@@ -62,10 +75,12 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Gaussian rational")
+        other = other if type(other) is GaussianRational else GaussianRational.coerce(other)
         if not other.im:
+            if not other.re:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            if not self.im:
+                return GaussianRational(self.re / other.re)
             return GaussianRational(self.re / other.re, self.im / other.re)
         n = other.re * other.re + other.im * other.im
         return GaussianRational(

@@ -10,7 +10,11 @@ decides a polynomial by taking its partials and rebuilding it, where the
 engine checks the total degree of each monomial.  The span oracles grow a
 basis one `dense_in_span` decision at a time, each a fresh elimination by
 `dense_rref`, the dense elimination the engine used before it stored rows
-sparsely; none of them calls `bigbracket.linalg`.  The table
+sparsely; none of them calls `bigbracket.linalg`.  They take dense lists;
+`sparse_rows`, `dense_rows`, `sparse_vector`, `dense_vector` and
+`column_rows` convert between those and the engine's sparse rows and
+vectors.  `SlowGaussianRational` is the scalar as it was before its
+real-only fast paths and its shared zero part.  The table
 oracle `collect_table` antisymmetrizes a document table the loader's old way,
 and the SH-Lie sign is the product `perm_sign * koszul_sign` of a cycle count
 and an odd-inversion count.
@@ -57,7 +61,7 @@ from bigbracket.courant import (CourantSection, circ, coordinate_functions,
 from bigbracket.necklace import build_structures
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial, poly_sum
-from bigbracket.rationals import GaussianRational, ONE, ZERO
+from bigbracket.rationals import GaussianRational, ONE, ZERO, format_scalar
 
 HALF = GaussianRational(Fraction(1, 2))
 
@@ -308,6 +312,130 @@ def koszul_sign(perm, degrees) -> int:
             if perm[a] > perm[b] and degrees[perm[a]] % 2 and degrees[perm[b]] % 2:
                 sign = -sign
     return sign
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian-rational scalar without its real-only fast paths
+# ---------------------------------------------------------------------------
+
+
+class SlowGaussianRational:
+    """A number a + b*i with exact rational a, b and i^2 = -1."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def coerce(x) -> "SlowGaussianRational":
+        if isinstance(x, SlowGaussianRational):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return SlowGaussianRational(x)
+        raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
+
+    # -- predicates --------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        other = SlowGaussianRational.coerce(other)
+        return SlowGaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return SlowGaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        other = SlowGaussianRational.coerce(other)
+        return SlowGaussianRational(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = SlowGaussianRational.coerce(other)
+        if not self.im and not other.im:
+            return SlowGaussianRational(self.re * other.re)
+        return SlowGaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = SlowGaussianRational.coerce(other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        if not other.im:
+            return SlowGaussianRational(self.re / other.re, self.im / other.re)
+        n = other.re * other.re + other.im * other.im
+        return SlowGaussianRational(
+            (self.re * other.re + self.im * other.im) / n,
+            (self.im * other.re - self.re * other.im) / n,
+        )
+
+    def __rtruediv__(self, other):
+        return SlowGaussianRational.coerce(other) / self
+
+    # -- comparison / hashing ----------------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = SlowGaussianRational(other)
+        if not isinstance(other, SlowGaussianRational):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"SlowGaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        return format_scalar(self)
+
+
+# ---------------------------------------------------------------------------
+# dense linear algebra, and conversion to and from the engine's sparse shapes
+# ---------------------------------------------------------------------------
+
+
+def sparse_vector(vec):
+    """{index: entry} of the nonzero entries of a dense vector."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def dense_vector(vec, dim, zero=ZERO):
+    """The dense list of length `dim` of a sparse vector."""
+    return [vec.get(j, zero) for j in range(dim)]
+
+
+def sparse_rows(matrix):
+    """The engine's sparse rows of a dense matrix."""
+    return [sparse_vector(row) for row in matrix]
+
+
+def dense_rows(rows, ncols, zero=ZERO):
+    """The dense matrix of sparse rows over `ncols` columns."""
+    return [dense_vector(row, ncols, zero) for row in rows]
+
+
+def column_rows(cols, nrows):
+    """Sparse rows of the nrows x len(cols) matrix whose columns are the dense `cols`."""
+    return [{j: col[r] for j, col in enumerate(cols) if col[r]} for r in range(nrows)]
 
 
 def dense_rref(rows, ncols):

@@ -68,6 +68,19 @@ def test_embedding_has_total_degree_one():
 
 # -- circle product -------------------------------------------------------------
 
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_basis_sections_are_their_own_parity_component(n):
+    structure = standard_structure(n)
+    gens = basis_sections(structure)
+    for e in gens:
+        parts = e.embedded.parity_components()
+        assert parts[1] is e.embedded and parts[0].is_zero()
+    # so the product keys {theta, e} by the section's own embedding, not a copy
+    e, f = gens[0], gens[-1]
+    structure.product(e.embedded, f.embedded)
+    assert any(key is e.embedded for key in structure.brackets)
+
+
 def test_lie_derivative_term():
     out = circ(sec_v(STD2, 1), sec_c(STD2, 2, x(STD2, 1)))
     assert out == sec_c(STD2, 2)

@@ -12,8 +12,9 @@ from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational, ZERO
 
-from oracles import (dense_rref, slow_independent, slow_intersect_with_coordinate_subspace,
-                     slow_quotient_generators)
+from oracles import (column_rows, dense_rref, dense_vector, slow_independent,
+                     slow_intersect_with_coordinate_subspace, slow_quotient_generators,
+                     sparse_rows, sparse_vector)
 
 
 @pytest.fixture(scope="module")
@@ -49,20 +50,23 @@ def _random_system(rng):
 def test_solve_over_fractions_agrees_with_solve_on_constants(chart, seed):
     rng = random.Random(seed)
     matrix, rhs = _random_system(rng)
-    expected = solve(matrix, rhs)
-    lifted = solve_over_fractions([[_lift(chart, x) for x in row] for row in matrix],
-                                  [_lift(chart, b) for b in rhs])
+    n = len(matrix[0])
+    expected = solve(sparse_rows(matrix), n, sparse_vector(rhs))
+    lifted = solve_over_fractions(
+        [{j: _lift(chart, x) for j, x in row.items()} for row in sparse_rows(matrix)], n,
+        {i: _lift(chart, b) for i, b in sparse_vector(rhs).items()})
     if expected is None:
         assert lifted is None
     else:
-        assert [_value(x) for x in lifted] == expected
+        assert (dense_vector({j: _value(x) for j, x in lifted.items()}, n)
+                == dense_vector(expected, n))
 
 
 def test_solve_over_fractions_with_polynomial_entries(chart):
     p = lambda text: PolyFrac(parse_poly(text, chart))
     matrix = [[p("x1"), p("1")], [p("x2"), p("x1")], [p("x1 + x2"), p("x1 + 1")]]
     rhs = [p("x1 + x2"), p("x2 + x1*x2"), p("x1 + 2*x2 + x1*x2")]   # x = (1, x2)
-    x = solve_over_fractions(matrix, rhs)
+    x = solve_over_fractions(sparse_rows(matrix), 2, sparse_vector(rhs))
     assert x is not None
     for row, b in zip(matrix, rhs):
         acc = row[0] * x[0] + row[1] * x[1]
@@ -72,9 +76,10 @@ def test_solve_over_fractions_with_polynomial_entries(chart):
 
 def test_solve_over_fractions_rejects_inconsistent_system(chart):
     p = lambda text: PolyFrac(parse_poly(text, chart))
-    assert solve_over_fractions([[p("x1")], [p("x1")]], [p("1"), p("x2")]) is None
-    assert solve_over_fractions([[p("x1"), p("x2")], [p("2*x1"), p("2*x2")]],
-                                [p("1"), p("3")]) is None
+    assert solve_over_fractions(sparse_rows([[p("x1")], [p("x1")]]), 1,
+                                sparse_vector([p("1"), p("x2")])) is None
+    assert solve_over_fractions(sparse_rows([[p("x1"), p("x2")], [p("2*x1"), p("2*x2")]]), 2,
+                                sparse_vector([p("1"), p("3")])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +129,23 @@ def _family(rng, length, count):
 @pytest.mark.parametrize("seed", range(60))
 def test_independent_matches_greedy_span_loop(seed):
     rng = random.Random(1000 + seed)
-    vectors, planted = _family(rng, rng.randint(1, 7), rng.randint(1, 9))
-    kept = independent(vectors)
+    length = rng.randint(1, 7)
+    vectors, planted = _family(rng, length, rng.randint(1, 9))
+    kept = independent(sparse_rows(vectors), length)
     assert kept == slow_independent(vectors)
     assert not planted & set(kept)
-    assert len(kept) == rank(vectors)
+    assert len(kept) == rank(sparse_rows(vectors), length)
 
 
 def test_independent_on_empty_and_degenerate_input():
     i = GaussianRational(0, 1)
     one = GaussianRational(1)
-    assert independent([]) == slow_independent([]) == []
-    assert independent([[], []]) == slow_independent([[], []]) == []
-    assert independent([[ZERO, ZERO]]) == []
-    assert independent([[one, i], [i, -one], [one, ZERO]]) == [0, 2]   # second is i * first
-    assert independent([[ZERO], [i], [one]]) == [1]
+    assert independent([], 0) == slow_independent([]) == []
+    assert independent(sparse_rows([[], []]), 0) == slow_independent([[], []]) == []
+    assert independent(sparse_rows([[ZERO, ZERO]]), 2) == []
+    # the second is i times the first
+    assert independent(sparse_rows([[one, i], [i, -one], [one, ZERO]]), 2) == [0, 2]
+    assert independent(sparse_rows([[ZERO], [i], [one]]), 1) == [1]
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -147,7 +154,8 @@ def test_intersect_with_coordinate_subspace_matches_greedy_prune(seed):
     nrows = rng.randint(1, 7)
     cols, _ = _family(rng, nrows, rng.randint(1, 7))
     keep = {r for r in range(nrows) if rng.random() < 0.6}
-    assert (intersect_with_coordinate_subspace(cols, keep)
+    ours = intersect_with_coordinate_subspace(column_rows(cols, nrows), len(cols), keep)
+    assert ([dense_vector(v, nrows) for v in ours]
             == slow_intersect_with_coordinate_subspace(cols, keep))
 
 
@@ -156,11 +164,12 @@ def test_intersect_with_coordinate_subspace_matches_greedy_prune(seed):
 def test_intersect_on_mode_matrices_matches_greedy_prune(c, n, N):
     comp = mode_matrices(c, n, N)
     size, M = N + 1, N - 1
-    cols0 = [[comp.d0[r][m] for r in range(2 * size)] for m in range(size)]
+    cols0 = [[comp.d0[r].get(m, ZERO) for r in range(2 * size)] for m in range(size)]
     keep1 = set(range(M + 1)) | {size + m for m in range(M + 1)}
-    cols1 = [[comp.d1[r][k] for r in range(size)] for k in range(2 * size)]
-    for cols, keep in ((cols0, keep1), (cols1, set(range(M + 1)))):
-        assert (intersect_with_coordinate_subspace(cols, keep)
+    cols1 = [[comp.d1[r].get(k, ZERO) for r in range(size)] for k in range(2 * size)]
+    for rows, cols, keep in ((comp.d0, cols0, keep1), (comp.d1, cols1, set(range(M + 1)))):
+        ours = intersect_with_coordinate_subspace(rows, len(cols), keep)
+        assert ([dense_vector(v, len(rows)) for v in ours]
                 == slow_intersect_with_coordinate_subspace(cols, keep))
 
 
@@ -176,9 +185,12 @@ def test_quotient_generators_match_greedy_loop(seed):
             cocycles.append(_combination(rng, pool, length))
         else:
             cocycles.append([_scalar(rng) for _ in range(length)])
-    reps = _quotient_generators(boundaries=boundaries, cocycles=cocycles)
-    assert reps == slow_quotient_generators(cocycles, boundaries)
-    assert all(any(r is z for z in cocycles) for r in reps)
+    sparse_cocycles = sparse_rows(cocycles)
+    reps = _quotient_generators(boundaries=sparse_rows(boundaries), cocycles=sparse_cocycles,
+                                dim=length)
+    expected = slow_quotient_generators(cocycles, boundaries)
+    assert [dense_vector(r, length) for r in reps] == expected
+    assert all(any(r is z for z in sparse_cocycles) for r in reps)
 
 
 # ---------------------------------------------------------------------------
@@ -211,29 +223,27 @@ def test_rank_nullspace_and_solve_agree_with_sympy(seed):
     theirs = sympy.Matrix([[_sympy_scalar(sympy, x) for x in row] for row in matrix])
     b = sympy.Matrix([_sympy_scalar(sympy, x) for x in rhs])
 
-    assert rank(matrix) == theirs.rank(**exact)
+    assert rank(sparse_rows(matrix), n) == theirs.rank(**exact)
 
-    kernel = [sympy.Matrix([_sympy_scalar(sympy, x) for x in v]) for v in nullspace(matrix, n)]
+    kernel = [sympy.Matrix([_sympy_scalar(sympy, x) for x in dense_vector(v, n)])
+              for v in nullspace(sparse_rows(matrix), n)]
     expected = theirs.nullspace(**exact)
     assert len(kernel) == len(expected)
     for ours, their in zip(kernel, expected):
         assert (ours - their).applyfunc(sympy.expand) == sympy.zeros(n, 1)
 
-    x = solve(matrix, rhs)
+    x = solve(sparse_rows(matrix), n, sparse_vector(rhs))
     consistent = theirs.row_join(b).rank(**exact) == theirs.rank(**exact)
     assert (x is not None) == consistent
     if x is not None:
-        residual = theirs * sympy.Matrix([_sympy_scalar(sympy, v) for v in x]) - b
+        solution = sympy.Matrix([_sympy_scalar(sympy, v) for v in dense_vector(x, n)])
+        residual = theirs * solution - b
         assert residual.applyfunc(sympy.expand) == sympy.zeros(len(matrix), 1)
 
 
 # ---------------------------------------------------------------------------
 # the sparse elimination against the dense one it replaced
 # ---------------------------------------------------------------------------
-
-
-def _sparse_rows(matrix):
-    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
 
 
 def _zero_heavy(rng, entry, zero):
@@ -253,7 +263,7 @@ def _zero_heavy(rng, entry, zero):
 def _eliminate_both(rng, matrix, width):
     """Pivots and reduced rows of `_rref` and `dense_rref`, at a random `ncols`."""
     ncols = width if rng.random() < 0.5 else rng.randint(0, width)   # augmented columns
-    sparse = _sparse_rows(matrix)
+    sparse = sparse_rows(matrix)
     dense = [list(row) for row in matrix]
     return _rref(sparse, ncols), sparse, dense_rref(dense, ncols), dense
 

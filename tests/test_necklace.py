@@ -20,8 +20,9 @@ from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational, ZERO, ONE
 
-from oracles import (bruhat_w_chart, dense_nullspace, poisson_bracket_of, rescaled_pi_c,
-                     slow_independent, slow_intersect_with_coordinate_subspace, su2_bivector)
+from oracles import (bruhat_w_chart, dense_nullspace, dense_rows, dense_vector,
+                     poisson_bracket_of, rescaled_pi_c, slow_independent,
+                     slow_intersect_with_coordinate_subspace, sparse_vector, su2_bivector)
 
 
 # -- the structures ------------------------------------------------------------
@@ -91,7 +92,8 @@ def test_zero_mode_matrix_action():
     # input I^2: only the angular block responds, with weight -2
     vec = [ZERO] * size
     vec[2] = ONE
-    out = [sum((row[m] * vec[m] for m in range(size)), ZERO) for row in comp.d0]
+    out = [sum((row[m] * vec[m] for m in range(size)), ZERO)
+           for row in dense_rows(comp.d0, size)]
     assert out[2].is_zero()            # radial block silent at n = 0
     assert out[size + 2] == GaussianRational(-2)
     assert all(out[r].is_zero() for r in range(2 * size) if r != size + 2)
@@ -102,7 +104,8 @@ def test_first_mode_matrix_action_on_constants():
     size = 9
     vec = [ZERO] * size
     vec[0] = ONE
-    out = [sum((row[m] * vec[m] for m in range(size)), ZERO) for row in comp.d0]
+    out = [sum((row[m] * vec[m] for m in range(size)), ZERO)
+           for row in dense_rows(comp.d0, size)]
     assert out[1] == GaussianRational(0, 1)        # i * I in the radial block
     assert all(out[r].is_zero() for r in range(2 * size) if r != 1)
 
@@ -111,13 +114,42 @@ def test_composite_vanishes_for_many_modes():
     for n in (0, 1, 2, 5):
         comp = mode_matrices(Fraction(1, 3), n, 9)
         size = 10
+        d0, d1 = dense_rows(comp.d0, size), dense_rows(comp.d1, 2 * size)
         for m in range(size):
             vec = [ZERO] * size
             vec[m] = ONE
-            mid = [sum((row[k] * vec[k] for k in range(size)), ZERO) for row in comp.d0]
+            mid = [sum((row[k] * vec[k] for k in range(size)), ZERO) for row in d0]
             out = [sum((row[k] * mid[k] for k in range(2 * size)), ZERO)
-                   for row in comp.d1]
+                   for row in d1]
             assert all(x.is_zero() for x in out)
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+@pytest.mark.parametrize("n", range(-3, 4))
+def test_mode_matrices_store_the_docstring_entries_and_no_zero(n, N):
+    comp = mode_matrices(Fraction(1, 3), n, N)
+    size = N + 1
+    assert len(comp.d0) == 2 * size and len(comp.d1) == size
+    for rows in (comp.d0, comp.d1):
+        assert all(len(row) <= 2 and all(row.values()) for row in rows)
+    i_n = GaussianRational(0, n)
+    # d(f) = (in f_{m-1}) xi_m - (m f_m) eta_m
+    for m in range(size):
+        assert dense_vector(comp.d0[m], size) == [i_n if k == m - 1 else ZERO
+                                                  for k in range(size)]
+        assert dense_vector(comp.d0[size + m], size) == [GaussianRational(-m) if k == m
+                                                         else ZERO for k in range(size)]
+    # d(X) = ((m-1) a_m + in b_{m-1}) (xi eta)_m
+    for m in range(size):
+        expected = [ZERO] * (2 * size)
+        expected[m] = GaussianRational(m - 1)
+        if m:
+            expected[size + m - 1] = i_n
+        assert dense_vector(comp.d1[m], 2 * size) == expected
+    if n == 0:      # no i*n entry: the xi block of d0 and the eta columns of d1 are empty
+        assert not any(comp.d0[:size])
+        assert not any(k >= size for row in comp.d1 for k in row)
+    assert 1 not in comp.d1[1]
 
 
 def test_mode_zero_cohomology_with_generators():
@@ -155,23 +187,33 @@ def test_generator_text_for_every_coefficient_and_degree(key):
     function, d_i, d_theta, two = _PINNED_GENERATOR_TEXT[key]
     vec = [ZERO] * 3
     vec[m] = _COEFFS[name]
-    assert _format_generator(vec, 0) == function
-    assert _format_generator(vec, 2) == two
-    assert _format_generator(vec + [ZERO] * 3, 1) == d_i
-    assert _format_generator([ZERO] * 3 + vec, 1) == d_theta
+    assert _format_dense(vec, 0) == function
+    assert _format_dense(vec, 2) == two
+    assert _format_dense(vec + [ZERO] * 3, 1) == d_i
+    assert _format_dense([ZERO] * 3 + vec, 1) == d_theta
+
+
+def _format_dense(vec, degree):
+    """`_format_generator` of a dense mode vector of blocks of length 3."""
+    return _format_generator(sparse_vector(vec), degree, 3)
 
 
 def test_generator_text_of_mixed_vectors():
     i = GaussianRational(0, 1)
     third = GaussianRational(Fraction(-1, 3))
-    assert _format_generator([ZERO] * 3, 0) == "0"
-    assert _format_generator([ONE, third, i], 0) == "1 + (-1/3)*I + (i)*I^2"
-    assert _format_generator([ONE, third, i], 2) == (
+    assert _format_dense([ZERO] * 3, 0) == "0"
+    assert _format_dense([ONE, third, i], 0) == "1 + (-1/3)*I + (i)*I^2"
+    assert _format_dense([ONE, third, i], 2) == (
         "d_I^d_theta + (-1/3)*I*d_I^d_theta + (i)*I^2*d_I^d_theta")
-    assert _format_generator([ONE, third, i, GaussianRational(1, 1), ZERO, ONE], 1) == (
+    assert _format_dense([ONE, third, i, GaussianRational(1, 1), ZERO, ONE], 1) == (
         "d_I + (-1/3)*I*d_I + (i)*I^2*d_I + ((1+i))*d_theta + I^2*d_theta")
-    assert _format_generator([ZERO] * 6, 1) == "0"
-    assert _format_generator([ZERO] * 3, 2) == "0"
+    assert _format_dense([ZERO] * 6, 1) == "0"
+    assert _format_dense([ZERO] * 3, 2) == "0"
+
+
+def test_generator_text_reads_keys_in_index_order():
+    third = GaussianRational(Fraction(-1, 3))
+    assert _format_generator({4: ONE, 0: third}, 1, 3) == "(-1/3)*d_I + I*d_theta"
 
 
 # stdout of two mode sweeps away from c = 0, recorded literally: the generator
@@ -273,10 +315,19 @@ def test_necklace_command_output_is_pinned(argv):
 def test_mode_cohomology_matches_the_oracle_elimination(N, monkeypatch):
     c = Fraction(1, 3)
     ours = [mode_cohomology(c, n, N) for n in range(-8, 9)]
-    monkeypatch.setattr(necklace, "nullspace", dense_nullspace)
-    monkeypatch.setattr(necklace, "independent", slow_independent)
-    monkeypatch.setattr(necklace, "intersect_with_coordinate_subspace",
-                        slow_intersect_with_coordinate_subspace)
+
+    def nullspace(rows, ncols):
+        return [sparse_vector(v) for v in dense_nullspace(dense_rows(rows, ncols), ncols)]
+
+    def independent(vectors, dim):
+        return slow_independent([dense_vector(v, dim) for v in vectors])
+
+    def intersect(rows, ncols, keep):
+        cols = [list(col) for col in zip(*dense_rows(rows, ncols))]
+        return [sparse_vector(v) for v in slow_intersect_with_coordinate_subspace(cols, keep)]
+    monkeypatch.setattr(necklace, "nullspace", nullspace)
+    monkeypatch.setattr(necklace, "independent", independent)
+    monkeypatch.setattr(necklace, "intersect_with_coordinate_subspace", intersect)
     theirs = [necklace._mode_cohomology_once(c, n, N) for n in range(-8, 9)]
     assert [(r.dims, r.generators) for r in ours] == [(r.dims, r.generators) for r in theirs]
 
@@ -289,12 +340,12 @@ def test_degree_restricted_zero_mode_is_acyclic_above_one():
     # eta-vector at degree 2 is the image of the degree-2 function
     target = [ZERO] * (2 * size)
     target[size + 2] = ONE
-    sol = solve([list(r) for r in comp.d0], target)
+    sol = solve(comp.d0, size, sparse_vector(target))
     assert sol is not None
     # two-fields of degree 2 are images of radial one-fields
     target2 = [ZERO] * size
     target2[2] = ONE
-    assert solve([list(r) for r in comp.d1], target2) is not None
+    assert solve(comp.d1, 2 * size, sparse_vector(target2)) is not None
 
 
 def test_nonzero_modes_are_acyclic():
@@ -384,6 +435,36 @@ def test_volume_of_symplectic_members():
     assert none_val is None
 
 
+def _volume_series(c, terms=6):
+    """2*ln((c+1)/(c-1)) / (2*pi) as an exact series in x = 2/(c-1): ln(1 + x)."""
+    x = Fraction(2) / (Fraction(c) - 1)
+    return sum((-1) ** (k + 1) * x ** k / k for k in range(1, terms + 1))
+
+
+@pytest.mark.parametrize("c", [10 ** 15, -10 ** 15, 10 ** 17])
+def test_volume_far_from_unit_parameter_against_a_series(c):
+    _h, desc, value = modular_and_volume(build_structures(c))
+    assert desc == f"2*pi*ln({Fraction(c + 1, c - 1)})"
+    expected = 2 * math.pi * float(_volume_series(c))
+    assert value != 0.0
+    assert math.isclose(value, expected, rel_tol=1e-15)
+
+
+def test_each_invariants_call_decides_its_own_exactness(monkeypatch):
+    calls = []
+    engine_in_span = necklace.in_span
+
+    def in_span(rows, ncols, target):
+        calls[-1] += 1
+        return engine_in_span(rows, ncols, target)
+    monkeypatch.setattr(necklace, "in_span", in_span)
+    for _ in range(2):
+        calls.append(0)
+        with redirect_stdout(io.StringIO()):
+            assert main(["invariants", "--c=1/3"]) == 0
+    assert calls == [2, 2]
+
+
 def test_structure_identities_for_sample_parameters():
     for c in (0, Fraction(1, 2)):
         results = structure_identities(build_structures(c))
@@ -417,22 +498,23 @@ def test_mode_zero_matrices_match_the_symbolic_kernel():
     N = 8
     comp = mode_matrices(0, 0, N)
     size = N + 1
+    d0, d1 = dense_rows(comp.d0, size), dense_rows(comp.d1, 2 * size)
 
     def column_poly_d0(m):
         out = SuperPolynomial.zero(chart)
         for r in range(size):
-            if comp.d0[r][m]:
-                out = out + (Ivar ** r * xi).scale(comp.d0[r][m])
+            if d0[r][m]:
+                out = out + (Ivar ** r * xi).scale(d0[r][m])
         for r in range(size):
-            if comp.d0[size + r][m]:
-                out = out + (Ivar ** r * eta).scale(comp.d0[size + r][m])
+            if d0[size + r][m]:
+                out = out + (Ivar ** r * eta).scale(d0[size + r][m])
         return out
 
     def column_poly_d1(cidx):
         out = SuperPolynomial.zero(chart)
         for r in range(size):
-            if comp.d1[r][cidx]:
-                out = out + (Ivar ** r * xi * eta).scale(comp.d1[r][cidx])
+            if d1[r][cidx]:
+                out = out + (Ivar ** r * xi * eta).scale(d1[r][cidx])
         return out
 
     for m in range(N):      # stay below the truncation edge

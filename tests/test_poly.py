@@ -151,6 +151,16 @@ def test_gradient_matches_partials(seed, chart):
     assert all(fp in (0, 1) and 0 <= j < len(chart.variables) for fp, j in grad)
 
 
+def test_parity_components_of_homogeneous_and_mixed_polynomials():
+    even, odd = v("x1") * v("xi1") * v("xi2"), v("x1") * v("xi1")
+    assert even.parity_components()[0] is even and odd.parity_components()[1] is odd
+    assert even.parity_components()[1].is_zero() and odd.parity_components()[0].is_zero()
+    ev, od = (even + odd).parity_components()
+    assert (ev, od) == (even, odd)
+    zero = SuperPolynomial.zero(CH)
+    assert all(part.is_zero() for part in zero.parity_components())
+
+
 def test_gradient_of_constants_and_zero():
     assert SuperPolynomial.zero(CH).gradient() == {}
     assert SuperPolynomial.constant(CH, 5).gradient() == {}
