@@ -19,6 +19,7 @@ from .cartan import VectorField
 from .chart import CotangentOfParityReversed, cotangent_chart
 from .poly import SuperPolynomial, poly_sum
 from .rationals import GaussianRational
+from .report import Check, Report
 
 
 class SpecError(ValueError):
@@ -178,37 +179,10 @@ def build_gamma_star(dual_spec: AlgebroidSpec, target_bundle: CotangentOfParityR
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Check:
-    name: str
-    residual: SuperPolynomial | None
-    passed: bool
-    note: str = ""
-
-    @staticmethod
-    def from_residual(name, residual, note=""):
-        return Check(name, residual, residual.is_zero(), note)
-
-
-@dataclass
-class CheckReport:
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def check_lie_algebroid(spec: AlgebroidSpec) -> CheckReport:
+def check_lie_algebroid(spec: AlgebroidSpec) -> Report:
     """Structure equations via the self-bracket of mu; failures are data."""
     mu = build_mu(spec)
-    return CheckReport([Check.from_residual("{mu,mu}", canonical_bracket(mu, mu))])
+    return Report([Check.from_residual("{mu,mu}", canonical_bracket(mu, mu))])
 
 
 # the bidegree of each part of theta and, for the cubic terms, of their probe
@@ -284,13 +258,13 @@ class ProtoBialgebroidSpec:
         return theta
 
 
-def _pair_lines(pair: SuperPolynomial) -> CheckReport:
+def _pair_lines(pair: SuperPolynomial) -> Report:
     """{mu,mu}, {gamma,gamma} and {mu,gamma*} of pair = mu + gamma*, read off
     its one self-bracket: their bidegrees differ, so all vanish iff it does."""
     components = canonical_bracket(pair, pair).bigraded_components()
     part = lambda key: components.get(key, SuperPolynomial.zero(pair.chart))
     half = GaussianRational(Fraction(1, 2))
-    return CheckReport([
+    return Report([
         Check.from_residual("{mu,mu}", part((1, 3, 4))),
         Check.from_residual("{gamma,gamma}", part((3, 1, 4))),
         # {mu, gamma*} = {gamma*, mu} on odd functions, so it enters twice
@@ -298,7 +272,7 @@ def _pair_lines(pair: SuperPolynomial) -> CheckReport:
     ])
 
 
-def check_bialgebroid(proto: ProtoBialgebroidSpec) -> CheckReport:
+def check_bialgebroid(proto: ProtoBialgebroidSpec) -> Report:
     """The three lines of (A, A*), then `self-duality`: the same lines of the
     swapped pair (A*, A), which is the Legendre image of mu + gamma* on the
     dual chart.  Nonzero cubic terms come first, as a failing `cubic-terms`
@@ -309,11 +283,11 @@ def check_bialgebroid(proto: ProtoBialgebroidSpec) -> CheckReport:
     checks = [] if cubic.is_zero() else [Check.from_residual("cubic-terms", cubic)]
     checks += _pair_lines(pair).checks
     swapped = _pair_lines(legendre(pair, theta.chart, proto.astar_side.chart))
-    checks.append(Check("self-duality", None, swapped.passed))
-    return CheckReport(checks)
+    checks.append(Check.decided("self-duality", swapped.passed))
+    return Report(checks)
 
 
-def check_proto(proto: ProtoBialgebroidSpec) -> CheckReport:
+def check_proto(proto: ProtoBialgebroidSpec) -> Report:
     """The five bigraded structure equations of a cubic hamiltonian.
 
     For a genuine degree-3 theta they are exactly the bigraded components of
@@ -331,7 +305,7 @@ def check_proto(proto: ProtoBialgebroidSpec) -> CheckReport:
         Check.from_residual("{mu,phi}", br(mu, phi)),
         Check.from_residual("{gamma*,psi*}", br(gs, psi)),
     ]
-    return CheckReport(checks)
+    return Report(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .necklace import (AssemblyError, RecordedConstants, StructureIdentityError,
                        structure_identities)
 from .parsing import ParseError, parse_poly
 from .poly import SuperPolynomial
-from .report import Report
+from .report import FAIL, PASS, RECORDED, Check, Report, first_failure
 from .specfile import (DocumentError, Materialized, load_document, load_preset,
                        materialize)
 
@@ -75,128 +75,87 @@ def _echo(args, name) -> str:
     return echo
 
 
-def _violation_checks(report: Report, mat: Materialized) -> bool:
-    if mat.doc.completed:
-        report.add_info("antisymmetry-completion",
-                        f"auto-completed {mat.doc.completed} mirrored entries")
-    for label, residual in mat.violations:
-        report.add(label, False, str(residual))
-    return not mat.violations
+def _document_lines(mat: Materialized) -> list:
+    """The completion count and the broken antisymmetries of a document's tables."""
+    completed = mat.doc.completed
+    lines = [Check("antisymmetry-completion", PASS,
+                   note=f"auto-completed {completed} mirrored entries")] if completed else []
+    return lines + [Check(label, FAIL, residual) for label, residual in mat.violations]
 
 
-def cmd_verify_algebroid(args) -> Report:
-    mat = _load(args)
-    report = Report(_echo(args, "verify-algebroid"))
-    if not _violation_checks(report, mat):
+def _structure_command(name, gate):
+    """A command that reports the document's table lines and, when no table is
+    broken, the checks `gate(mat, args)` returns for its hamiltonian."""
+    def command(args) -> Report:
+        mat = _load(args)
+        report = Report(_document_lines(mat), _echo(args, name))
+        if not mat.violations:
+            report.checks += gate(mat, args)
         return report
-    if mat.action is not None:
-        for pair, residual in homomorphism_residuals(mat.action):
-            report.add(f"action-homomorphism{pair}", residual.is_zero(), str(residual))
-    for check in check_lie_algebroid(mat.proto.a_side).checks:
-        report.add_check(check)
-    return report
+    return command
 
 
-def cmd_verify_bialgebroid(args) -> Report:
-    mat = _load(args)
-    report = Report(_echo(args, "verify-bialgebroid"))
-    if not _violation_checks(report, mat):
-        return report
-    for check in check_bialgebroid(mat.proto).checks:
-        report.add_check(check)
-    return report
+def _verify_algebroid(mat, _args):
+    pairs = homomorphism_residuals(mat.action) if mat.action is not None else []
+    return ([Check.from_residual(f"action-homomorphism{pair}", residual)
+             for pair, residual in pairs] + check_lie_algebroid(mat.proto.a_side).checks)
 
 
-def cmd_verify_proto(args) -> Report:
-    mat = _load(args)
-    report = Report(_echo(args, "verify-proto"))
-    if not _violation_checks(report, mat):
-        return report
-    for check in check_proto(mat.proto).checks:
-        report.add_check(check)
-    return report
-
-
-def cmd_double(args) -> Report:
-    mat = _load(args)
-    report = Report(_echo(args, "double"))
-    if not _violation_checks(report, mat):
-        return report
+def _double(mat, _args):
     theta = mat.proto.theta()
     field, anomaly = double_differential(theta)
-    report.add("self-commuting-hamiltonian", anomaly.is_zero(), str(anomaly))
-    ok = True
-    witness = None
-    for v in theta.chart.variables:
-        r = field.apply(field.apply(SuperPolynomial.variable(theta.chart, v.name)))
-        if not r.is_zero():
-            ok = False
-            witness = r
-            break
-    report.add("differential-squares-to-zero", ok,
-               str(witness) if witness is not None else None)
-    return report
+    chart = theta.chart
+
+    def squared(v):
+        return field.apply(field.apply(SuperPolynomial.variable(chart, v.name)))
+    _variable, residual = first_failure(chart.variables, squared, SuperPolynomial.zero(chart))
+    return [Check.from_residual("self-commuting-hamiltonian", anomaly),
+            Check.from_residual("differential-squares-to-zero", residual)]
 
 
-def cmd_courant_verify(args) -> Report:
-    mat = _load(args)
-    report = Report(_echo(args, "courant-verify"))
-    if not _violation_checks(report, mat):
-        return report
+def _dirac_check(mat, args):
     structure = crt.structure_from_proto(mat.proto)
-    for check in crt.verify_axioms(structure).checks:
-        report.add_check(check)
-    return report
-
-
-def cmd_dirac_check(args) -> Report:
-    mat = _load(args)
-    report = Report(_echo(args, "dirac-check"))
-    if not _violation_checks(report, mat):
-        return report
-    structure = crt.structure_from_proto(mat.proto)
-    sections = []
-    for text in args.section or []:
-        poly = parse_poly(text, structure.chart)
-        sections.append(crt.CourantSection.from_embedded(structure, poly))
+    sections = [crt.CourantSection.from_embedded(structure, parse_poly(text, structure.chart))
+                for text in args.section or []]
     if not sections:
         raise DocumentError("at least one --section is required")
-    for check in crt.check_dirac(structure, sections).checks:
-        report.add_check(check)
-    return report
+    return crt.check_dirac(structure, sections).checks
 
 
-def cmd_shla_check(args) -> Report:
-    mat = _load(args)
-    report = Report(_echo(args, "shla-check"))
-    if not _violation_checks(report, mat):
-        return report
+def _shla_check(mat, args):
     structure = crt.structure_from_proto(mat.proto)
-    for n in range(1, args.n + 1):
-        for check in crt.shla_check(structure, n).checks:
-            report.add_check(check)
-    return report
+    return [check for n in range(1, args.n + 1) for check in crt.shla_check(structure, n).checks]
+
+
+STRUCTURE_COMMANDS = {
+    "verify-algebroid": _verify_algebroid,
+    "verify-bialgebroid": lambda mat, _args: check_bialgebroid(mat.proto).checks,
+    "verify-proto": lambda mat, _args: check_proto(mat.proto).checks,
+    "double": _double,
+    "courant-verify": lambda mat, _args: crt.verify_axioms(
+        crt.structure_from_proto(mat.proto)).checks,
+    "dirac-check": _dirac_check,
+    "shla-check": _shla_check,
+}
 
 
 def cmd_twist(args) -> Report:
     mat = _load(args)
-    report = Report(_echo(args, "twist"))
     twisted = mat.twisted
     if twisted is None:
         raise DocumentError("twist applies to exact-courant documents")
     if args.omega is not None:
         omega = parse_poly(args.omega, twisted.structure.chart)
         twisted = crt.twist_exact(twisted.proto, twisted.phi_raw, omega)
-    for check in crt.verify_axioms(twisted.structure).checks:
-        report.add_check(check)
+    checks = crt.verify_axioms(twisted.structure).checks
     # theta is mu + phi and {phi, form} = 0, so {theta, form} is d(form); on
     # R^n a closed form is exact
     d = twisted.structure.theta_bracket
     for name, form in (("gauge-difference-exact", twisted.phi - twisted.phi_raw),
                        ("twist-closed", twisted.phi)):
         residual = d(form)
-        report.add(name, residual.is_zero(), str(residual), str(residual.is_zero()))
-    return report
+        checks.append(Check.from_residual(name, residual, str(residual.is_zero())))
+    return Report(checks, _echo(args, "twist"))
 
 
 def _rational(text, what) -> Fraction:
@@ -217,7 +176,7 @@ def _necklace_parameter(args):
 
 def cmd_cohomology(args) -> Report:
     c = _necklace_parameter(args)
-    report = Report(f"cohomology --c {c} --modes {args.modes} --truncate {args.truncate}")
+    checks = []
     if abs(c) < 1:
         local = None
         for n in range(0, args.modes + 1):
@@ -226,34 +185,31 @@ def cmd_cohomology(args) -> Report:
                 local = rep
             gens = "; ".join(", ".join(g) for g in rep.generators if g)
             note = f"dims {rep.dims}" + (f" generators [{gens}]" if gens else "")
-            report.add_info(f"mode-{n}", note)
+            checks.append(Check(f"mode-{n}", PASS, note=note))
         result = global_assembly(c, local, RecordedConstants())
     else:
         result = global_assembly(c)
     gens = "; ".join(", ".join(g) for g in result.generators if g)
-    report.add_info("global", f"dims {result.dims} generators [{gens}]")
+    checks.append(Check("global", PASS, note=f"dims {result.dims} generators [{gens}]"))
     for key, value in result.provenance.items():
-        if "recorded" in str(value):
-            report.add_recorded(f"provenance-{key.replace(' ', '-')}", str(value))
-        else:
-            report.add_info(f"provenance-{key.replace(' ', '-')}", str(value))
-    return report
+        status = RECORDED if "recorded" in str(value) else PASS
+        checks.append(Check(f"provenance-{key.replace(' ', '-')}", status, note=str(value)))
+    return Report(checks, f"cohomology --c {c} --modes {args.modes} --truncate {args.truncate}")
 
 
 def cmd_invariants(args) -> Report:
     c = _necklace_parameter(args)
-    report = Report(f"invariants --c {c}")
     structure = build_structures(c)
     ids = structure_identities(structure, _rational(args.cprime, "cprime"), args.truncate)
-    for name, ok in ids.items():
-        report.add(name, ok)
+    checks = [Check.decided(name, ok) for name, ok in ids.items()]
     h, desc, value = modular_and_volume(structure)
-    residual = canonical_bracket(h, structure.pi_c)
-    report.add("modular-field", residual.is_zero(), str(residual), "s*d_t - t*d_s (disk chart)")
+    checks.append(Check.from_residual("modular-field", canonical_bracket(h, structure.pi_c),
+                                      "s*d_t - t*d_s (disk chart)"))
     if value is not None:
-        report.add_info("symplectic-volume", f"{desc} = {value!r}")
-    report.add("structure-is-poisson", schouten_square(structure.pi_c).is_zero())
-    return report
+        checks.append(Check("symplectic-volume", PASS, note=f"{desc} = {value!r}"))
+    checks.append(Check.decided("structure-is-poisson",
+                                schouten_square(structure.pi_c).is_zero()))
+    return Report(checks, f"invariants --c {c}")
 
 
 def _integer(low, high=None):
@@ -283,29 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--timing", action="store_true", help="print elapsed time to stderr")
 
-    for name, fn in (
-        ("verify-algebroid", cmd_verify_algebroid),
-        ("verify-bialgebroid", cmd_verify_bialgebroid),
-        ("verify-proto", cmd_verify_proto),
-        ("double", cmd_double),
-        ("courant-verify", cmd_courant_verify),
-    ):
-        p = sub.add_parser(name)
+    parsers = {}
+    for name, gate in STRUCTURE_COMMANDS.items():
+        p = parsers[name] = sub.add_parser(name)
         common(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("dirac-check")
-    common(p)
-    p.add_argument("--section", action="append",
-                   help="total-degree-1 polynomial spanning the subbundle; repeatable")
-    p.set_defaults(fn=cmd_dirac_check)
-
-    p = sub.add_parser("shla-check")
-    common(p)
+        p.set_defaults(fn=_structure_command(name, gate))
+    parsers["dirac-check"].add_argument(
+        "--section", action="append",
+        help="total-degree-1 polynomial spanning the subbundle; repeatable")
     # l_k = 0 for k > 3, so no term of an identity of arity 5 or more is evaluated
-    p.add_argument("--n", type=_integer(1, 4), default=4,
-                   help="check identities up to this arity (1 to 4)")
-    p.set_defaults(fn=cmd_shla_check)
+    parsers["shla-check"].add_argument("--n", type=_integer(1, 4), default=4,
+                                       help="check identities up to this arity (1 to 4)")
 
     p = sub.add_parser("twist")
     common(p)

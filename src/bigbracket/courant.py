@@ -11,15 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
-from .algebroid import (AlgebroidSpec, Check, CheckReport, ProtoBialgebroidSpec,
-                        SpecError, ThetaHamiltonian, build_mu)
+from .algebroid import (AlgebroidSpec, ProtoBialgebroidSpec, SpecError, ThetaHamiltonian,
+                        build_mu)
 from .brackets import canonical_bracket, derived_bracket
 from .chart import ChartError, CotangentOfParityReversed
 from .linalg import PolyFrac, rank, solve_over_fractions
 from .poly import SuperPolynomial, poly_sum
 from .rationals import GaussianRational
+from .report import Check, Report, first_failure
 
 HALF = GaussianRational(Fraction(1, 2))
 SIXTH = GaussianRational(Fraction(1, 6))
@@ -230,50 +231,41 @@ def t_tensor(e1, e2, e3) -> SuperPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _first_nonzero(residuals, zero: SuperPolynomial) -> SuperPolynomial:
-    """The first nonzero residual of a sweep (which stops there), else zero."""
-    return next((r for r in residuals if not r.is_zero()), zero)
-
-
-def _first_failure(sides, zero: SuperPolynomial) -> SuperPolynomial:
-    """lhs - rhs at the first (lhs, rhs) of a sweep whose sides differ, else zero.
-
-    Neither side stores a zero coefficient, so the sides are equal exactly
-    when their term dicts are, and only the failing tuple subtracts.
-    """
-    for lhs, rhs in sides:
-        if lhs.terms != rhs.terms:
-            return lhs - rhs
-    return zero
-
-
 def _t2_contractions(t2: SuperPolynomial, emb, last):
-    """{{{T2, e_i}, e_j}, z} for every (i, j) and every z in `last`, in sweep order.
+    """The evaluator of a pair (i, j): the first nonzero {{{T2, e_i}, e_j}, z}
+    over z in `last`, or zero.
 
-    {T2, e_i} and {{T2, e_i}, e_j} are each made once, so a tuple costs one
-    bracket.
+    {T2, e_i} is made once per i and {{T2, e_i}, e_j} once per pair, so each
+    z costs one bracket.
     """
-    for a in emb:
-        t2_i = canonical_bracket(t2, a)
-        for b in emb:
-            t2_ij = canonical_bracket(t2_i, b)
-            if t2_ij.is_zero():
-                continue
-            for z in last:
-                yield canonical_bracket(t2_ij, z)
+    t2_of = cache(lambda i: canonical_bracket(t2, emb[i]))
+    zero = SuperPolynomial.zero(t2.chart)
+
+    def evaluate(index):
+        i, j = index
+        t2_ij = canonical_bracket(t2_of(i), emb[j])
+        if t2_ij.is_zero():
+            return t2_ij
+        return first_failure(last, lambda z: canonical_bracket(t2_ij, z), zero)[1]
+    return evaluate
 
 
-def verify_axioms(structure: CourantStructure) -> CheckReport:
+_AXIOMS = ("axiom1-leibniz-jacobi", "axiom2-anchor-homomorphism", "axiom3-module-leibniz",
+          "axiom4-symmetric-part", "axiom5-pairing-invariance")
+
+
+def verify_axioms(structure: CourantStructure) -> Report:
     """Residual report for the five axioms over a finite generator family.
 
     The sections are the basis sections followed by each of them scaled by
-    every base coordinate, and the functions the base coordinates.
-    {theta, e_i}, the pair products e_i o e_j and {theta, e_i o e_j} come from
-    the structure's memo, only for the indices a sweep reads; anchors and
-    pairings are kept for the sweep, the pairing once per unordered pair (it
-    is symmetric on degree 1).  Each term-by-term sweep yields the two sides
-    of its identity per tuple and subtracts them only at the first tuple
-    where they differ.
+    every base coordinate, and the functions the base coordinates.  Each
+    axiom is one `first_failure` sweep over index tuples of the family, in
+    loop order.  {theta, e_i}, the pair products e_i o e_j and the pairings
+    <e_i, e_j> (symmetric on degree 1, so made once per unordered pair) are
+    tables by generator index, filled for the generators a sweep covers
+    when it starts; each anchor rho(e_i) f is made when first read.
+    A term-by-term evaluator returns the two sides of its identity, so only
+    the first tuple where they differ subtracts.
 
     When every monomial of theta has total degree 3, axioms 1 and 2 are read
     off T2 = 1/2{theta, theta}: the Leibniz-Jacobi residual at (e_i, e_j, e_k)
@@ -287,16 +279,18 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
     rho(e) f = {e, {theta, f}}, axiom 3 is the Leibniz rule of {., .} with
     {e, f} = 0 (it has degree -1), which by graded Jacobi makes
     {{theta, e}, f} = rho(e) f, and axioms 4 and 5 are the graded Jacobi
-    identity with the pairing symmetric on degree 1.  So they are swept on
-    the 2 * rank basis sections only, where they check the bracket.  An
-    axiom 3 or 4 failing there is swept again over the whole family, and so
-    is axiom 5, so a bracket defect reports the full family's first failing
-    tuple and residual.  Axiom 5 failing alone is reported at its basis
-    triple, the full family's first: where axioms 3 and 4 hold its anomaly
-    is C-infinity-linear, so at a scaled generator it is a coordinate times
-    its value at the basis section, which comes earlier.  An off-degree theta
-    (the (0,2) phi or (2,0) psi probe) is not odd, so neither T2 nor these
-    identities decide it: all five axioms are swept over the whole family.
+    identity with the pairing symmetric on degree 1.  So the tuples of the
+    2 * rank basis sections, where they check the bracket, are the prefix of
+    the axiom 3 and 4 sweeps: only a failure there sweeps the whole family,
+    and axiom 5 then goes over the whole family too, so a bracket defect
+    reports the full family's first failing tuple and residual.  Otherwise
+    axiom 5 is swept on the basis sections alone, and axiom 5 failing alone
+    is reported at its basis triple, the full family's first: where axioms 3
+    and 4 hold its anomaly is C-infinity-linear, so at a scaled generator it
+    is a coordinate times its value at the basis section, which comes
+    earlier.  An off-degree theta (the (0,2) phi or (2,0) psi probe) is not
+    odd, so neither T2 nor these identities decide it: all five axioms are
+    swept over the whole family.
     """
     sections = generator_family(structure)
     functions = coordinate_functions(structure)
@@ -305,102 +299,106 @@ def verify_axioms(structure: CourantStructure) -> CheckReport:
     emb = [s.embedded for s in sections]
     zero = SuperPolynomial.zero(structure.chart)
     n = len(sections)
-    indices = range(n)
-    rho_of = {}
+    family = range(n)
+    by_function = range(len(functions))
+    d_of, f_emb = [None] * n, [None] * n
+    prod = [[None] * n for _ in family]
+    pair = [[None] * n for _ in family]
+    rho = cache(lambda i, f: canonical_bracket(emb[i], theta_bracket(f)))   # rho(e_i) f
+    d_prod = cache(lambda i, j: theta_bracket(prod[i][j]))
 
-    @cache
-    def tables(m):
-        """{theta, e_i} first (so the memo keys it by e_i), e_i o e_j, <e_i, e_j> at i <= j."""
-        ix = range(m)
-        return ([theta_bracket(e) for e in emb[:m]],
-                [[structure.product(emb[i], emb[j]) for j in ix] for i in ix],
-                [[canonical_bracket(emb[i], emb[j]) if i <= j else None for j in ix] for i in ix])
-
-    def rho(i, f):
-        """rho(e_i) f, once per generator and distinct function."""
-        out = rho_of.get((i, f))
-        if out is None:
-            out = rho_of[(i, f)] = canonical_bracket(emb[i], theta_bracket(f))
-        return out
-
-    def leibniz_jacobi():
-        d_of, prod, _pair = tables(n)
-        for i in indices:
-            for j in indices:
-                d_ij = theta_bracket(prod[i][j])
-                for k in indices:
-                    yield (canonical_bracket(d_of[i], prod[j][k]),
-                           canonical_bracket(d_ij, emb[k])
-                           + canonical_bracket(d_of[j], prod[i][k]))
-
-    def anchor_homomorphism():
-        prod = tables(n)[1]
-        for i in indices:
-            for j in indices:
-                for f in functions:
-                    yield (canonical_bracket(prod[i][j], theta_bracket(f)),
-                           rho(i, rho(j, f)) - rho(j, rho(i, f)))
-
-    def module_leibniz(m):
-        d_of, prod, _pair = tables(m)
-        f_emb = [[f * e for f in functions] for e in emb[:m]]
+    def fill(m):
+        """Make the tables hold the first m generators: {theta, e_i} and each
+        f * e_i, e_i o e_j, and <e_i, e_j> at i <= j."""
+        for i in range(m):
+            if d_of[i] is None:
+                d_of[i] = theta_bracket(emb[i])
+                f_emb[i] = [f * emb[i] for f in functions]
         for i in range(m):
             for j in range(m):
-                for f, f_e in zip(functions, f_emb[j]):
-                    yield (canonical_bracket(d_of[i], f_e),
-                           f * prod[i][j] + rho(i, f) * emb[j])
-
-    def symmetric_part(m):
-        # both sides are symmetric in (i, j), so the first failing pair has i <= j
-        _d_of, prod, pair = tables(m)
+                if prod[i][j] is None:
+                    prod[i][j] = structure.product(emb[i], emb[j])
         for i in range(m):
             for j in range(i, m):
-                yield prod[i][j] + prod[j][i], theta_bracket(pair[i][j])
+                if pair[i][j] is None:
+                    pair[i][j] = canonical_bracket(emb[i], emb[j])
 
-    def pairing_invariance(m):
+    def over(m, tuples):
+        """`tuples`, filling the tables for the first m generators when the sweep starts."""
+        fill(m)
+        yield from tuples
+
+    def leibniz_jacobi(index):
+        i, j, k = index
+        return (canonical_bracket(d_of[i], prod[j][k]),
+                canonical_bracket(d_prod(i, j), emb[k])
+                + canonical_bracket(d_of[j], prod[i][k]))
+
+    def anchor_homomorphism(index):
+        i, j, k = index
+        f = functions[k]
+        return (canonical_bracket(prod[i][j], theta_bracket(f)),
+                rho(i, rho(j, f)) - rho(j, rho(i, f)))
+
+    def module_leibniz(index):
+        i, j, k = index
+        f = functions[k]
+        return canonical_bracket(d_of[i], f_emb[j][k]), f * prod[i][j] + rho(i, f) * emb[j]
+
+    def symmetric_part(index):
+        # both sides are symmetric in (i, j), so the first failing pair has i <= j
+        i, j = index
+        return prod[i][j] + prod[j][i], theta_bracket(pair[i][j])
+
+    def pairing_invariance(swept):
         # the pairing is symmetric on degree 1 and kills degree 0, so
         # {e_j, e_i o e_k} is {e_i o e_k, e_j}: one bracket table per i; the
-        # anchor term rho(e_i)<e_j, e_k> is {e_i, D<e_j, e_k>}, keyed by (j, k)
-        # with j <= k and bracketed only where D<e_j, e_k> is nonzero
-        _d_of, prod, pair = tables(m)
-        swept = range(m)
-        d_pair = {(j, k): d for j in swept for k in swept[j:]
+        # anchor term rho(e_i)<e_j, e_k> is {e_i, D<e_j, e_k>}, bracketed once
+        # per unordered (j, k) and only where D<e_j, e_k> is nonzero
+        fill(len(swept))
+        d_pair = {(j, k): d for j, k in combinations_with_replacement(swept, 2)
                   if not (d := theta_bracket(pair[j][k])).is_zero()}
-        for i in swept:
-            table = [[canonical_bracket(prod[i][j], emb[k]) for k in swept] for j in swept]
-            anchor = {jk: canonical_bracket(emb[i], d) for jk, d in d_pair.items()}
-            for j in swept:
-                for k in swept:
-                    yield (anchor.get((j, k) if j <= k else (k, j), zero),
-                           table[j][k] + table[k][j])
+        rows = [None] * len(swept)
 
-    def first_failure(sweep, m):
-        """The first failure on the first m generators; if there is one, the first of all n."""
-        failure = _first_failure(sweep(m), zero)
-        return failure if failure.is_zero() or m == n else _first_failure(sweep(n), zero)
+        def row(i):
+            table = [[canonical_bracket(prod[i][j], emb[k]) for k in swept] for j in swept]
+            anchor = [[zero] * len(swept) for _ in swept]
+            for (j, k), d in d_pair.items():
+                anchor[j][k] = anchor[k][j] = canonical_bracket(emb[i], d)
+            rows[i] = table, anchor
+            return rows[i]
+
+        def evaluate(index):
+            i, j, k = index
+            table, anchor = rows[i] or row(i)
+            return anchor[j][k], table[j][k] + table[k][j]
+        return evaluate
 
     if all(k == 3 for (_e, _d, k) in theta.gradings()):
-        basis = 2 * structure.rank
+        basis = range(2 * structure.rank)
         t2 = canonical_bracket(theta, theta).scale(HALF)
         if t2.is_zero():
             axiom1 = axiom2 = zero
         else:
-            axiom1 = -_first_nonzero(_t2_contractions(t2, emb, emb), zero)
-            axiom2 = _first_nonzero(_t2_contractions(t2, emb, functions), zero)
+            pairs = list(product(family, repeat=2))
+            axiom1 = -first_failure(pairs, _t2_contractions(t2, emb, emb), zero)[1]
+            axiom2 = first_failure(pairs, _t2_contractions(t2, emb, functions), zero)[1]
+        prefix3 = over(len(basis), product(basis, basis, by_function))
+        prefix4 = over(len(basis), combinations_with_replacement(basis, 2))
     else:
-        basis = n
-        axiom1 = _first_failure(leibniz_jacobi(), zero)
-        axiom2 = _first_failure(anchor_homomorphism(), zero)
-    axiom3 = first_failure(module_leibniz, basis)
-    axiom4 = first_failure(symmetric_part, basis)
-    swept = basis if axiom3.is_zero() and axiom4.is_zero() else n
-    axiom5 = _first_failure(pairing_invariance(swept), zero)
-    return CheckReport([
-        Check.from_residual("axiom1-leibniz-jacobi", axiom1),
-        Check.from_residual("axiom2-anchor-homomorphism", axiom2),
-        Check.from_residual("axiom3-module-leibniz", axiom3),
-        Check.from_residual("axiom4-symmetric-part", axiom4),
-        Check.from_residual("axiom5-pairing-invariance", axiom5)])
+        basis = family
+        axiom1 = first_failure(over(n, product(family, repeat=3)), leibniz_jacobi, zero)[1]
+        axiom2 = first_failure(over(n, product(family, family, by_function)),
+                               anchor_homomorphism, zero)[1]
+        prefix3 = prefix4 = None
+    axiom3 = first_failure(over(n, product(family, family, by_function)), module_leibniz,
+                           zero, prefix3)[1]
+    axiom4 = first_failure(over(n, combinations_with_replacement(family, 2)), symmetric_part,
+                           zero, prefix4)[1]
+    swept = basis if axiom3.is_zero() and axiom4.is_zero() else family
+    axiom5 = first_failure(product(swept, repeat=3), pairing_invariance(swept), zero)[1]
+    return Report([Check.from_residual(name, residual) for name, residual
+                   in zip(_AXIOMS, (axiom1, axiom2, axiom3, axiom4, axiom5))])
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +526,15 @@ _LEMMAS = {3: {"chainmap-on-two-sections-and-function": (SECTION, SECTION, FUNCT
            4: {"l3l2-equals-l2l3-on-sections": (SECTION,) * 4}}
 
 
-def shla_check(structure: CourantStructure, n: int) -> CheckReport:
+def shla_check(structure: CourantStructure, n: int) -> Report:
     """Generalized Jacobi identities over unordered tuples of generators.
 
     The generators are the basis sections, two coordinate-scaled sections,
-    the base coordinates as functions and the constant 1, in that order.  One
-    sweep evaluates each tuple's identity once.  identity-n{n} is its first
-    nonzero residual; for n = 3 and 4 the lemma of _LEMMAS is the first
-    nonzero residual among tuples of its shape.  n = 4 also checks the
-    quadrilinear pairing identity on the sections.
+    the base coordinates as functions and the constant 1, in that order.
+    identity-n{n} is the first failure of a sweep over every tuple; for n = 3
+    and 4 the lemma of _LEMMAS is the first failure of a sweep over the
+    tuples of its shape.  The sweeps share one evaluation per tuple.  n = 4
+    also checks the quadrilinear pairing identity on the sections.
     """
     basis = basis_sections(structure)
     generators = [graded_section(e) for e in basis]
@@ -549,42 +547,37 @@ def shla_check(structure: CourantStructure, n: int) -> CheckReport:
     generators += [graded_function(f) for f in coords]
     generators.append(graded_constant(structure, 1))
     maps = ShlaMaps(structure)
-    shapes = {f"identity-n{n}": None, **_LEMMAS.get(n, {})}
-    first = dict.fromkeys(shapes, SuperPolynomial.zero(structure.chart))
-    for combo in combinations_with_replacement(range(len(generators)), n):
-        args = [generators[k] for k in combo]
-        shape = tuple(a.degree for a in args)
-        open_checks = [name for name, want in shapes.items()
-                       if first[name].is_zero() and want in (None, shape)]
-        if not open_checks:
-            continue
-        residual = shla_identity(maps, n, args)
-        if not residual.is_zero():
-            for name in open_checks:
-                first[name] = residual
-    checks = [Check.from_residual(name, residual) for name, residual in first.items()]
+    zero = SuperPolynomial.zero(structure.chart)
+    identity = cache(lambda combo: shla_identity(maps, n, [generators[k] for k in combo]))
+    tuples = list(combinations_with_replacement(range(len(generators)), n))
+    lines = {f"identity-n{n}": tuples}
+    for name, shape in _LEMMAS.get(n, {}).items():
+        lines[name] = [c for c in tuples if tuple(generators[k].degree for k in c) == shape]
+    checks = [Check.from_residual(name, first_failure(swept, identity, zero)[1])
+              for name, swept in lines.items()]
     if n == 4:
-        # reported between identity-n4 and the lemma read off its sweep
-        res = _lemma_a2_residual(structure, generators)
+        # reported between identity-n4 and its lemma
+        res = _quadrilinear_failure(generators, zero)[1]
         checks.insert(1, Check.from_residual("quadrilinear-pairing-identity", res))
-    return CheckReport(checks)
+    return Report(checks)
 
 
-def _lemma_a2_residual(structure, generators):
-    """K + 2J, the quadrilinear compatibility of jacobiators and pairings."""
+def _quadrilinear_failure(generators, zero):
+    """The first 4-tuple of sections where K + 2J, the quadrilinear
+    compatibility of jacobiators and pairings, is nonzero."""
     sections = [g.value for g in generators if g.degree == SECTION]
 
-    def residuals():
-        for e1, e2, e3, e4 in combinations_with_replacement(sections, 4):
-            Jbold = (pairing(jacobiator(e1, e2, e3), e4)
-                     - pairing(jacobiator(e1, e2, e4), e3)
-                     + pairing(jacobiator(e1, e3, e4), e2)
-                     - pairing(jacobiator(e2, e3, e4), e1))
-            Kbold = (pairing(skew_bracket(e1, e2), skew_bracket(e3, e4))
-                     - pairing(skew_bracket(e1, e3), skew_bracket(e2, e4))
-                     + pairing(skew_bracket(e1, e4), skew_bracket(e2, e3)))
-            yield Kbold + Jbold + Jbold
-    return _first_nonzero(residuals(), SuperPolynomial.zero(structure.chart))
+    def k_plus_2j(quad):
+        e1, e2, e3, e4 = quad
+        Jbold = (pairing(jacobiator(e1, e2, e3), e4)
+                 - pairing(jacobiator(e1, e2, e4), e3)
+                 + pairing(jacobiator(e1, e3, e4), e2)
+                 - pairing(jacobiator(e2, e3, e4), e1))
+        Kbold = (pairing(skew_bracket(e1, e2), skew_bracket(e3, e4))
+                 - pairing(skew_bracket(e1, e3), skew_bracket(e2, e4))
+                 + pairing(skew_bracket(e1, e4), skew_bracket(e2, e3)))
+        return Kbold + Jbold + Jbold
+    return first_failure(combinations_with_replacement(sections, 4), k_plus_2j, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +607,7 @@ def _eval_at_point(poly: SuperPolynomial, point: dict):
     return acc
 
 
-def check_dirac(structure: CourantStructure, sections) -> CheckReport:
+def check_dirac(structure: CourantStructure, sections) -> Report:
     """Isotropy, constant maximal rank and closure under the circle product."""
     if not sections:
         raise SpecError("empty spanning set")
@@ -643,37 +636,27 @@ def check_dirac(structure: CourantStructure, sections) -> CheckReport:
     if rk != len(sections):
         raise SpecError(f"spanning set is rank deficient: rank {rk} from {len(sections)} sections")
 
-    checks = []
-    iso = SuperPolynomial.zero(chart)
-    for s1, s2 in combinations_with_replacement(sections, 2):
-        p = pairing(s1, s2)
-        if not p.is_zero():
-            iso = p
-            break
-    checks.append(Check.from_residual("isotropy", iso))
-    checks.append(Check("maximal", None, rk == structure.rank,
-                        f"rank {rk} of expected {structure.rank}"))
-
-    closure_ok = True
-    witness = SuperPolynomial.zero(chart)
+    zero = SuperPolynomial.zero(chart)
+    isotropy = first_failure(combinations_with_replacement(sections, 2),
+                             lambda pair: pairing(*pair), zero)[1]
     # the matrix whose columns are the sections' components
     frac_rows = [{} for _ in range(ncols)]
     for j, row in enumerate(rows):
         for a, p in row.items():
             frac_rows[a][j] = PolyFrac(p)
-    for s1 in sections:
-        for s2 in sections:
-            prod = circ(s1, s2)
-            rhs = {a: PolyFrac(p) for a, p in _section_components(prod).items()}
-            sol = solve_over_fractions(frac_rows, len(sections), rhs)
-            if sol is None:
-                closure_ok = False
-                witness = prod.embedded
-                break
-        if not closure_ok:
-            break
-    checks.append(Check("closure", None if closure_ok else witness, closure_ok))
-    return CheckReport(checks)
+
+    def outside_span(pair):
+        """s1 o s2 when it is outside the span of the sections, else zero."""
+        prod = circ(*pair)
+        rhs = {a: PolyFrac(p) for a, p in _section_components(prod).items()}
+        inside = solve_over_fractions(frac_rows, len(sections), rhs) is not None
+        return zero if inside else prod.embedded
+
+    closure = first_failure(product(sections, repeat=2), outside_span, zero)[1]
+    return Report([Check.from_residual("isotropy", isotropy),
+                   Check.decided("maximal", rk == structure.rank,
+                                 note=f"rank {rk} of expected {structure.rank}"),
+                   Check.from_residual("closure", closure)])
 
 
 # ---------------------------------------------------------------------------

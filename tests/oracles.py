@@ -41,6 +41,9 @@ The other routes here reach the same objects another way than the engine:
   where the gate reads them off 1/2{theta, theta};
 - `sweep_axioms_3_5`, Courant axioms 3-5 with a residual built on every
   tuple, where the gate compares the two sides and subtracts once;
+- `sweep_shla`, the lines of `shla_check` from every tuple's identity
+  evaluated with `shla_identity`, where the gate stops each line's sweep at
+  its first failure and evaluates a tuple only while a line reads it;
 - `swap_proto`, the swapped pair (A*, A) rebuilt table by table, where the
   engine takes the Legendre image of mu + gamma*;
 - the su(2) origin of the sphere family: `su2_bivector`, its quotient
@@ -50,14 +53,18 @@ The other routes here reach the same objects another way than the engine:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from bigbracket.algebroid import (AlgebroidSpec, ProtoBialgebroidSpec, SpecError,
                                   dual_chart_for)
 from bigbracket.brackets import canonical_bracket, derived_bracket
 from bigbracket.chart import (Chart, ChartError, DarbouxChart, GradedVariable,
                               cotangent_chart, darboux_chart, EVEN, ODD)
-from bigbracket.courant import (CourantSection, circ, coordinate_functions,
-                                generator_family)
+from bigbracket.courant import (FUNCTION, SECTION, CourantSection, ShlaMaps,
+                                basis_sections, circ, coordinate_functions,
+                                generator_family, graded_constant, graded_function,
+                                graded_section, jacobiator, pairing, shla_identity,
+                                skew_bracket)
 from bigbracket.necklace import build_structures
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial, poly_sum
@@ -962,6 +969,53 @@ def sweep_axioms_3_5(structure) -> dict:
             for name, sweep in (("axiom3-module-leibniz", module_leibniz),
                                 ("axiom4-symmetric-part", symmetric_part),
                                 ("axiom5-pairing-invariance", pairing_invariance))}
+
+
+def sweep_shla(structure, n) -> dict:
+    """The lines of `shla_check(structure, n)`, {name: first nonzero residual}.
+
+    Every tuple of the gate's generators, in the gate's order, has its
+    identity evaluated by `shla_identity`, and nothing is skipped:
+    identity-n{n} keeps the first nonzero value of all, the lemma of arity 3
+    or 4 the first among tuples of its shape.  For n = 4 the quadrilinear
+    pairing identity K + 2J is evaluated on every 4-tuple of sections.
+    """
+    basis = basis_sections(structure)
+    coords = coordinate_functions(structure)
+    generators = [graded_section(e) for e in basis]
+    if coords and basis:
+        generators += [graded_section(CourantSection.from_embedded(structure, f * e.embedded))
+                       for e, f in ((basis[-1], coords[0]), (basis[0], coords[-1]))]
+    generators += [graded_function(f) for f in coords]
+    generators.append(graded_constant(structure, 1))
+    shapes = {f"identity-n{n}": None}
+    if n == 3:
+        shapes["chainmap-on-two-sections-and-function"] = (SECTION, SECTION, FUNCTION)
+    if n == 4:
+        shapes["l3l2-equals-l2l3-on-sections"] = (SECTION,) * 4
+    zero = SuperPolynomial.zero(structure.chart)
+    first = dict.fromkeys(shapes, zero)
+    maps = ShlaMaps(structure)
+    for args in combinations_with_replacement(generators, n):
+        residual = shla_identity(maps, n, list(args))
+        shape = tuple(a.degree for a in args)
+        for name, want in shapes.items():
+            if first[name].is_zero() and want in (None, shape):
+                first[name] = residual
+    if n != 4:
+        return first
+    quadrilinear = zero
+    sections = [g.value for g in generators if g.degree == SECTION]
+    for e1, e2, e3, e4 in combinations_with_replacement(sections, 4):
+        j = (pairing(jacobiator(e1, e2, e3), e4) - pairing(jacobiator(e1, e2, e4), e3)
+             + pairing(jacobiator(e1, e3, e4), e2) - pairing(jacobiator(e2, e3, e4), e1))
+        k = (pairing(skew_bracket(e1, e2), skew_bracket(e3, e4))
+             - pairing(skew_bracket(e1, e3), skew_bracket(e2, e4))
+             + pairing(skew_bracket(e1, e4), skew_bracket(e2, e3)))
+        if quadrilinear.is_zero():
+            quadrilinear = k + j + j
+    identity, lemma = first.items()
+    return dict([identity, ("quadrilinear-pairing-identity", quadrilinear), lemma])
 
 
 def swap_proto(proto: ProtoBialgebroidSpec) -> ProtoBialgebroidSpec:

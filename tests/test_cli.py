@@ -238,6 +238,18 @@ def test_cohomology_on_symplectic_member():
     assert "check global: pass (dims (1, 0, 1) generators [1; pi_c])" in out.splitlines()
 
 
+@pytest.mark.parametrize("c", ["3/2", "-3/2"])
+def test_symplectic_member_near_the_unit_circle_computes_no_mode(c):
+    """Every |c| > 1 reads the sphere's de Rham constants, however close to 1."""
+    code, out, _ = run(["cohomology", "--c", c, "--modes", "1", "--truncate", "5"])
+    assert (code, out) == (0, f"command: cohomology --c {c} --modes 1 --truncate 5\n"
+                              "check global: pass (dims (1, 0, 1) generators [1; pi_c])\n"
+                              "check provenance-status: recorded (recorded-constant)\n"
+                              "check provenance-reason: pass (nondegenerate member, sphere "
+                              "de Rham constants)\n"
+                              "result: PASS (2 pass, 0 fail, 1 recorded)\n")
+
+
 def test_invariants_command():
     code, out, _ = run(["invariants", "--c", "0"])
     assert code == 0
@@ -269,6 +281,26 @@ def test_timing_goes_to_stderr():
     assert code == 0
     assert "elapsed" in err
     assert "elapsed" not in out
+
+
+def test_timing_is_the_elapsed_time_of_the_command():
+    start = time.perf_counter()
+    code, _, err = run(["verify-algebroid", "--preset", "tangent-R1", "--timing"])
+    elapsed = float(re.fullmatch(r"elapsed: (\d+\.\d{3})s\n", err).group(1))
+    assert code == 0 and 0 <= elapsed <= time.perf_counter() - start + 0.001
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["twist", "--help"]])
+def test_help_exits_zero(argv):
+    code, out, _ = run(argv)
+    assert code == 0 and out.startswith("usage: bigbracket")
+
+
+def test_necklace_document_supplies_the_family_parameter(tmp_path):
+    doc = tmp_path / "neck.spec"
+    doc.write_text("kind: necklace\nc = 1/3\n")
+    code, out, err = run(["invariants", "--spec", str(doc)])
+    assert (code, out) == run(["invariants", "--c", "1/3"])[:2] and code == 0, err
 
 
 GOLDEN_SU2 = """command: verify-bialgebroid --preset su2-bialgebra
@@ -812,3 +844,67 @@ def test_twist_gates_agree(tmp_path, base, phi, closed):
     assert f"check twist-closed: {expect}" in out.splitlines()
     assert out.splitlines()[1].startswith(
         f"check axiom1-leibniz-jacobi: {'pass' if closed else 'fail'}")
+
+
+# -- failing residuals of the dirac-check and shla-check lemma sweeps -------------
+
+# Recorded by the last version with a hand-written loop per sweep.  Isotropy
+# reports the first nonzero pairing over the pairs (s1, s2) with s1 <= s2;
+# closure the first product s1 o s2 outside the span, in (s1, s2) order.
+DIRAC_FAILURES = {
+    ("standard-R2", "xis1", "xis2 + x1*xi2"):
+        "check isotropy: fail residual=2*x1\n"
+        "check maximal: pass (rank 2 of expected 2)\n"
+        "check closure: fail residual=xi2\n",
+    ("tangent-R2", "xis2", "xis1 + x2*xi2"):
+        "check isotropy: fail residual=x2\n"
+        "check maximal: pass (rank 2 of expected 2)\n"
+        "check closure: fail residual=xi2\n",
+    ("standard-R3", "xis1 + x3*xi2", "xis2 - x3*xi1", "xis3"):
+        "check isotropy: pass\n"
+        "check maximal: pass (rank 3 of expected 3)\n"
+        "check closure: fail residual=xi3\n",
+    ("standard-R3", "xis3", "xis1 + x3*xi2", "xis2 - x3*xi1"):
+        "check isotropy: pass\n"
+        "check maximal: pass (rank 3 of expected 3)\n"
+        "check closure: fail residual=xi2\n",
+}
+
+
+@pytest.mark.parametrize("case", DIRAC_FAILURES, ids=" ".join)
+def test_failing_dirac_residuals_are_pinned(case):
+    preset, *sections = case
+    argv = ["dirac-check", "--preset", preset]
+    for section in sections:
+        argv += ["--section", section]
+    code, out, _ = run(argv)
+    lines = DIRAC_FAILURES[case]
+    fails = lines.count(": fail")
+    assert code == 1
+    assert out == (f"command: dirac-check --preset {preset}\n{lines}"
+                   f"result: FAIL ({3 - fails} pass, {fails} fail)\n")
+
+
+GOLDEN_PERTURBED_D_SHLA = """command: shla-check --preset poisson-R2
+check antisymmetry-completion: pass (auto-completed 1 mirrored entries)
+check identity-n1: fail residual=xis2
+check identity-n2: fail residual=-1/2*xis2
+check identity-n3: fail residual=1/4*xis2
+check chainmap-on-two-sections-and-function: fail residual=1/4
+result: FAIL (1 pass, 4 fail)
+"""
+
+
+def test_failing_chainmap_lemma_residual_is_pinned(monkeypatch):
+    """D f perturbed by f * xis2: the lemma fails at a tuple of its shape
+    after identity-n3 has failed at another, with another residual."""
+    original = courant.d_operator
+
+    def perturbed(structure, f):
+        last = courant.SuperPolynomial.variable(structure.chart, "xis2")
+        return courant.CourantSection.from_embedded(
+            structure, original(structure, f).embedded + f * last)
+
+    monkeypatch.setattr(courant, "d_operator", perturbed)
+    code, out, _ = run(["shla-check", "--preset", "poisson-R2", "--n", "3"])
+    assert (code, out) == (1, GOLDEN_PERTURBED_D_SHLA)

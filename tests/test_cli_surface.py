@@ -92,3 +92,37 @@ def test_structure_command_output(argv, documents, snapshot, monkeypatch):
         return
     assert code == CHANGED[key] != snapshot[key]["exit"], err
     assert out == "" and "error:" in err
+
+
+# -- the JSON rendering ------------------------------------------------------------
+
+JSON_SNAPSHOT = Path(__file__).with_name("json_surface.json")
+
+# One input per kind of JSON check record, recorded by the last version that
+# copied each engine verdict into a separate report line: pass lines and a
+# note (su2-bialgebra), a fail line with a residual and self-duality failing
+# without one (brst-non-homomorphic.spec), maximal failing without a residual
+# but with a note (one section of standard-R2), recorded lines (cohomology at
+# c = 0), fail lines with a residual and a note (twist-R4.spec) and a decided
+# line with a note (invariants).
+JSON_INVOCATIONS = (
+    ["verify-bialgebroid", "--preset", "su2-bialgebra", "--format", "json"],
+    ["verify-bialgebroid", "--spec", "brst-non-homomorphic.spec", "--format", "json"],
+    ["dirac-check", "--preset", "standard-R2", "--section", "xis1", "--format", "json"],
+    ["cohomology", "--c", "0", "--modes", "1", "--truncate", "5", "--format", "json"],
+    ["twist", "--spec", "twist-R4.spec", "--format", "json"],
+    ["invariants", "--c", "0", "--format", "json"],
+)
+
+
+def test_json_snapshot_covers_every_json_invocation():
+    snapshot = json.loads(JSON_SNAPSHOT.read_text())
+    assert sorted(snapshot) == sorted(_key(argv) for argv in JSON_INVOCATIONS)
+
+
+@pytest.mark.parametrize("argv", JSON_INVOCATIONS, ids=_key)
+def test_json_output(argv, documents, monkeypatch):
+    monkeypatch.chdir(documents)
+    code, out, err = run(argv)
+    want = json.loads(JSON_SNAPSHOT.read_text())[_key(argv)]
+    assert (code, out) == (want["exit"], want["stdout"]), err

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import pytest
+
 from bigbracket import courant
 from bigbracket.courant import (ShlaMaps, _shla_sign, _signed_unshuffles, basis_sections,
                                 d_operator, graded_constant, graded_function,
@@ -9,10 +11,12 @@ from bigbracket.courant import (ShlaMaps, _shla_sign, _signed_unshuffles, basis_
                                 structure_from_proto, t_tensor)
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
+from bigbracket.specfile import PRESET_NAMES, load_preset, materialize, parse_document
 
 from conftest import standard_structure
-from oracles import koszul_sign, perm_sign
+from oracles import koszul_sign, perm_sign, sweep_shla
 from test_algebroid import su2_bialgebra
+from test_cli_surface import DOCUMENTS
 
 STD1 = standard_structure(1)
 
@@ -165,3 +169,25 @@ def test_shla_check_builds_its_maps_and_each_sign_table_once(monkeypatch):
     assert report.passed and len(built) == 1
     info = _signed_unshuffles.cache_info()
     assert info.currsize == info.misses < info.hits
+
+
+# the documents of the CLI snapshot whose shla-check fails
+FAILING_SHLA = ("twist-R4.spec", "brst-non-homomorphic.spec")
+
+
+@pytest.mark.parametrize("source", PRESET_NAMES + FAILING_SHLA)
+def test_shla_check_agrees_with_the_sweep_of_every_tuple(source):
+    """Names, verdicts and residuals of every line, n = 1..4, against
+    `sweep_shla`, each on its own structure so no memo is shared."""
+    doc = load_preset(source) if source in PRESET_NAMES else parse_document(DOCUMENTS[source])
+    proto = materialize(doc).proto
+    verdicts = set()
+    for n in range(1, 5):
+        report = shla_check(structure_from_proto(proto), n)
+        oracle = sweep_shla(structure_from_proto(proto), n)
+        assert [c.name for c in report.checks] == list(oracle), n
+        for name, residual in oracle.items():
+            assert report[name].passed == residual.is_zero(), (n, name)
+            assert report[name].residual == residual, (n, name)
+        verdicts.add(report.passed)
+    assert verdicts == ({True} if source in PRESET_NAMES else {True, False})
