@@ -18,7 +18,7 @@ from .algebroid import (AlgebroidSpec, ProtoBialgebroidSpec, SpecError, ThetaHam
 from .brackets import canonical_bracket, derived_bracket
 from .chart import ChartError, CotangentOfParityReversed
 from .linalg import PolyFrac, rank, solve_over_fractions
-from .poly import SuperPolynomial, poly_sum
+from .poly import SuperPolynomial
 from .rationals import GaussianRational
 from .report import Check, Report, first_failure
 
@@ -30,23 +30,21 @@ class CourantStructure:
     """A Courant structure: its hamiltonian theta and the products of its
     sections, each computed once and kept as long as the structure lives.
 
-    `total` is theta summed once.  The other slots are keyed by embedded
-    polynomials: `brackets` maps p to {theta, p}, `products` a pair (a, b)
-    to {{theta, a}, b}, `pairings` a pair to {a, b}, `skews` a pair to its
-    skew bracket section, and `sections` an embedding to its validated
-    section.
+    `total` is theta summed once.  `brackets`, `products` and `sections` are
+    keyed by embedded polynomials: `brackets` maps p to {theta, p},
+    `products` a pair (a, b) to {{theta, a}, b}, and `sections` an embedding
+    to its validated section.  `shla` holds the `ShlaTables` of `shla_check`.
     """
 
-    __slots__ = ("theta", "total", "brackets", "products", "pairings", "skews", "sections")
+    __slots__ = ("theta", "total", "brackets", "products", "sections", "shla")
 
     def __init__(self, theta: ThetaHamiltonian):
         self.theta = theta
         self.total = theta.total
         self.brackets = {}
         self.products = {}
-        self.pairings = {}
-        self.skews = {}
         self.sections = {}
+        self.shla = None
 
     @property
     def chart(self):
@@ -64,13 +62,6 @@ class CourantStructure:
         out = self.brackets.get(p)
         if out is None:
             out = self.brackets[p] = canonical_bracket(self.total, p)
-        return out
-
-    def pairing(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
-        key = (a, b)
-        out = self.pairings.get(key)
-        if out is None:
-            out = self.pairings[key] = canonical_bracket(a, b)
         return out
 
     def product(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
@@ -186,7 +177,7 @@ def coordinate_functions(structure: CourantStructure):
 
 def pairing(e1: CourantSection, e2: CourantSection) -> SuperPolynomial:
     """<e1, e2> = xi1(X2) + xi2(X1), realized as the bracket of embeddings."""
-    return e1.structure.pairing(e1.embedded, e2.embedded)
+    return canonical_bracket(e1.embedded, e2.embedded)
 
 
 def circ(e1: CourantSection, e2: CourantSection) -> CourantSection:
@@ -203,20 +194,8 @@ def d_operator(structure: CourantStructure, f: SuperPolynomial) -> CourantSectio
 
 
 def skew_bracket(e1, e2) -> CourantSection:
-    skews = e1.structure.skews
-    key = (e1.embedded, e2.embedded)
-    out = skews.get(key)
-    if out is None:
-        diff = circ(e1, e2).embedded - circ(e2, e1).embedded
-        out = skews[key] = CourantSection.from_embedded(e1.structure, diff.scale(HALF))
-    return out
-
-
-def jacobiator(e1, e2, e3) -> CourantSection:
-    j = (skew_bracket(skew_bracket(e1, e2), e3).embedded
-         + skew_bracket(skew_bracket(e2, e3), e1).embedded
-         + skew_bracket(skew_bracket(e3, e1), e2).embedded)
-    return CourantSection.from_embedded(e1.structure, j)
+    diff = circ(e1, e2).embedded - circ(e2, e1).embedded
+    return CourantSection.from_embedded(e1.structure, diff.scale(HALF))
 
 
 def t_tensor(e1, e2, e3) -> SuperPolynomial:
@@ -408,67 +387,88 @@ def verify_axioms(structure: CourantStructure) -> Report:
 SECTION, FUNCTION, CONSTANT = 0, 1, 2
 
 
-@dataclass
-class GradedElement:
-    degree: int
-    value: object        # CourantSection in degree SECTION, else SuperPolynomial
+class _OffDegree(Exception):
+    """Its argument is an l2 output that is no section, which no map takes."""
 
 
-def graded_section(e: CourantSection) -> GradedElement:
-    return GradedElement(SECTION, e)
+class ShlaTables:
+    """l1, l2, l3 of the resolution (constants -> functions -> sections) on
+    numbered generators (degree, value): the basis sections, two scaled by a
+    coordinate, the coordinates as functions and the constant 1.  `maps`
+    keeps l_i(front) by the sorted index tuple `front`, `terms` the polynomial
+    of l_j(l_i(front), back) by (front, back), each made once; None is zero."""
 
-
-def graded_function(f: SuperPolynomial) -> GradedElement:
-    return GradedElement(FUNCTION, f)
-
-
-def graded_constant(structure: CourantStructure, c) -> GradedElement:
-    return GradedElement(CONSTANT, SuperPolynomial.constant(structure.chart,
-                                                            GaussianRational.coerce(c)))
-
-
-class ShlaMaps:
-    """l1, l2, l3 of the resolution (constants -> functions -> sections)."""
+    __slots__ = ("structure", "generators", "degrees", "maps", "terms")
 
     def __init__(self, structure: CourantStructure):
-        self.structure = structure
+        basis = basis_sections(structure)
+        coords = coordinate_functions(structure)
+        generators = [(SECTION, e) for e in basis]
+        if coords and basis:
+            # a coordinate-scaled section keeps T and the anomalies nonzero
+            generators += [(SECTION, CourantSection.from_embedded(structure, f * e.embedded))
+                           for e, f in ((basis[-1], coords[0]), (basis[0], coords[-1]))]
+        generators += [(FUNCTION, f) for f in coords]
+        generators.append((CONSTANT, SuperPolynomial.constant(structure.chart, 1)))
+        self.structure, self.generators, self.maps, self.terms = structure, generators, {}, {}
+        self.degrees = tuple(degree for degree, _value in generators)
 
-    def l1(self, x: GradedElement) -> GradedElement | None:
-        if x.degree == SECTION:
-            return None
-        if x.degree == FUNCTION:
-            return graded_section(d_operator(self.structure, x.value))
-        return graded_function(x.value)    # inclusion of constants
+    def map(self, front):
+        if front not in self.maps:
+            self.maps[front] = self.apply(*[self.generators[k] for k in front])
+        return self.maps[front]
 
-    def l2(self, x: GradedElement, y: GradedElement) -> GradedElement | None:
-        dx, dy = x.degree, y.degree
-        if dx == SECTION and dy == SECTION:
-            return graded_section(skew_bracket(x.value, y.value))
-        if dx == SECTION and dy == FUNCTION:
-            return graded_function(pairing(x.value, d_operator(self.structure, y.value)).scale(HALF))
-        if dx == FUNCTION and dy == SECTION:
-            # x ^ y = -(-1)^{1*0} y ^ x in the graded exterior algebra
-            out = self.l2(y, x)
-            return graded_function(-out.value)
-        return None    # degree above one
+    def term(self, front, back):
+        if (front, back) not in self.terms:
+            inner = self.map(front)    # lands in the first slot of l_j
+            if inner and (inner[0], *(self.degrees[k] for k in back)) == (SECTION,) * 3:
+                # -T(x, c, d) = -1/6 (<[x, c], d> + <[c, d], x> - <[x, d], c>), off the tables
+                c, d = (self.generators[k][1].embedded for k in back)
+                pieces = ((self.term(front, back[:1]), d, 1), (self.term(front, back[1:]), c, -1),
+                          (self.map(back)[1].embedded, inner[1].embedded, 1))
+                poly = _signed_sum(self.structure.chart, [
+                    (p and canonical_bracket(p, q), sign) for p, q, sign in pieces]).scale(-SIXTH)
+            else:
+                out = inner and self.apply(inner, *[self.generators[k] for k in back])
+                poly = out and (out[1].embedded if out[0] == SECTION else out[1])
+            self.terms[front, back] = None if poly is None or poly.is_zero() else poly
+        return self.terms[front, back]
 
-    def l3(self, x, y, z) -> GradedElement | None:
-        if x.degree == y.degree == z.degree == SECTION:
-            return graded_function(-t_tensor(x.value, y.value, z.value))
-        return None
+    def apply(self, *args):
+        """l_k on k elements, k = 1, 2, 3; None where its output degree is above one."""
+        degrees, v = zip(*args)
+        if degrees == (FUNCTION,):
+            return SECTION, d_operator(self.structure, v[0])
+        if degrees == (CONSTANT,):
+            return FUNCTION, v[0]    # inclusion of constants
+        if degrees == (SECTION, SECTION):
+            try:
+                return SECTION, skew_bracket(*v)
+            except SpecError:    # a product or the bracket itself is no section
+                s, (a, b) = self.structure, (e.embedded for e in v)
+                raise _OffDegree((s.product(a, b) - s.product(b, a)).scale(HALF)) from None
+        if degrees in ((SECTION, FUNCTION), (FUNCTION, SECTION)):
+            # f ^ e = -(-1)^{1*0} e ^ f in the graded exterior algebra
+            (e, f), half = (v, HALF) if degrees[0] == SECTION else (v[::-1], -HALF)
+            return FUNCTION, pairing(e, d_operator(self.structure, f)).scale(half)
+        # an identity reads l2 of a triple's pairs (its i = 2 terms) before T of it
+        return (FUNCTION, -t_tensor(*v)) if degrees == (SECTION,) * 3 else None
 
-    def apply(self, i, args):
-        """l_i on a list of i elements, for i in 1, 2, 3."""
-        return (self.l1, self.l2, self.l3)[i - 1](*args)
+
+def _signed_sum(chart, pieces) -> SuperPolynomial:
+    """The sum of sign * p over `pieces` (p, sign), in one coefficient dict; None is zero."""
+    acc = {}
+    for poly, sign in pieces:
+        for mono, c in (poly.terms.items() if poly is not None else ()):
+            c = c if sign > 0 else -c
+            s = acc.get(mono)
+            acc[mono] = c if s is None else s + c
+    return SuperPolynomial(chart, acc)
 
 
 def _shla_sign(perm, degrees) -> int:
-    """The permutation sign times the Koszul sign of reordering graded symbols.
-
-    Each inversion contributes -1 to the first and, when both symbols are
-    odd, -1 to the second, so the product is -1 per inversion of two symbols
-    that are not both odd.
-    """
+    """The permutation sign times the Koszul sign of reordering graded symbols:
+    -1 per inversion of two symbols that are not both odd."""
     sign = 1
     for a in range(len(perm)):
         for b in range(a + 1, len(perm)):
@@ -479,18 +479,12 @@ def _shla_sign(perm, degrees) -> int:
 
 @cache
 def _signed_unshuffles(n, degrees):
-    """(i, j, perm, sign) of every term of the n-th identity, in summation order.
-
-    i + j = n + 1 with i, j <= 3; perm runs over the (i, n-i)-unshuffles,
-    and sign is (-1)^{i(j-1)} times the SH-Lie sign of perm on symbols of
-    these degrees.  The table depends only on n and the degree pattern, so
-    it is built once per pattern.
-    """
+    """(i, j, perm, sign) of every term of the n-th identity, in summation order,
+    built once per degree pattern: i + j = n + 1 with i, j <= 3, perm an
+    (i, n-i)-unshuffle and sign (-1)^{i(j-1)} times its SH-Lie sign."""
     out = []
-    for i in range(1, n + 1):
+    for i in range(max(1, n - 2), min(n, 3) + 1):
         j = n + 1 - i
-        if i > 3 or j > 3:
-            continue
         outer_sign = -1 if (i * (j - 1)) % 2 else 1
         for chosen in combinations(range(n), i):
             perm = chosen + tuple(k for k in range(n) if k not in chosen)
@@ -498,27 +492,22 @@ def _signed_unshuffles(n, degrees):
     return tuple(out)
 
 
-def shla_identity(maps: ShlaMaps, n: int, args) -> SuperPolynomial:
-    """Value of the n-th generalized Jacobi identity on the given elements.
+def shla_identity(tables: ShlaTables, n: int, combo) -> SuperPolynomial:
+    """The n-th generalized Jacobi identity on the generators `combo` (sorted
+    indices), or the first l2 output it needs that is no section.
 
     sum over i + j = n + 1 of (-1)^{i(j-1)} sum over (i, n-i)-unshuffles of
-    sgn * koszul * l_j(l_i(front), back); zero in every degree when the maps
-    form a homotopy Lie algebra.  The outputs are sections (by their
+    sgn * koszul * l_j(l_i(front), back).  The outputs are sections (by their
     embeddings, of total degree 1) and base functions (of total degree 0), so
     their one sum is zero exactly when every degree is.
     """
-    terms = []
-    for i, j, perm, sign in _signed_unshuffles(n, tuple(a.degree for a in args)):
-        inner = maps.apply(i, [args[k] for k in perm[:i]])
-        if inner is None:
-            continue
-        # the inner element lands in the first slot of l_j, already leftmost
-        outer = maps.apply(j, [inner] + [args[k] for k in perm[i:]])
-        if outer is None:
-            continue
-        value = outer.value.embedded if outer.degree == SECTION else outer.value
-        terms.append(value if sign > 0 else -value)
-    return poly_sum(maps.structure.chart, terms)
+    signed = _signed_unshuffles(n, tuple(tables.degrees[k] for k in combo))
+    try:
+        return _signed_sum(tables.structure.chart, (
+            (tables.term(tuple(combo[k] for k in perm[:i]), tuple(combo[k] for k in perm[i:])),
+             sign) for i, _j, perm, sign in signed))
+    except _OffDegree as off:
+        return off.args[0]
 
 
 # the lemma each arity also reads off its sweep, and the shape of its tuples
@@ -527,57 +516,67 @@ _LEMMAS = {3: {"chainmap-on-two-sections-and-function": (SECTION, SECTION, FUNCT
 
 
 def shla_check(structure: CourantStructure, n: int) -> Report:
-    """Generalized Jacobi identities over unordered tuples of generators.
+    """Generalized Jacobi identities over sorted tuples of generators.
 
-    The generators are the basis sections, two coordinate-scaled sections,
-    the base coordinates as functions and the constant 1, in that order.
-    identity-n{n} is the first failure of a sweep over every tuple; for n = 3
-    and 4 the lemma of _LEMMAS is the first failure of a sweep over the
-    tuples of its shape.  The sweeps share one evaluation per tuple.  n = 4
-    also checks the quadrilinear pairing identity on the sections.
+    The sweeps of every arity share the `ShlaTables` kept on the structure.
+    identity-n{n} is the first failure over the sorted n-tuples in which no
+    section and not the constant repeats, and for n = 3 and 4 the lemma of
+    _LEMMAS the first among those of its shape, one evaluation per tuple.
+    n = 4 also sweeps K + 2J over 4-sets of distinct sections.
+
+    The tuples left out have a zero identity, so each line keeps the first
+    failing tuple and residual of the sweep over all sorted tuples.  Every
+    map is graded-antisymmetric (`skew_bracket` antisymmetrizes, l2(f, e) is
+    -l2(e, f), T is a cyclic sum of antisymmetric pieces, and a map is zero
+    on two functions or on the constant and more), so each Jacobiator is too,
+    and swapping two equal arguments of even degree negates it.  At a
+    repeated section the terms of K + 2J cancel in pairs, since [e, e] = 0,
+    the jacobiator is antisymmetric and the pairing is symmetric on degree 1.
+    A line fails at the first tuple needing an l2 output that is no section
+    (as an off-degree theta gives), with that output as residual.
     """
-    basis = basis_sections(structure)
-    generators = [graded_section(e) for e in basis]
-    coords = coordinate_functions(structure)
-    if coords and basis:
-        # a coordinate-scaled section keeps T and the anomalies nonzero
-        for e, f in ((basis[-1], coords[0]), (basis[0], coords[-1])):
-            scaled = CourantSection.from_embedded(structure, f * e.embedded)
-            generators.append(graded_section(scaled))
-    generators += [graded_function(f) for f in coords]
-    generators.append(graded_constant(structure, 1))
-    maps = ShlaMaps(structure)
+    tables = structure.shla = structure.shla or ShlaTables(structure)
+    degrees = tables.degrees
     zero = SuperPolynomial.zero(structure.chart)
-    identity = cache(lambda combo: shla_identity(maps, n, [generators[k] for k in combo]))
-    tuples = list(combinations_with_replacement(range(len(generators)), n))
+    identity = cache(lambda combo: shla_identity(tables, n, combo))
+    # with E sections and constant and F functions, sum over k of
+    # multichoose(F, k) * C(E, n - k) tuples: k functions, n - k distinct others
+    tuples = [c for c in combinations_with_replacement(range(len(degrees)), n)
+              if all(a != b or degrees[a] == FUNCTION for a, b in zip(c, c[1:]))]
     lines = {f"identity-n{n}": tuples}
     for name, shape in _LEMMAS.get(n, {}).items():
-        lines[name] = [c for c in tuples if tuple(generators[k].degree for k in c) == shape]
+        lines[name] = [c for c in tuples if tuple(degrees[k] for k in c) == shape]
     checks = [Check.from_residual(name, first_failure(swept, identity, zero)[1])
               for name, swept in lines.items()]
     if n == 4:
         # reported between identity-n4 and its lemma
-        res = _quadrilinear_failure(generators, zero)[1]
+        res = _quadrilinear_failure(tables, zero)[1]
         checks.insert(1, Check.from_residual("quadrilinear-pairing-identity", res))
     return Report(checks)
 
 
-def _quadrilinear_failure(generators, zero):
-    """The first 4-tuple of sections where K + 2J, the quadrilinear
-    compatibility of jacobiators and pairings, is nonzero."""
-    sections = [g.value for g in generators if g.degree == SECTION]
+def _quadrilinear_failure(tables: ShlaTables, zero):
+    """The first 4-set of distinct sections where K + 2J, the quadrilinear
+    compatibility of jacobiators and pairings, is nonzero.  The jacobiator
+    of a < b < c is [[a, b], c] + [[b, c], a] - [[a, c], b], made once."""
+    chart = tables.structure.chart
+    emb = [e.embedded for degree, e in tables.generators if degree == SECTION]   # come first
+    jacobiator = cache(lambda a, b, c: _signed_sum(chart, [
+        (tables.term(pair, (k,)), sign) for pair, k, sign in (((a, b), c, 1), ((b, c), a, 1),
+                                                               ((a, c), b, -1))]))
 
     def k_plus_2j(quad):
-        e1, e2, e3, e4 = quad
-        Jbold = (pairing(jacobiator(e1, e2, e3), e4)
-                 - pairing(jacobiator(e1, e2, e4), e3)
-                 + pairing(jacobiator(e1, e3, e4), e2)
-                 - pairing(jacobiator(e2, e3, e4), e1))
-        Kbold = (pairing(skew_bracket(e1, e2), skew_bracket(e3, e4))
-                 - pairing(skew_bracket(e1, e3), skew_bracket(e2, e4))
-                 + pairing(skew_bracket(e1, e4), skew_bracket(e2, e3)))
-        return Kbold + Jbold + Jbold
-    return first_failure(combinations_with_replacement(sections, 4), k_plus_2j, zero)
+        a, b, c, d = quad
+        try:
+            j = [(canonical_bracket(jacobiator(*abc), emb[e]), sign) for abc, e, sign in (
+                ((a, b, c), d, 1), ((a, b, d), c, -1), ((a, c, d), b, 1), ((b, c, d), a, -1))]
+            k = [(canonical_bracket(tables.map(x)[1].embedded, tables.map(y)[1].embedded), sign)
+                 for x, y, sign in (((a, b), (c, d), 1), ((a, c), (b, d), -1),
+                                    ((a, d), (b, c), 1))]
+            return _signed_sum(chart, j + j + k)
+        except _OffDegree as off:
+            return off.args[0]
+    return first_failure(combinations(range(len(emb)), 4), k_plus_2j, zero)
 
 
 # ---------------------------------------------------------------------------

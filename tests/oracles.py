@@ -41,9 +41,14 @@ The other routes here reach the same objects another way than the engine:
   where the gate reads them off 1/2{theta, theta};
 - `sweep_axioms_3_5`, Courant axioms 3-5 with a residual built on every
   tuple, where the gate compares the two sides and subtracts once;
-- `sweep_shla`, the lines of `shla_check` from every tuple's identity
-  evaluated with `shla_identity`, where the gate stops each line's sweep at
-  its first failure and evaluates a tuple only while a line reads it;
+- `sweep_shla`, the lines of `shla_check` from every sorted tuple's
+  identity, none skipped, where the gate leaves out the tuples that repeat a
+  section or the constant, stops each line's sweep at its first failure and
+  reads every map off index-keyed tables.  Its evaluator is the
+  object-keyed path the gate used before: `GradedElement`s, `ShlaMaps`
+  (which keeps each skew bracket by its embeddings and builds T from them)
+  and `shla_identity`, summing polynomials term by term; `jacobiator` is
+  the sum of three nested skew brackets, where the gate reads nested terms;
 - `swap_proto`, the swapped pair (A*, A) rebuilt table by table, where the
   engine takes the Legendre image of mu + gamma*;
 - the su(2) origin of the sphere family: `su2_bivector`, its quotient
@@ -52,6 +57,7 @@ The other routes here reach the same objects another way than the engine:
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -60,10 +66,9 @@ from bigbracket.algebroid import (AlgebroidSpec, ProtoBialgebroidSpec, SpecError
 from bigbracket.brackets import canonical_bracket, derived_bracket
 from bigbracket.chart import (Chart, ChartError, DarbouxChart, GradedVariable,
                               cotangent_chart, darboux_chart, EVEN, ODD)
-from bigbracket.courant import (FUNCTION, SECTION, CourantSection, ShlaMaps,
-                                basis_sections, circ, coordinate_functions,
-                                generator_family, graded_constant, graded_function,
-                                graded_section, jacobiator, pairing, shla_identity,
+from bigbracket.courant import (CONSTANT, FUNCTION, SECTION, CourantSection,
+                                CourantStructure, _signed_unshuffles, basis_sections, circ,
+                                coordinate_functions, d_operator, generator_family, pairing,
                                 skew_bracket)
 from bigbracket.necklace import build_structures
 from bigbracket.parsing import parse_poly
@@ -71,6 +76,7 @@ from bigbracket.poly import SuperPolynomial, poly_sum
 from bigbracket.rationals import GaussianRational, ONE, ZERO, format_scalar
 
 HALF = GaussianRational(Fraction(1, 2))
+SIXTH = GaussianRational(Fraction(1, 6))
 
 
 def mono_symbols(chart, mono):
@@ -971,6 +977,106 @@ def sweep_axioms_3_5(structure) -> dict:
                                 ("axiom5-pairing-invariance", pairing_invariance))}
 
 
+# -- the SH-Lie maps on graded elements, each value made afresh ----------------
+
+
+@dataclass
+class GradedElement:
+    degree: int
+    value: object        # CourantSection in degree SECTION, else SuperPolynomial
+
+
+def graded_section(e: CourantSection) -> GradedElement:
+    return GradedElement(SECTION, e)
+
+
+def graded_function(f: SuperPolynomial) -> GradedElement:
+    return GradedElement(FUNCTION, f)
+
+
+def graded_constant(structure: CourantStructure, c) -> GradedElement:
+    return GradedElement(CONSTANT, SuperPolynomial.constant(structure.chart,
+                                                            GaussianRational.coerce(c)))
+
+
+class ShlaMaps:
+    """l1, l2, l3 of the resolution (constants -> functions -> sections); the
+    skew bracket of each pair of sections is kept by their embeddings."""
+
+    def __init__(self, structure: CourantStructure):
+        self.structure = structure
+        self.skews = {}
+
+    def skew(self, e1, e2) -> CourantSection:
+        key = (e1.embedded, e2.embedded)
+        out = self.skews.get(key)
+        if out is None:
+            out = self.skews[key] = skew_bracket(e1, e2)
+        return out
+
+    def l1(self, x: GradedElement) -> GradedElement | None:
+        if x.degree == SECTION:
+            return None
+        if x.degree == FUNCTION:
+            return graded_section(d_operator(self.structure, x.value))
+        return graded_function(x.value)    # inclusion of constants
+
+    def l2(self, x: GradedElement, y: GradedElement) -> GradedElement | None:
+        dx, dy = x.degree, y.degree
+        if dx == SECTION and dy == SECTION:
+            return graded_section(self.skew(x.value, y.value))
+        if dx == SECTION and dy == FUNCTION:
+            return graded_function(pairing(x.value, d_operator(self.structure, y.value)).scale(HALF))
+        if dx == FUNCTION and dy == SECTION:
+            # x ^ y = -(-1)^{1*0} y ^ x in the graded exterior algebra
+            out = self.l2(y, x)
+            return graded_function(-out.value)
+        return None    # degree above one
+
+    def l3(self, x, y, z) -> GradedElement | None:
+        """-T, with T(e1, e2, e3) = 1/6 (<[e1, e2], e3> + cyclic) on the kept skew brackets."""
+        if x.degree == y.degree == z.degree == SECTION:
+            e1, e2, e3 = x.value, y.value, z.value
+            t = (pairing(self.skew(e1, e2), e3) + pairing(self.skew(e2, e3), e1)
+                 + pairing(self.skew(e3, e1), e2))
+            return graded_function(-t.scale(SIXTH))
+        return None
+
+    def apply(self, i, args):
+        """l_i on a list of i elements, for i in 1, 2, 3."""
+        return (self.l1, self.l2, self.l3)[i - 1](*args)
+
+
+def shla_identity(maps: ShlaMaps, n: int, args) -> SuperPolynomial:
+    """Value of the n-th generalized Jacobi identity on the given elements.
+
+    sum over i + j = n + 1 of (-1)^{i(j-1)} sum over (i, n-i)-unshuffles of
+    sgn * koszul * l_j(l_i(front), back); zero in every degree when the maps
+    form a homotopy Lie algebra.  The outputs are sections (by their
+    embeddings, of total degree 1) and base functions (of total degree 0), so
+    their one sum is zero exactly when every degree is.
+    """
+    terms = []
+    for i, j, perm, sign in _signed_unshuffles(n, tuple(a.degree for a in args)):
+        inner = maps.apply(i, [args[k] for k in perm[:i]])
+        if inner is None:
+            continue
+        # the inner element lands in the first slot of l_j, already leftmost
+        outer = maps.apply(j, [inner] + [args[k] for k in perm[i:]])
+        if outer is None:
+            continue
+        value = outer.value.embedded if outer.degree == SECTION else outer.value
+        terms.append(value if sign > 0 else -value)
+    return poly_sum(maps.structure.chart, terms)
+
+
+def jacobiator(e1, e2, e3, skew=skew_bracket) -> CourantSection:
+    j = (skew(skew(e1, e2), e3).embedded
+         + skew(skew(e2, e3), e1).embedded
+         + skew(skew(e3, e1), e2).embedded)
+    return CourantSection.from_embedded(e1.structure, j)
+
+
 def sweep_shla(structure, n) -> dict:
     """The lines of `shla_check(structure, n)`, {name: first nonzero residual}.
 
@@ -1006,12 +1112,13 @@ def sweep_shla(structure, n) -> dict:
         return first
     quadrilinear = zero
     sections = [g.value for g in generators if g.degree == SECTION]
+    skew = maps.skew
     for e1, e2, e3, e4 in combinations_with_replacement(sections, 4):
-        j = (pairing(jacobiator(e1, e2, e3), e4) - pairing(jacobiator(e1, e2, e4), e3)
-             + pairing(jacobiator(e1, e3, e4), e2) - pairing(jacobiator(e2, e3, e4), e1))
-        k = (pairing(skew_bracket(e1, e2), skew_bracket(e3, e4))
-             - pairing(skew_bracket(e1, e3), skew_bracket(e2, e4))
-             + pairing(skew_bracket(e1, e4), skew_bracket(e2, e3)))
+        j = (pairing(jacobiator(e1, e2, e3, skew), e4) - pairing(jacobiator(e1, e2, e4, skew), e3)
+             + pairing(jacobiator(e1, e3, e4, skew), e2)
+             - pairing(jacobiator(e2, e3, e4, skew), e1))
+        k = (pairing(skew(e1, e2), skew(e3, e4)) - pairing(skew(e1, e3), skew(e2, e4))
+             + pairing(skew(e1, e4), skew(e2, e3)))
         if quadrilinear.is_zero():
             quadrilinear = k + j + j
     identity, lemma = first.items()

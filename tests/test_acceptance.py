@@ -16,7 +16,7 @@ from bigbracket.brackets import canonical_bracket
 from bigbracket.chart import cotangent_chart, darboux_chart, ODD
 from bigbracket.cli import main as cli_main
 from bigbracket.courant import (basis_sections, circ, d_operator, generator_family,
-                                jacobiator, pairing, shla_check, skew_bracket,
+                                pairing, shla_check, skew_bracket,
                                 standard_proto, structure_from_proto, t_tensor,
                                 twist_exact, verify_axioms)
 from bigbracket.necklace import (build_structures, global_assembly, mode_cohomology,
@@ -27,7 +27,7 @@ from bigbracket.rationals import GaussianRational
 
 from conftest import random_homogeneous, standard_structure
 from oracles import (anchor_apply, base_field, de_rham, fiber_de_rham, interior,
-                     lie_derivative, pi_tangent_chart, section_from_components,
+                     jacobiator, lie_derivative, pi_tangent_chart, section_from_components,
                      splitting_shift, swap_proto)
 from test_algebroid import poisson_r2, su2_bialgebra
 

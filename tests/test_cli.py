@@ -600,6 +600,32 @@ def test_failing_shla_residuals_are_pinned(tmp_path):
     assert out == GOLDEN_NON_JACOBI_SHLA.format(path=doc)
 
 
+# phi has total degree 2, so theta is off-degree: the skew bracket of xis2 and
+# xis3 is -x1, no section, and the SH-Lie maps are not defined on it
+OFF_DEGREE_PROBE = "kind: exact-courant\nbase: x1 x2 x3\nrank: 3\nphi = x1*xi2*xi3\n"
+
+GOLDEN_OFF_DEGREE_SHLA = """command: shla-check --spec {path}
+check identity-n1: pass
+check identity-n2: fail residual=-x1
+check identity-n3: fail residual=-x1
+check chainmap-on-two-sections-and-function: fail residual=-x1
+check identity-n4: fail residual=-x1
+check quadrilinear-pairing-identity: fail residual=-x1
+check l3l2-equals-l2l3-on-sections: fail residual=-x1
+result: FAIL (1 pass, 6 fail)
+"""
+
+
+def test_off_degree_probe_is_decided_by_shla_check(tmp_path):
+    """Each line that needs an l2 output which is no section fails with the
+    first one in its sweep; the document is well formed, so no error."""
+    doc = tmp_path / "probe.spec"
+    doc.write_text(OFF_DEGREE_PROBE)
+    code, out, err = run(["shla-check", "--spec", str(doc)])
+    assert (code, out, err) == (1, GOLDEN_OFF_DEGREE_SHLA.format(path=doc), "")
+    assert run(["courant-verify", "--spec", str(doc)])[0] == 1
+
+
 # -- no argv ends in a traceback -------------------------------------------------
 
 _FUZZ_DOCUMENTS = {

@@ -10,9 +10,9 @@ from bigbracket.algebroid import SpecError, ThetaHamiltonian
 from bigbracket.brackets import canonical_bracket
 from bigbracket.courant import (CourantSection, CourantStructure,
                                 basis_sections, check_dirac, circ, coordinate_functions,
-                                d_operator, generator_family, jacobiator, pairing,
-                                skew_bracket, standard_proto, structure_from_proto,
-                                t_tensor, twist_exact, verify_axioms)
+                                d_operator, generator_family, pairing, skew_bracket,
+                                standard_proto, structure_from_proto, t_tensor, twist_exact,
+                                verify_axioms)
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial, poly_sum
 from bigbracket.rationals import GaussianRational
@@ -20,7 +20,7 @@ from bigbracket.specfile import PRESET_NAMES, load_preset, materialize, parse_do
 
 from conftest import random_poly, standard_structure
 from oracles import (anchor_apply, base_field, de_rham, fiber_de_rham, interior,
-                     k_expression, lie_derivative, pi_tangent_chart, section_from_components,
+                     jacobiator, k_expression, lie_derivative, pi_tangent_chart, section_from_components,
                      slow_circ, slow_components, slow_skew, slow_t_tensor, splitting_shift,
                      sweep_axioms_1_2, sweep_axioms_3_5)
 from test_algebroid import poisson_r2, su2_bialgebra

@@ -1,20 +1,22 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
 from bigbracket import courant
-from bigbracket.courant import (ShlaMaps, _shla_sign, _signed_unshuffles, basis_sections,
-                                d_operator, graded_constant, graded_function,
-                                graded_section, jacobiator, pairing,
-                                shla_check, shla_identity, skew_bracket,
-                                structure_from_proto, t_tensor)
+from bigbracket.courant import (_shla_sign, _signed_unshuffles, basis_sections, d_operator,
+                                pairing, shla_check, skew_bracket, structure_from_proto,
+                                t_tensor)
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
 from bigbracket.specfile import PRESET_NAMES, load_preset, materialize, parse_document
 
 from conftest import standard_structure
-from oracles import koszul_sign, perm_sign, sweep_shla
+from oracles import (ShlaMaps, graded_constant, graded_function, graded_section, jacobiator,
+                     koszul_sign, perm_sign, shla_identity, sweep_shla)
 from test_algebroid import su2_bialgebra
 from test_cli_surface import DOCUMENTS
 
@@ -156,38 +158,117 @@ def test_signed_unshuffles_match_the_oracle_signs():
 
 
 def test_shla_check_builds_its_maps_and_each_sign_table_once(monkeypatch):
+    """The sweeps of every arity on one structure share one set of tables."""
     built = []
 
-    class CountedMaps(ShlaMaps):
+    class CountedTables(courant.ShlaTables):
         def __init__(self, structure):
             built.append(structure)
             super().__init__(structure)
 
-    monkeypatch.setattr(courant, "ShlaMaps", CountedMaps)
+    monkeypatch.setattr(courant, "ShlaTables", CountedTables)
     _signed_unshuffles.cache_clear()
-    report = shla_check(standard_structure(2), 4)
-    assert report.passed and len(built) == 1
+    structure = standard_structure(2)
+    assert all(shla_check(structure, n).passed for n in range(1, 5))
+    assert built == [structure] and isinstance(structure.shla, CountedTables)
     info = _signed_unshuffles.cache_info()
     assert info.currsize == info.misses < info.hits
+
+
+# (structure, sections and constant E, functions F): the identity anchor on
+# R^r has 2r basis sections, two scaled ones and r coordinates
+COST_LADDER = {f"R{r}": (lambda r=r: standard_structure(r), 2 * r + 3, r) for r in range(1, 5)}
+COST_LADDER["su2-bialgebra"] = (lambda: structure_from_proto(su2_bialgebra()), 7, 0)
+# evaluations per command for n = 1..4 on the two shla-sweep benchmark documents
+COMMAND_TOTALS = {"R1": 79, "su2-bialgebra": 98}
+
+
+def multichoose(f, k):
+    return comb(f + k - 1, k) if k else 1
+
+
+@pytest.mark.parametrize("rung", COST_LADDER)
+def test_shla_check_evaluates_the_closed_form_number_of_identities(monkeypatch, rung):
+    """A passing n-th sweep evaluates sum_k multichoose(F, k) * C(E, n - k)
+    identities: k functions, repeats allowed, and n - k distinct others."""
+    seen = Counter()
+    original = courant.shla_identity
+
+    def counted(tables, n, combo):
+        seen[n] += 1
+        return original(tables, n, combo)
+
+    monkeypatch.setattr(courant, "shla_identity", counted)
+    make, even, functions = COST_LADDER[rung]
+    structure = make()
+    assert all(shla_check(structure, n).passed for n in range(1, 5))
+    assert seen == {n: sum(multichoose(functions, k) * comb(even, n - k) for k in range(n + 1))
+                    for n in range(1, 5)}
+    if rung in COMMAND_TOTALS:
+        assert sum(seen.values()) == COMMAND_TOTALS[rung]
 
 
 # the documents of the CLI snapshot whose shla-check fails
 FAILING_SHLA = ("twist-R4.spec", "brst-non-homomorphic.spec")
 
 
-@pytest.mark.parametrize("source", PRESET_NAMES + FAILING_SHLA)
+def generated_proto(seed) -> str:
+    """A seeded proto document: rank 1-3, 0-2 base coordinates and random
+    A, C, Abar and Cbar entries, each antisymmetric pair given once."""
+    rng = random.Random(seed)
+    rank, base = rng.randint(1, 3), [f"x{k + 1}" for k in range(rng.randint(0, 2))]
+    values = ["1", "-1", "2", "-1/2"] + base + [f"{x}*{y}" for x in base for y in base]
+    lines = ["kind: proto", f"base: {' '.join(base)}", f"rank: {rank}"]
+    fibers = range(1, rank + 1)
+    for table, indices, share in (
+            ("A", product(fibers, range(1, len(base) + 1)), 0.4),
+            ("Abar", product(fibers, range(1, len(base) + 1)), 0.3),
+            ("C", [(a, b, c) for a, b in combinations(fibers, 2) for c in fibers], 0.4),
+            ("Cbar", [(a, b, c) for a, b in combinations(fibers, 2) for c in fibers], 0.3)):
+        lines += [f"{table}{''.join(f'[{k}]' for k in idx)} = {rng.choice(values)}"
+                  for idx in indices if rng.random() < share]
+    return "\n".join(lines) + "\n"
+
+
+GENERATED = tuple(f"generated-{seed}" for seed in range(20))
+
+
+def _proto(source):
+    if source in PRESET_NAMES:
+        return materialize(load_preset(source)).proto
+    text = DOCUMENTS.get(source) or generated_proto(int(source.rsplit("-", 1)[1]))
+    return materialize(parse_document(text)).proto
+
+
+@pytest.mark.parametrize("source", PRESET_NAMES + FAILING_SHLA + GENERATED)
 def test_shla_check_agrees_with_the_sweep_of_every_tuple(source):
     """Names, verdicts and residuals of every line, n = 1..4, against
-    `sweep_shla`, each on its own structure so no memo is shared."""
-    doc = load_preset(source) if source in PRESET_NAMES else parse_document(DOCUMENTS[source])
-    proto = materialize(doc).proto
+    `sweep_shla`.  The gate sweeps every arity on one structure, as the CLI
+    does, and the oracle each on its own, so they share no table."""
+    proto = _proto(source)
+    structure = structure_from_proto(proto)
     verdicts = set()
     for n in range(1, 5):
-        report = shla_check(structure_from_proto(proto), n)
+        report = shla_check(structure, n)
         oracle = sweep_shla(structure_from_proto(proto), n)
         assert [c.name for c in report.checks] == list(oracle), n
         for name, residual in oracle.items():
             assert report[name].passed == residual.is_zero(), (n, name)
             assert report[name].residual == residual, (n, name)
         verdicts.add(report.passed)
-    assert verdicts == ({True} if source in PRESET_NAMES else {True, False})
+    if source in PRESET_NAMES:
+        assert verdicts == {True}
+    elif source in FAILING_SHLA:
+        assert verdicts == {True, False}
+
+
+def test_generated_documents_fail_some_lines():
+    """The skipped tuples are compared where identities are nonzero: lines
+    fail on a share of the generated documents, at several arities."""
+    failing = set()
+    for source in GENERATED:
+        structure = structure_from_proto(_proto(source))
+        failing |= {(source, n, c.name) for n in range(1, 5)
+                    for c in shla_check(structure, n).checks if not c.passed}
+    assert len({source for source, _n, _name in failing}) >= 5
+    assert {n for _source, n, _name in failing} >= {2, 3, 4}
