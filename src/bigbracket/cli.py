@@ -122,11 +122,6 @@ def _dirac_check(mat, args):
     return crt.check_dirac(structure, sections).checks
 
 
-def _shla_check(mat, args):
-    structure = crt.structure_from_proto(mat.proto)
-    return [check for n in range(1, args.n + 1) for check in crt.shla_check(structure, n).checks]
-
-
 STRUCTURE_COMMANDS = {
     "verify-algebroid": _verify_algebroid,
     "verify-bialgebroid": lambda mat, _args: check_bialgebroid(mat.proto).checks,
@@ -135,7 +130,8 @@ STRUCTURE_COMMANDS = {
     "courant-verify": lambda mat, _args: crt.verify_axioms(
         crt.structure_from_proto(mat.proto)).checks,
     "dirac-check": _dirac_check,
-    "shla-check": _shla_check,
+    "shla-check": lambda mat, args: crt.shla_check(crt.structure_from_proto(mat.proto),
+                                                   args.n).checks,
 }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, product
 
 from .algebroid import (AlgebroidSpec, ProtoBialgebroidSpec, SpecError, ThetaHamiltonian,
@@ -33,10 +33,10 @@ class CourantStructure:
     `total` is theta summed once.  `brackets`, `products` and `sections` are
     keyed by embedded polynomials: `brackets` maps p to {theta, p},
     `products` a pair (a, b) to {{theta, a}, b}, and `sections` an embedding
-    to its validated section.  `shla` holds the `ShlaTables` of `shla_check`.
+    to its validated section.
     """
 
-    __slots__ = ("theta", "total", "brackets", "products", "sections", "shla")
+    __slots__ = ("theta", "total", "brackets", "products", "sections")
 
     def __init__(self, theta: ThetaHamiltonian):
         self.theta = theta
@@ -44,7 +44,6 @@ class CourantStructure:
         self.brackets = {}
         self.products = {}
         self.sections = {}
-        self.shla = None
 
     @property
     def chart(self):
@@ -210,25 +209,6 @@ def t_tensor(e1, e2, e3) -> SuperPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _t2_contractions(t2: SuperPolynomial, emb, last):
-    """The evaluator of a pair (i, j): the first nonzero {{{T2, e_i}, e_j}, z}
-    over z in `last`, or zero.
-
-    {T2, e_i} is made once per i and {{T2, e_i}, e_j} once per pair, so each
-    z costs one bracket.
-    """
-    t2_of = cache(lambda i: canonical_bracket(t2, emb[i]))
-    zero = SuperPolynomial.zero(t2.chart)
-
-    def evaluate(index):
-        i, j = index
-        t2_ij = canonical_bracket(t2_of(i), emb[j])
-        if t2_ij.is_zero():
-            return t2_ij
-        return first_failure(last, lambda z: canonical_bracket(t2_ij, z), zero)[1]
-    return evaluate
-
-
 _AXIOMS = ("axiom1-leibniz-jacobi", "axiom2-anchor-homomorphism", "axiom3-module-leibniz",
           "axiom4-symmetric-part", "axiom5-pairing-invariance")
 
@@ -239,10 +219,12 @@ def verify_axioms(structure: CourantStructure) -> Report:
     The sections are the basis sections followed by each of them scaled by
     every base coordinate, and the functions the base coordinates.  Each
     axiom is one `first_failure` sweep over index tuples of the family, in
-    loop order.  {theta, e_i}, the pair products e_i o e_j and the pairings
-    <e_i, e_j> (symmetric on degree 1, so made once per unordered pair) are
-    tables by generator index, filled for the generators a sweep covers
-    when it starts; each anchor rho(e_i) f is made when first read.
+    loop order.  {theta, e_i}, the pair products e_i o e_j, the pairings
+    <e_i, e_j> (symmetric on degree 1, so made at i <= j only), the scaled
+    sections f_k e_j and the anchors rho(e_i) f are caches keyed by
+    generator index (an anchor by index and function), each entry made when
+    a sweep first reads it; the brackets and products themselves come from
+    the structure's memo.
     A term-by-term evaluator returns the two sides of its identity, so only
     the first tuple where they differ subtracts.
 
@@ -250,9 +232,12 @@ def verify_axioms(structure: CourantStructure) -> Report:
     off T2 = 1/2{theta, theta}: the Leibniz-Jacobi residual at (e_i, e_j, e_k)
     is -{{{T2, e_i}, e_j}, e_k} and the anchor residual at (e_i, e_j, f) is
     +{{{T2, e_i}, e_j}, f} (the Jacobiator of a derived bracket is the derived
-    bracket of the square of its differential).  Both sweeps keep their order,
-    so the first failing tuple and its residual are those of the term-by-term
-    identities, and a zero T2 passes both without a tuple.
+    bracket of the square of its differential).  The two sweeps share one
+    cache of {T2, e_i} and {{T2, e_i}, e_j}, and a zero {{T2, e_i}, e_j} is
+    contracted with nothing.  Both sweeps keep their order, so the first
+    failing tuple and its residual are those of the term-by-term identities;
+    a zero T2 passes both without a tuple, and without base coordinates the
+    anchor sweep has no tuple.
 
     Axioms 3-5 hold for every such theta: with e o e' = {{theta, e}, e'} and
     rho(e) f = {e, {theta, f}}, axiom 3 is the Leibniz rule of {., .} with
@@ -271,109 +256,93 @@ def verify_axioms(structure: CourantStructure) -> Report:
     odd, so neither T2 nor these identities decide it: all five axioms are
     swept over the whole family.
     """
-    sections = generator_family(structure)
     functions = coordinate_functions(structure)
     theta = structure.total
     theta_bracket = structure.theta_bracket
-    emb = [s.embedded for s in sections]
+    emb = [s.embedded for s in generator_family(structure)]
     zero = SuperPolynomial.zero(structure.chart)
-    n = len(sections)
-    family = range(n)
+    family = range(len(emb))
     by_function = range(len(functions))
-    d_of, f_emb = [None] * n, [None] * n
-    prod = [[None] * n for _ in family]
-    pair = [[None] * n for _ in family]
+    d_of = cache(lambda i: theta_bracket(emb[i]))
+    prod = cache(lambda i, j: structure.product(emb[i], emb[j]))
+    pair = cache(lambda i, j: canonical_bracket(emb[i], emb[j]))
+    f_emb = cache(lambda j, k: functions[k] * emb[j])
     rho = cache(lambda i, f: canonical_bracket(emb[i], theta_bracket(f)))   # rho(e_i) f
-    d_prod = cache(lambda i, j: theta_bracket(prod[i][j]))
-
-    def fill(m):
-        """Make the tables hold the first m generators: {theta, e_i} and each
-        f * e_i, e_i o e_j, and <e_i, e_j> at i <= j."""
-        for i in range(m):
-            if d_of[i] is None:
-                d_of[i] = theta_bracket(emb[i])
-                f_emb[i] = [f * emb[i] for f in functions]
-        for i in range(m):
-            for j in range(m):
-                if prod[i][j] is None:
-                    prod[i][j] = structure.product(emb[i], emb[j])
-        for i in range(m):
-            for j in range(i, m):
-                if pair[i][j] is None:
-                    pair[i][j] = canonical_bracket(emb[i], emb[j])
-
-    def over(m, tuples):
-        """`tuples`, filling the tables for the first m generators when the sweep starts."""
-        fill(m)
-        yield from tuples
+    d_prod = cache(lambda i, j: theta_bracket(prod(i, j)))
 
     def leibniz_jacobi(index):
         i, j, k = index
-        return (canonical_bracket(d_of[i], prod[j][k]),
-                canonical_bracket(d_prod(i, j), emb[k])
-                + canonical_bracket(d_of[j], prod[i][k]))
+        return (canonical_bracket(d_of(i), prod(j, k)),
+                canonical_bracket(d_prod(i, j), emb[k]) + canonical_bracket(d_of(j), prod(i, k)))
 
     def anchor_homomorphism(index):
         i, j, k = index
         f = functions[k]
-        return (canonical_bracket(prod[i][j], theta_bracket(f)),
+        return (canonical_bracket(prod(i, j), theta_bracket(f)),
                 rho(i, rho(j, f)) - rho(j, rho(i, f)))
 
     def module_leibniz(index):
         i, j, k = index
         f = functions[k]
-        return canonical_bracket(d_of[i], f_emb[j][k]), f * prod[i][j] + rho(i, f) * emb[j]
+        return canonical_bracket(d_of(i), f_emb(j, k)), f * prod(i, j) + rho(i, f) * emb[j]
 
     def symmetric_part(index):
         # both sides are symmetric in (i, j), so the first failing pair has i <= j
         i, j = index
-        return prod[i][j] + prod[j][i], theta_bracket(pair[i][j])
+        return prod(i, j) + prod(j, i), theta_bracket(pair(i, j))
 
     def pairing_invariance(swept):
         # the pairing is symmetric on degree 1 and kills degree 0, so
         # {e_j, e_i o e_k} is {e_i o e_k, e_j}: one bracket table per i; the
         # anchor term rho(e_i)<e_j, e_k> is {e_i, D<e_j, e_k>}, bracketed once
         # per unordered (j, k) and only where D<e_j, e_k> is nonzero
-        fill(len(swept))
         d_pair = {(j, k): d for j, k in combinations_with_replacement(swept, 2)
-                  if not (d := theta_bracket(pair[j][k])).is_zero()}
-        rows = [None] * len(swept)
+                  if not (d := theta_bracket(pair(j, k))).is_zero()}
 
+        @cache
         def row(i):
-            table = [[canonical_bracket(prod[i][j], emb[k]) for k in swept] for j in swept]
+            table = [[canonical_bracket(prod(i, j), emb[k]) for k in swept] for j in swept]
             anchor = [[zero] * len(swept) for _ in swept]
             for (j, k), d in d_pair.items():
                 anchor[j][k] = anchor[k][j] = canonical_bracket(emb[i], d)
-            rows[i] = table, anchor
-            return rows[i]
+            return table, anchor
 
         def evaluate(index):
             i, j, k = index
-            table, anchor = rows[i] or row(i)
+            table, anchor = row(i)
             return anchor[j][k], table[j][k] + table[k][j]
         return evaluate
 
     if all(k == 3 for (_e, _d, k) in theta.gradings()):
         basis = range(2 * structure.rank)
         t2 = canonical_bracket(theta, theta).scale(HALF)
-        if t2.is_zero():
-            axiom1 = axiom2 = zero
-        else:
-            pairs = list(product(family, repeat=2))
-            axiom1 = -first_failure(pairs, _t2_contractions(t2, emb, emb), zero)[1]
-            axiom2 = first_failure(pairs, _t2_contractions(t2, emb, functions), zero)[1]
-        prefix3 = over(len(basis), product(basis, basis, by_function))
-        prefix4 = over(len(basis), combinations_with_replacement(basis, 2))
+        t2_of = cache(lambda i: canonical_bracket(t2, emb[i]))
+        t2_pair = cache(lambda i, j: canonical_bracket(t2_of(i), emb[j]))
+
+        def contraction(last):
+            def evaluate(index):
+                i, j, k = index
+                t2_ij = t2_pair(i, j)
+                return t2_ij if t2_ij.is_zero() else canonical_bracket(t2_ij, last[k])
+            return evaluate
+
+        # a zero T2 leaves both sweeps without a tuple
+        family_t2 = () if t2.is_zero() else family
+        axiom1 = -first_failure(product(family_t2, family, family), contraction(emb), zero)[1]
+        axiom2 = first_failure(product(family_t2, family, by_function), contraction(functions),
+                               zero)[1]
+        prefix3 = product(basis, basis, by_function)
+        prefix4 = combinations_with_replacement(basis, 2)
     else:
         basis = family
-        axiom1 = first_failure(over(n, product(family, repeat=3)), leibniz_jacobi, zero)[1]
-        axiom2 = first_failure(over(n, product(family, family, by_function)),
-                               anchor_homomorphism, zero)[1]
+        axiom1 = first_failure(product(family, repeat=3), leibniz_jacobi, zero)[1]
+        axiom2 = first_failure(product(family, family, by_function), anchor_homomorphism,
+                               zero)[1]
         prefix3 = prefix4 = None
-    axiom3 = first_failure(over(n, product(family, family, by_function)), module_leibniz,
-                           zero, prefix3)[1]
-    axiom4 = first_failure(over(n, combinations_with_replacement(family, 2)), symmetric_part,
-                           zero, prefix4)[1]
+    axiom3 = first_failure(product(family, family, by_function), module_leibniz, zero,
+                           prefix3)[1]
+    axiom4 = first_failure(combinations_with_replacement(family, 2), symmetric_part, zero,
+                           prefix4)[1]
     swept = basis if axiom3.is_zero() and axiom4.is_zero() else family
     axiom5 = first_failure(product(swept, repeat=3), pairing_invariance(swept), zero)[1]
     return Report([Check.from_residual(name, residual) for name, residual
@@ -516,13 +485,14 @@ _LEMMAS = {3: {"chainmap-on-two-sections-and-function": (SECTION, SECTION, FUNCT
 
 
 def shla_check(structure: CourantStructure, n: int) -> Report:
-    """Generalized Jacobi identities over sorted tuples of generators.
+    """Generalized Jacobi identities of arities 1..n over sorted tuples of generators.
 
-    The sweeps of every arity share the `ShlaTables` kept on the structure.
-    identity-n{n} is the first failure over the sorted n-tuples in which no
-    section and not the constant repeats, and for n = 3 and 4 the lemma of
-    _LEMMAS the first among those of its shape, one evaluation per tuple.
-    n = 4 also sweeps K + 2J over 4-sets of distinct sections.
+    One `ShlaTables`, made for this call, serves the sweeps of every arity.
+    For each arity k, identity-n{k} is the first failure over the sorted
+    k-tuples in which no section and not the constant repeats, and for k = 3
+    and 4 the lemma of _LEMMAS the first among those of its shape, one
+    evaluation per tuple.  k = 4 also sweeps K + 2J over 4-sets of distinct
+    sections, reported between identity-n4 and its lemma.
 
     The tuples left out have a zero identity, so each line keeps the first
     failing tuple and residual of the sweep over all sorted tuples.  Every
@@ -535,23 +505,24 @@ def shla_check(structure: CourantStructure, n: int) -> Report:
     A line fails at the first tuple needing an l2 output that is no section
     (as an off-degree theta gives), with that output as residual.
     """
-    tables = structure.shla = structure.shla or ShlaTables(structure)
+    tables = ShlaTables(structure)
     degrees = tables.degrees
     zero = SuperPolynomial.zero(structure.chart)
-    identity = cache(lambda combo: shla_identity(tables, n, combo))
-    # with E sections and constant and F functions, sum over k of
-    # multichoose(F, k) * C(E, n - k) tuples: k functions, n - k distinct others
-    tuples = [c for c in combinations_with_replacement(range(len(degrees)), n)
-              if all(a != b or degrees[a] == FUNCTION for a, b in zip(c, c[1:]))]
-    lines = {f"identity-n{n}": tuples}
-    for name, shape in _LEMMAS.get(n, {}).items():
-        lines[name] = [c for c in tuples if tuple(degrees[k] for k in c) == shape]
-    checks = [Check.from_residual(name, first_failure(swept, identity, zero)[1])
-              for name, swept in lines.items()]
-    if n == 4:
-        # reported between identity-n4 and its lemma
-        res = _quadrilinear_failure(tables, zero)[1]
-        checks.insert(1, Check.from_residual("quadrilinear-pairing-identity", res))
+    identity = cache(lambda k, combo: shla_identity(tables, k, combo))
+    checks = []
+    for k in range(1, n + 1):
+        # with E sections and constant and F functions, sum over m of
+        # multichoose(F, m) * C(E, k - m) tuples: m functions, k - m distinct others
+        tuples = [c for c in combinations_with_replacement(range(len(degrees)), k)
+                  if all(a != b or degrees[a] == FUNCTION for a, b in zip(c, c[1:]))]
+        lines = {f"identity-n{k}": tuples}
+        for name, shape in _LEMMAS.get(k, {}).items():
+            lines[name] = [c for c in tuples if tuple(degrees[i] for i in c) == shape]
+        checks += [Check.from_residual(name, first_failure(swept, partial(identity, k), zero)[1])
+                   for name, swept in lines.items()]
+        if k == 4:
+            res = _quadrilinear_failure(tables, zero)[1]
+            checks.insert(-1, Check.from_residual("quadrilinear-pairing-identity", res))
     return Report(checks)
 
 
@@ -667,7 +638,6 @@ def check_dirac(structure: CourantStructure, sections) -> Report:
 class TwistedStructure:
     structure: CourantStructure
     phi: SuperPolynomial            # the active cubic term
-    omega: SuperPolynomial | None   # gauge two-form, when given
     phi_raw: SuperPolynomial        # cubic term before gauging
     proto: ProtoBialgebroidSpec     # identity anchor, zero dual side, active phi
 
@@ -696,4 +666,4 @@ def twist_exact(std: ProtoBialgebroidSpec, phi: SuperPolynomial,
                 raise SpecError("gauge must be a two-form (delta degree 2)")
         active = phi + canonical_bracket(build_mu(std.a_side), omega)
     proto = ProtoBialgebroidSpec(std.a_side, std.astar_side, active, None)
-    return TwistedStructure(structure_from_proto(proto), active, omega, phi, proto)
+    return TwistedStructure(structure_from_proto(proto), active, phi, proto)

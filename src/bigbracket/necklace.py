@@ -239,7 +239,12 @@ class AssemblyError(RuntimeError):
 
 def global_assembly(c, local: CohomologyReport | None = None,
                     recorded: RecordedConstants | None = None) -> CohomologyReport:
-    """Sphere cohomology by exactness bookkeeping over the two-set cover."""
+    """Sphere cohomology by exactness bookkeeping over the two-set cover.
+
+    `local` is the mode-0 cohomology of a |c| < 1 member, as
+    `mode_cohomology(c, 0, N)` gives it; a member with |c| > 1 reads neither
+    it nor `recorded`.
+    """
     c = Fraction(c)
     if abs(c) == 1:
         raise AssemblyError("the |c| = 1 members are outside this computation")
@@ -251,8 +256,6 @@ def global_assembly(c, local: CohomologyReport | None = None,
             label=f"global c={c}")
     if recorded is None:
         recorded = RecordedConstants()
-    if local is None:
-        local = mode_0_summary(c)
     hU = local.dims
     hV = recorded.h_disks
     hUV = recorded.h_annuli
@@ -286,10 +289,6 @@ def global_assembly(c, local: CohomologyReport | None = None,
             "generator identification": "recorded-constant",
         },
         label=f"global c={c}")
-
-
-def mode_0_summary(c) -> CohomologyReport:
-    return mode_cohomology(c, 0, 12)
 
 
 # ---------------------------------------------------------------------------

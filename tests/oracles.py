@@ -1078,7 +1078,7 @@ def jacobiator(e1, e2, e3, skew=skew_bracket) -> CourantSection:
 
 
 def sweep_shla(structure, n) -> dict:
-    """The lines of `shla_check(structure, n)`, {name: first nonzero residual}.
+    """The arity-n lines of `shla_check`, {name: first nonzero residual}.
 
     Every tuple of the gate's generators, in the gate's order, has its
     identity evaluated by `shla_identity`, and nothing is skipped:
@@ -1169,18 +1169,20 @@ def swap_proto(proto: ProtoBialgebroidSpec) -> ProtoBialgebroidSpec:
     return ProtoBialgebroidSpec(new_primal, new_dual, new_phi, new_psi)
 
 
-def splitting_shift(twisted, e: CourantSection) -> CourantSection:
-    """Section map of a twist's splitting change: X + xi -> X + xi - i_X omega."""
-    if twisted.omega is None:
+def splitting_shift(omega, e: CourantSection) -> CourantSection:
+    """Section map of a twist's splitting change by the gauge two-form `omega`
+    (None for none): X + xi -> X + xi - i_X omega."""
+    if omega is None:
         return e
-    structure = twisted.structure
+    structure = e.structure
     chart = structure.chart
+    omega = omega.substitute(chart, {}) if omega.chart is not chart else omega
     # i_X omega = X^b d(omega)/dxi^b; its xi_a coefficients shift the covector
     ix = SuperPolynomial.zero(chart)
     for b, bname in enumerate(structure.bundle.fiber_names):
         xcomp = e.vector.get(b + 1)
         if xcomp is not None:
-            ix = ix + xcomp * twisted.omega.partial(bname)
+            ix = ix + xcomp * omega.partial(bname)
     cov = dict(e.covector)
     for a, name in enumerate(structure.bundle.fiber_names):
         comp = ix.partial(name)

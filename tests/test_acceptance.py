@@ -281,10 +281,10 @@ def test_criterion_8_twists_and_gauges():
         fiber_de_rham(gauged.structure.bundle, omega))
     for e1 in basis_sections(gauged.structure):
         for e2 in basis_sections(gauged.structure):
-            f1, f2 = splitting_shift(gauged, e1), splitting_shift(gauged, e2)
+            f1, f2 = splitting_shift(omega, e1), splitting_shift(omega, e2)
             lhs = circ(section_from_components(plain.structure, f1.vector, f1.covector),
                        section_from_components(plain.structure, f2.vector, f2.covector))
-            rhs = splitting_shift(gauged, circ(e1, e2))
+            rhs = splitting_shift(omega, circ(e1, e2))
             assert str(lhs.embedded) == str(rhs.embedded)
 
 
@@ -314,7 +314,7 @@ def test_criterion_10_local_cohomology():
 
 @criterion(11)
 def test_criterion_11_global_assembly():
-    rep = global_assembly(0)
+    rep = global_assembly(0, mode_cohomology(0, 0, 12))
     assert rep.dims == (1, 1, 2)
     computed = [k for k, v in rep.provenance.items() if v == "computed"]
     recorded = [k for k, v in rep.provenance.items() if "recorded" in str(v)]

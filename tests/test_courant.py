@@ -283,6 +283,9 @@ AXIOM_DOCUMENTS = {
     "tangent-x2": "kind: algebroid\nbase: x1 x2\nrank: 2\nA[1][1] = x2\nA[2][2] = 1\n",
     # the two-form probe: T2 = 0, yet axiom 1 fails, so the sweep decides it
     "probe": "kind: exact-courant\nbase: x1 x2 x3\nrank: 3\nphi = x1*xi2*xi3\n",
+    # the probe on R^2: the last term of Leibniz-Jacobi, {{theta, e_j}, e_i o e_k},
+    # is nonzero by the first failing tuple, so its sign shows in the residual
+    "probe-R2": "kind: exact-courant\nbase: x1 x2\nrank: 2\nphi = x1*xi1*xi2\n",
     # [e1, e2] = e1, but the action sends e1, e2 to the commuting d/dx, d/dy
     "brst-non-homomorphic": "kind: brst\nbase: x y\nrank: 2\nlie[1][2][1] = 1\n"
                             "rho[1][1] = 1\nrho[2][2] = 1\n",
@@ -316,7 +319,8 @@ def test_axioms_1_and_2_fail_where_expected():
     axiom1, axiom2 = "axiom1-leibniz-jacobi", "axiom2-anchor-homomorphism"
     assert failing == {"twist-R4": [axiom1], "non-jacobi": [axiom1],
                        "non-cocycle": [axiom1], "tangent-x2": [axiom1, axiom2],
-                       "probe": [axiom1], "brst-non-homomorphic": [axiom1, axiom2],
+                       "probe": [axiom1], "probe-R2": [axiom1],
+                       "brst-non-homomorphic": [axiom1, axiom2],
                        "zero-anchor": []}
 
 
@@ -352,25 +356,75 @@ def test_master_equation_signs():
     assert nonzero == {"axiom1", "axiom2"}
 
 
-def _refuse(*_args):
-    raise AssertionError("a per-tuple contraction of T2 was evaluated")
+def _spy_sweeps(monkeypatch, calls):
+    """(tuples evaluated, brackets made) of each `first_failure` sweep that
+    courant starts from here on, in call order; `calls` is a `_spy_brackets` list."""
+    sweeps = []
+    inner = courant.first_failure
+
+    def spy(tuples, evaluate, zero, prefix=None):
+        evaluated, start = [], len(calls)
+
+        def counted(index):
+            evaluated.append(index)
+            return evaluate(index)
+        out = inner(tuples, counted, zero, prefix)
+        sweeps.append((len(evaluated), len(calls) - start))
+        return out
+
+    monkeypatch.setattr(courant, "first_failure", spy)
+    return sweeps
 
 
 @pytest.mark.parametrize("source", ["su2-bialgebra", "standard-R2", "exact-twist-R3"])
 def test_zero_t2_evaluates_no_tuple(source, monkeypatch):
     structure = _axiom_structure(source)
     assert _t2(structure).is_zero()
-    monkeypatch.setattr(courant, "_t2_contractions", _refuse)
+    sweeps = _spy_sweeps(monkeypatch, _spy_brackets(monkeypatch))
     assert verify_axioms(structure).passed
+    # one sweep per axiom, in order: those of axioms 1 and 2 evaluate nothing
+    assert len(sweeps) == 5 and sweeps[:2] == [(0, 0), (0, 0)]
 
 
 def test_nonzero_t2_reaches_the_contractions_and_a_probe_does_not(monkeypatch):
-    monkeypatch.setattr(courant, "_t2_contractions", _refuse)
-    with pytest.raises(AssertionError, match="per-tuple"):
-        verify_axioms(_axiom_structure("tangent-x2"))
+    structure = _axiom_structure("tangent-x2")
+    t2 = _t2(structure)
+    calls = _spy_brackets(monkeypatch)
+    verify_axioms(structure)
+    assert any(p == t2 for p, _q in calls)
     probe = _axiom_structure("probe")
     assert _t2(probe).is_zero()
+    theta = probe.theta.total
+    calls.clear()
     assert not verify_axioms(probe)["axiom1-leibniz-jacobi"].passed
+    assert calls and not any(p == theta and q == theta for p, q in calls)
+
+
+# the rank-3 su(2) bracket with the cobracket e1 -> e2^e3, which is no cocycle
+SU2_NON_COCYCLE = ("kind: bialgebroid\nrank: 3\nC[1][2][3] = 1\nC[2][3][1] = 1\n"
+                   "C[3][1][2] = 1\nCbar[1][2][3] = 1\n")
+
+
+def test_axioms_1_and_2_share_the_t2_contractions(monkeypatch):
+    """Each {{T2, e_i}, e_j} is bracketed once, and with no base coordinate the
+    anchor sweep has no function to contract with, so it makes no bracket."""
+    structure = structure_from_proto(materialize(parse_document(SU2_NON_COCYCLE)).proto)
+    t2 = _t2(structure)
+    emb = [e.embedded for e in generator_family(structure)]
+    t2_of = {}
+    for i, e in enumerate(emb):
+        if not (t2_e := canonical_bracket(t2, e)).is_zero():
+            t2_of[t2_e] = i
+    calls = _spy_brackets(monkeypatch)
+    sweeps = _spy_sweeps(monkeypatch, calls)
+    report = verify_axioms(structure)
+    assert not report["axiom1-leibniz-jacobi"].passed
+    assert report["axiom2-anchor-homomorphism"].passed
+    index = {e: j for j, e in enumerate(emb)}
+    pairs = [(t2_of[p], index[q]) for p, q in calls if p in t2_of and q in index]
+    assert len(t2_of) > 1 and pairs
+    assert len(pairs) == len(set(pairs))
+    assert sweeps[1] == (0, 0)
 
 
 # -- axioms 3-5: both sides compared, one subtraction ----------------------------------
@@ -636,7 +690,7 @@ def test_untwisted_gauge_is_identity():
     twisted = twist_exact(standard_proto(2), parse_poly("0", STD2.chart))
     assert twisted.structure.theta.phi.is_zero()
     e = sec_v(twisted.structure, 1)
-    assert splitting_shift(twisted, e) == e
+    assert splitting_shift(None, e) == e
 
 
 def test_probe_twist_fails_exactly_the_first_axiom():
@@ -689,11 +743,11 @@ def test_gauge_reproduces_shifted_twist_section_by_section():
     assert dphi == fiber_de_rham(gauged.structure.bundle, omega)
     for e1 in basis_sections(gauged.structure):
         for e2 in basis_sections(gauged.structure):
-            f1, f2 = splitting_shift(gauged, e1), splitting_shift(gauged, e2)
+            f1, f2 = splitting_shift(omega, e1), splitting_shift(omega, e2)
             lhs = circ(section_from_components(plain.structure, f1.vector, f1.covector),
                        section_from_components(plain.structure, f2.vector, f2.covector))
             prod = circ(e1, e2)
-            rhs = splitting_shift(gauged, prod)
+            rhs = splitting_shift(omega, prod)
             assert str(lhs.embedded) == str(rhs.embedded)
 
 

@@ -381,7 +381,7 @@ def test_truncation_guards():
 # -- global assembly -----------------------------------------------------------------
 
 def test_global_dimensions_for_degenerate_member():
-    rep = global_assembly(0)
+    rep = global_assembly(0, mode_cohomology(0, 0, 12))
     assert rep.dims == (1, 1, 2)
     assert rep.generators == (("1",), ("Delta_omega",), ("pi_c", "pi"))
     assert rep.provenance["local annulus"] == "computed"
@@ -404,7 +404,8 @@ def test_assembly_rejects_degenerate_local_input():
 
 def test_assembly_rejects_out_of_range_rank():
     with pytest.raises(AssemblyError):
-        global_assembly(0, recorded=RecordedConstants(restriction_rank_h1=7))
+        global_assembly(0, mode_cohomology(0, 0, 12),
+                        recorded=RecordedConstants(restriction_rank_h1=7))
 
 
 def test_assembly_rejects_unit_parameter():

@@ -158,7 +158,8 @@ def test_signed_unshuffles_match_the_oracle_signs():
 
 
 def test_shla_check_builds_its_maps_and_each_sign_table_once(monkeypatch):
-    """The sweeps of every arity on one structure share one set of tables."""
+    """The sweeps of every arity of one call share one set of tables, made
+    for that call and not kept on the structure."""
     built = []
 
     class CountedTables(courant.ShlaTables):
@@ -169,10 +170,12 @@ def test_shla_check_builds_its_maps_and_each_sign_table_once(monkeypatch):
     monkeypatch.setattr(courant, "ShlaTables", CountedTables)
     _signed_unshuffles.cache_clear()
     structure = standard_structure(2)
-    assert all(shla_check(structure, n).passed for n in range(1, 5))
-    assert built == [structure] and isinstance(structure.shla, CountedTables)
+    assert shla_check(structure, 4).passed
+    assert built == [structure] and not hasattr(structure, "shla")
     info = _signed_unshuffles.cache_info()
     assert info.currsize == info.misses < info.hits
+    assert shla_check(structure, 2).passed
+    assert built == [structure, structure]
 
 
 # (structure, sections and constant E, functions F): the identity anchor on
@@ -201,7 +204,7 @@ def test_shla_check_evaluates_the_closed_form_number_of_identities(monkeypatch, 
     monkeypatch.setattr(courant, "shla_identity", counted)
     make, even, functions = COST_LADDER[rung]
     structure = make()
-    assert all(shla_check(structure, n).passed for n in range(1, 5))
+    assert shla_check(structure, 4).passed
     assert seen == {n: sum(multichoose(functions, k) * comb(even, n - k) for k in range(n + 1))
                     for n in range(1, 5)}
     if rung in COMMAND_TOTALS:
@@ -242,33 +245,48 @@ def _proto(source):
 
 @pytest.mark.parametrize("source", PRESET_NAMES + FAILING_SHLA + GENERATED)
 def test_shla_check_agrees_with_the_sweep_of_every_tuple(source):
-    """Names, verdicts and residuals of every line, n = 1..4, against
-    `sweep_shla`.  The gate sweeps every arity on one structure, as the CLI
-    does, and the oracle each on its own, so they share no table."""
+    """Names, order, verdicts and residuals of every line of one
+    `shla_check(structure, 4)`, against `sweep_shla` for n = 1..4 in turn.
+    The gate sweeps every arity in one call, as the CLI does, and the oracle
+    each on its own structure, so they share no table."""
     proto = _proto(source)
-    structure = structure_from_proto(proto)
+    report = shla_check(structure_from_proto(proto), 4)
+    oracle = [sweep_shla(structure_from_proto(proto), n) for n in range(1, 5)]
+    assert [c.name for c in report.checks] == [name for lines in oracle for name in lines]
     verdicts = set()
-    for n in range(1, 5):
-        report = shla_check(structure, n)
-        oracle = sweep_shla(structure_from_proto(proto), n)
-        assert [c.name for c in report.checks] == list(oracle), n
-        for name, residual in oracle.items():
+    for n, lines in enumerate(oracle, 1):
+        for name, residual in lines.items():
             assert report[name].passed == residual.is_zero(), (n, name)
             assert report[name].residual == residual, (n, name)
-        verdicts.add(report.passed)
+        verdicts.add(all(report[name].passed for name in lines))
     if source in PRESET_NAMES:
         assert verdicts == {True}
     elif source in FAILING_SHLA:
         assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("source", PRESET_NAMES + FAILING_SHLA)
+def test_lower_arities_are_the_first_lines_of_arity_four(source):
+    """`shla-check --n k` prints the lines of arities 1..k, which open the
+    lines of --n 4."""
+    structure = structure_from_proto(_proto(source))
+    full = shla_check(structure, 4).checks
+    for n in (1, 2, 3):
+        lines = shla_check(structure, n).checks
+        assert lines == full[:len(lines)]
+        assert full[len(lines)].name == f"identity-n{n + 1}"
+
+
 def test_generated_documents_fail_some_lines():
     """The skipped tuples are compared where identities are nonzero: lines
     fail on a share of the generated documents, at several arities."""
+    arity = {f"identity-n{n}": n for n in range(1, 5)} | {
+        "chainmap-on-two-sections-and-function": 3, "quadrilinear-pairing-identity": 4,
+        "l3l2-equals-l2l3-on-sections": 4}
     failing = set()
     for source in GENERATED:
         structure = structure_from_proto(_proto(source))
-        failing |= {(source, n, c.name) for n in range(1, 5)
-                    for c in shla_check(structure, n).checks if not c.passed}
+        failing |= {(source, arity[c.name], c.name)
+                    for c in shla_check(structure, 4).checks if not c.passed}
     assert len({source for source, _n, _name in failing}) >= 5
     assert {n for _source, n, _name in failing} >= {2, 3, 4}
