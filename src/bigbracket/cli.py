@@ -13,15 +13,13 @@ import time
 from fractions import Fraction
 
 from . import courant as crt
-from .algebroid import (SpecError, check_bialgebroid, check_lie_algebroid, check_proto,
+from .algebroid import (check_bialgebroid, check_lie_algebroid, check_proto,
                         double_differential, homomorphism_residuals)
 from .brackets import canonical_bracket
-from .chart import ChartError
-from .necklace import (AssemblyError, RecordedConstants, StructureIdentityError,
-                       TruncationInstability, build_structures, global_assembly,
-                       mode_cohomology, modular_and_volume, schouten_square,
-                       structure_identities)
-from .parsing import ParseError, parse_poly
+from .necklace import (AssemblyError, StructureIdentityError, build_structures,
+                       global_assembly, mode_cohomology, modular_and_volume,
+                       schouten_square, structure_identities)
+from .parsing import parse_poly
 from .poly import SuperPolynomial
 from .report import FAIL, PASS, RECORDED, Check, Report, first_failure
 from .specfile import (DocumentError, Materialized, load_document, load_preset,
@@ -182,7 +180,7 @@ def cmd_cohomology(args) -> Report:
             gens = "; ".join(", ".join(g) for g in rep.generators if g)
             note = f"dims {rep.dims}" + (f" generators [{gens}]" if gens else "")
             checks.append(Check(f"mode-{n}", PASS, note=note))
-        result = global_assembly(c, local, RecordedConstants())
+        result = global_assembly(c, local)
     else:
         result = global_assembly(c)
     gens = "; ".join(", ".join(g) for g in result.generators if g)
@@ -277,8 +275,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report = args.fn(args)
-    except (DocumentError, ParseError, SpecError, ChartError, ValueError,
-            AssemblyError, StructureIdentityError, TruncationInstability) as exc:
+    except (ValueError, AssemblyError, StructureIdentityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     sys.stdout.write(report.render(args.format))

@@ -71,6 +71,12 @@ def parse_document(text: str) -> SpecDocument:
     rank = 0
     entries = {}
     scalars = {}
+    first_line = {}               # key set so far -> the line that set it
+
+    def claim(key, lineno, label):
+        if first_line.setdefault(key, lineno) != lineno:
+            raise DocumentError(f"line {lineno}: {label} repeats line {first_line[key]}")
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,6 +85,7 @@ def parse_document(text: str) -> SpecDocument:
             key, _, value = line.partition(":")
             key = key.strip()
             value = value.strip()
+            claim("rank" if key in _INT_KEYS else key, lineno, key)
             if key == "kind":
                 if value not in _READS:
                     raise DocumentError(f"line {lineno}: unknown kind {value!r}")
@@ -86,7 +93,10 @@ def parse_document(text: str) -> SpecDocument:
             elif key == "base":
                 base = tuple(value.split())
             elif key in _INT_KEYS:
-                rank = int(value)
+                try:
+                    rank = int(value)
+                except ValueError:
+                    raise DocumentError(f"line {lineno}: {key} must be an integer") from None
                 if rank < 0:
                     raise DocumentError(f"line {lineno}: {key} must not be negative")
             elif key == "name":
@@ -116,8 +126,10 @@ def parse_document(text: str) -> SpecDocument:
             if len(idx) != _TABLE_ARITY[name]:
                 raise DocumentError(
                     f"line {lineno}: {name} takes {_TABLE_ARITY[name]} indices")
+            claim((name, tuple(idx)), lineno, name + "".join(f"[{i}]" for i in idx))
             entries[(name, tuple(idx))] = rhs
         else:
+            claim(lhs, lineno, lhs)
             scalars[lhs] = rhs
     if kind is None:
         raise DocumentError("missing 'kind:' header")

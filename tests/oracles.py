@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from bigbracket.algebroid import (AlgebroidSpec, ProtoBialgebroidSpec, SpecError,
                                   dual_chart_for)
@@ -325,6 +325,37 @@ def koszul_sign(perm, degrees) -> int:
             if perm[a] > perm[b] and degrees[perm[a]] % 2 and degrees[perm[b]] % 2:
                 sign = -sign
     return sign
+
+
+def generic_jacobiator(names, rank):
+    """The Jacobiator of structure constants that are independent variables.
+
+    `names` maps (a, b, c) with a < b to the variable standing for C^c_ab; the
+    other constants follow from C^c_ba = -C^c_ab.  Returns J^d_abc =
+    sum_e (C^e_ab C^d_ec + C^e_bc C^d_ea + C^e_ca C^d_eb) for a < b < c as
+    {(a, b, c, d): {sorted tuple of variable names: integer coefficient}},
+    nonzero coefficients only.  Plain dict arithmetic, no engine polynomial.
+    """
+    def const(a, b, c):
+        if a == b:
+            return {}
+        return {(names[(a, b, c)],): 1} if a < b else {(names[(b, a, c)],): -1}
+
+    jacobiator = {}
+    indices = range(1, rank + 1)
+    for a, b, c in combinations(indices, 3):
+        for d in indices:
+            total = {}
+            for e in indices:
+                for (p, q, r) in ((a, b, c), (b, c, a), (c, a, b)):
+                    for m1, x1 in const(p, q, e).items():
+                        for m2, x2 in const(e, r, d).items():
+                            mono = tuple(sorted(m1 + m2))
+                            total[mono] = total.get(mono, 0) + x1 * x2
+            total = {mono: x for mono, x in total.items() if x}
+            if total:
+                jacobiator[(a, b, c, d)] = total
+    return jacobiator
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,13 @@ from bigbracket.algebroid import (AlgebroidSpec, ProtoBialgebroidSpec, SpecError
                                   check_proto, double_differential, dual_chart_for,
                                   homomorphism_residuals)
 from bigbracket.brackets import canonical_bracket, legendre
+from bigbracket.cli import main
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
 from bigbracket.specfile import PRESET_NAMES, load_preset, materialize, parse_document
 
-from oracles import cartan_differential, schouten_bracket, swap_proto
+from oracles import cartan_differential, generic_jacobiator, schouten_bracket, swap_proto
 
 EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1}
 
@@ -552,3 +555,42 @@ def test_both_cubic_terms_on_the_plain_double_fail():
     failing = {c.name for c in rep.checks if not c.passed}
     assert "{mu,gamma*}+{phi,psi*}" in failing
     assert "1/2{gamma*,gamma*}+{mu,psi*}" in failing
+
+
+# -- structure constants that are base coordinates ------------------------------
+# With zero anchors no bracket differentiates the base coordinates, so a
+# residual is a polynomial identity in the structure constants: one document
+# covers every constant Lie bialgebra of its rank.
+
+GENERIC_RANK_2 = ("kind: bialgebroid\nbase: a b c d\nrank: 2\n"
+                  "C[1][2][1] = a\nC[1][2][2] = b\nCbar[1][2][1] = c\nCbar[1][2][2] = d\n")
+
+
+@pytest.mark.parametrize("command", ["verify-bialgebroid", "verify-proto", "double",
+                                     "courant-verify"])
+def test_every_pair_of_two_dimensional_lie_algebras_is_a_bialgebra(tmp_path, command):
+    """The Liu-Weinstein-Xu cocycle condition holds identically at rank 2."""
+    doc = tmp_path / "generic-r2.spec"
+    doc.write_text(GENERIC_RANK_2)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([command, "--spec", str(doc)])
+    assert code == 0, out.getvalue()
+    assert "result: PASS" in out.getvalue()
+
+
+def test_generic_rank_3_self_bracket_is_the_jacobiator():
+    """1/2{mu,mu} = sum_{a<b<c, d} J^d_abc xi^a xi^b xi^c xis_d, term by term."""
+    names = {(a, b, c): f"k{a}{b}{c}" for a, b in ((1, 2), (1, 3), (2, 3)) for c in (1, 2, 3)}
+    text = (f"kind: bialgebroid\nbase: {' '.join(names.values())}\nrank: 3\n"
+            + "".join(f"C[{a}][{b}][{c}] = {name}\n" for (a, b, c), name in names.items()))
+    spec = materialize(parse_document(text)).proto.a_side
+    mu = build_mu(spec)
+    half = canonical_bracket(mu, mu).scale(GaussianRational(Fraction(1, 2)))
+    jacobiator = generic_jacobiator(names, 3)
+    expected = " + ".join(f"({x})*{'*'.join(mono)}*xi{a}*xi{b}*xi{c}*xis{d}"
+                          for (a, b, c, d), poly in jacobiator.items()
+                          for mono, x in poly.items())
+    assert sum(len(poly) for poly in jacobiator.values()) == 12
+    assert len(half.terms) == 12
+    assert half == parse_poly(expected, spec.chart)

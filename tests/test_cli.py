@@ -503,6 +503,26 @@ def test_out_of_range_table_index_is_a_usage_error(tmp_path, entry):
     assert "error:" in err and "out of range" in err
 
 
+@pytest.mark.parametrize("command, body, message", [
+    ("verify-algebroid", "A[1][1] = 1\nA[1][1] = 2\n", "line 5: A[1][1] repeats line 4"),
+    ("verify-proto", "phi = 0\nphi = x1*xi1\n", "line 5: phi repeats line 4"),
+    ("verify-algebroid", "dim: 1\n", "line 4: dim repeats line 3"),
+])
+def test_a_key_given_twice_is_a_usage_error(tmp_path, command, body, message):
+    doc = tmp_path / "doc.spec"
+    doc.write_text(f"kind: proto\nbase: x1\nrank: 1\n{body}")
+    code, out, err = run([command, "--spec", str(doc)])
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err
+
+
+def test_a_rank_that_is_not_an_integer_is_a_usage_error(tmp_path):
+    doc = tmp_path / "doc.spec"
+    doc.write_text("kind: algebroid\nbase: x1\nrank: two\n")
+    code, out, err = run(["verify-algebroid", "--spec", str(doc)])
+    assert (code, out, err) == (2, "", "error: line 3: rank must be an integer\n")
+
+
 RANK_ZERO = "kind: bialgebroid\nbase: x1\nrank: 0\n"
 
 

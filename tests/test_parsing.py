@@ -60,6 +60,25 @@ def test_no_implicit_multiplication():
         parse_poly("2 x1", CH)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x1 $ 2", "unexpected character '$' (at column 4)"),
+    ("1/", "expected denominator digits after '/' (at column 2)"),
+    ("1/x1", "expected denominator digits after '/' (at column 2)"),
+    ("3/0", "zero denominator (at column 3)"),
+    ("(x1 x2", "expected ')' (at column 5)"),
+    ("_x1", "unknown variable '_x1' (at column 1)"),
+])
+def test_parse_error_messages_and_columns(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, CH)
+    assert str(err.value) == message
+
+
+def test_identifiers_may_start_with_or_hold_an_underscore():
+    chart = cotangent_chart(["_a", "b_1"], ["xi1"]).chart
+    assert str(parse_poly("_a*b_1 + 2*_a", chart)) == "_a*b_1 + 2*_a"
+
+
 @st.composite
 def seeds(draw):
     return draw(st.integers(min_value=0, max_value=10 ** 6))

@@ -89,6 +89,19 @@ def test_malformed_header():
     ("kind: algebroid\nbase: x1\nrank: 1\nA[1][x] = 1\n", "malformed index"),
     ("kind: algebroid\nbase: x1\nrank: 1\nA[1][-1] = 1\n", "malformed index"),
     ("kind: algebroid\nbase: x1\nrank: 1\nA[1]1] = 1\n", "malformed index"),
+    ("kind: algebroid\nbase: x1\nrank: two\n", "line 3: rank must be an integer"),
+    ("kind: algebroid\nbase: x1\ndim: 1.5\n", "line 3: dim must be an integer"),
+    # a key given twice is refused, naming both lines, however it is spelled
+    ("kind: algebroid\nbase: x1\nrank: 1\nA[1][1] = 1\nA[1][1] = 2\n",
+     "line 5: A[1][1] repeats line 4"),
+    ("kind: algebroid\nbase: x1\nrank: 1\nA[1][1] = 1\n\n# again\nA[ 1][01 ] = 1\n",
+     "line 7: A[1][1] repeats line 4"),
+    ("kind: proto\nbase: x1\nrank: 1\nphi = 0\nphi = x1*xi1\n", "line 5: phi repeats line 4"),
+    ("kind: algebroid\nbase: x1\nrank: 1\ndim: 1\n", "line 4: dim repeats line 3"),
+    ("kind: algebroid\nbase: x1\nrank: 1\nrank: 2\n", "line 4: rank repeats line 3"),
+    ("kind: algebroid\nbase: x1\nbase: x2\n", "line 3: base repeats line 2"),
+    ("kind: algebroid\nkind: proto\n", "line 2: kind repeats line 1"),
+    ("kind: necklace\nname: a\nname = b\n", "line 3: name repeats line 2"),
 ])
 def test_malformed_rank_and_index(text, message):
     with pytest.raises(DocumentError) as err:
