@@ -19,6 +19,7 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*^()")
+_DIGITS = "0123456789"        # str.isdigit also takes digits that int() reads or refuses
 
 
 def _tokenize(text):
@@ -33,17 +34,17 @@ def _tokenize(text):
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             num = int(text[i:j])
             if j < n and text[j] == "/":
                 k = j + 1
-                if k >= n or not text[k].isdigit():
+                if k >= n or text[k] not in _DIGITS:
                     raise ParseError("expected denominator digits after '/'", j)
                 m = k
-                while m < n and text[m].isdigit():
+                while m < n and text[m] in _DIGITS:
                     m += 1
                 den = int(text[k:m])
                 if den == 0:

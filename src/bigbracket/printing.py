@@ -30,9 +30,7 @@ def format_poly(p: SuperPolynomial) -> str:
         body = _format_bare_monomial(p.chart, mono)
         # pull a leading minus out of purely rational or purely imaginary coefficients
         negative = False
-        if not coeff.im and coeff.re < 0:
-            negative, coeff = True, -coeff
-        elif not coeff.re and coeff.im < 0:
+        if (coeff.p < 0 and not coeff.q) or (coeff.q < 0 and not coeff.p):
             negative, coeff = True, -coeff
         if not body:
             text = str(coeff)

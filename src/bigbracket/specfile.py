@@ -39,6 +39,7 @@ class SpecDocument:
     scalars: dict                 # "c", "phi", "omega", "psi", ...
     completed: int = 0            # auto-completed antisymmetric entries
     violations: list = field(default_factory=list)   # (label, residual text)
+    lines: dict = field(default_factory=dict)        # each key given -> its line number
 
     @property
     def fiber_names(self):
@@ -94,7 +95,7 @@ def parse_document(text: str) -> SpecDocument:
                 base = tuple(value.split())
             elif key in _INT_KEYS:
                 try:
-                    rank = int(value)
+                    rank = int(value.encode("ascii"))    # int() alone reads digits like "٢"
                 except ValueError:
                     raise DocumentError(f"line {lineno}: {key} must be an integer") from None
                 if rank < 0:
@@ -119,7 +120,7 @@ def parse_document(text: str) -> SpecDocument:
             while rest:
                 close = rest.find("]")
                 number = rest[1:close].strip() if close > 0 and rest[0] == "[" else ""
-                if not number.isdigit():
+                if not (number.isascii() and number.isdigit()):
                     raise DocumentError(f"line {lineno}: malformed index in {lhs!r}")
                 idx.append(int(number))
                 rest = rest[close + 1:]
@@ -134,7 +135,7 @@ def parse_document(text: str) -> SpecDocument:
     if kind is None:
         raise DocumentError("missing 'kind:' header")
     _check_reads(kind, entries, scalars)
-    return SpecDocument(kind, base, rank, entries, scalars)
+    return SpecDocument(kind, base, rank, entries, scalars, lines=first_line)
 
 
 def load_preset(name: str) -> SpecDocument:
@@ -157,22 +158,22 @@ def load_document(path: str) -> SpecDocument:
 # ---------------------------------------------------------------------------
 
 
-def _parse_entry(text, chart, label):
+def _parse_entry(text, chart, label, line):
     try:
         return parse_poly(text, chart)
     except ParseError as exc:
-        raise DocumentError(f"{label}: {exc}") from None
+        raise DocumentError(f"line {line}: {label}: {exc}") from None
 
 
 def _scalar(doc, name, chart):
     """The parsed scalar `name`, or None when the document does not give it."""
     text = doc.scalars.get(name)
-    return None if text is None else _parse_entry(text, chart, name)
+    return None if text is None else _parse_entry(text, chart, name, doc.lines.get(name))
 
 
 def _table(doc, name, chart):
     """The parsed entries {idx: poly} of one table of the document."""
-    return {idx: _parse_entry(text, chart, f"{name}{list(idx)}")
+    return {idx: _parse_entry(text, chart, f"{name}{list(idx)}", doc.lines.get((tname, idx)))
             for (tname, idx), text in doc.entries.items() if tname == name}
 
 
@@ -255,6 +256,6 @@ def _materialize_exact(doc: SpecDocument) -> Materialized:
                             f"dimension {n}")
     std = standard_proto(n)
     chart = std.a_side.chart
-    phi = _parse_entry(doc.scalars.get("phi", "0"), chart, "phi")
+    phi = _parse_entry(doc.scalars.get("phi", "0"), chart, "phi", doc.lines.get("phi"))
     twisted = twist_exact(std, phi, _scalar(doc, "omega", chart))
     return Materialized(doc, twisted.proto, twisted=twisted)

@@ -13,11 +13,11 @@ basis one `dense_in_span` decision at a time, each a fresh elimination by
 sparsely; none of them calls `bigbracket.linalg`.  They take dense lists;
 `sparse_rows`, `dense_rows`, `sparse_vector`, `dense_vector` and
 `column_rows` convert between those and the engine's sparse rows and
-vectors.  `SlowGaussianRational` is the scalar as it was before its
-real-only fast paths and its shared zero part.  The table
-oracle `collect_table` antisymmetrizes a document table the loader's old way,
-and the SH-Lie sign is the product `perm_sign * koszul_sign` of a cycle count
-and an odd-inversion count.
+vectors.  `SlowGaussianRational` is the scalar as a pair of Fractions, as
+it was before it became one integer triple, with its own text form.  The
+table oracle `collect_table` antisymmetrizes a document table the loader's
+old way, and the SH-Lie sign is the product `perm_sign * koszul_sign` of a
+cycle count and an odd-inversion count.
 
 The print order `expanded_word_sort_key` writes each monomial out as its
 full index word, where the engine compares runs of one index.
@@ -73,7 +73,7 @@ from bigbracket.courant import (CONSTANT, FUNCTION, SECTION, CourantSection,
 from bigbracket.necklace import build_structures
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial, poly_sum
-from bigbracket.rationals import GaussianRational, ONE, ZERO, format_scalar
+from bigbracket.rationals import GaussianRational, ONE, ZERO
 
 HALF = GaussianRational(Fraction(1, 2))
 SIXTH = GaussianRational(Fraction(1, 6))
@@ -449,7 +449,20 @@ class SlowGaussianRational:
         return f"SlowGaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        return format_scalar(self)
+        if self.is_zero():
+            return "0"
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            if self.im == 1:
+                return "i"
+            if self.im == -1:
+                return "-i"
+            return f"{self.im}*i"
+        sign = "+" if self.im > 0 else "-"
+        if self.im in (1, -1):
+            return f"({self.re}{sign}i)"
+        return f"({self.re}{sign}{abs(self.im)}*i)"
 
 
 # ---------------------------------------------------------------------------

@@ -51,3 +51,16 @@ def test_tracer_binds_every_traced_name():
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) > 30
+
+
+def test_traced_necklace_pass_meets_the_correctness_gate():
+    # The gate compares traced with untraced stdout, repeats the counts and
+    # reads `rationals.nonreal_share` off the scalars' `im`.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "necklace-cohomology",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert 0 < result["metrics"]["rationals.nonreal_share"]["value"] < 1

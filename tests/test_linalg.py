@@ -298,3 +298,22 @@ def test_sparse_rref_matches_dense_rref_over_fractions(chart, seed):
     assert all(not (row.get(j, zero) - d[j])
                for row, d in zip(sparse, dense) for j in range(width))
     assert all(all(sparse_row.values()) for sparse_row in sparse)
+
+
+def test_gaussian_elimination_coerces_no_scalar(monkeypatch):
+    # every pivot is inverted as `1 / x`, which must not build a scalar from 1
+    comp = mode_matrices(Fraction(-3, 7), 3, 8)
+    rows = [dict(row) for row in comp.d0]
+    dense = [dense_vector(row, 9) for row in comp.d0]
+    dense_pivots = dense_rref(dense, 9)
+    calls = []
+    coerce = GaussianRational.coerce
+
+    def spy(x):
+        calls.append(x)
+        return coerce(x)
+    monkeypatch.setattr(GaussianRational, "coerce", staticmethod(spy))
+    pivots = _rref(rows, 9)
+    monkeypatch.undo()
+    assert calls == []
+    assert pivots == dense_pivots and [dense_vector(row, 9) for row in rows] == dense

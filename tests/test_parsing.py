@@ -67,6 +67,10 @@ def test_no_implicit_multiplication():
     ("3/0", "zero denominator (at column 3)"),
     ("(x1 x2", "expected ')' (at column 5)"),
     ("_x1", "unknown variable '_x1' (at column 1)"),
+    # numerals are ASCII digits: int() would refuse the first and read the others
+    ("2*x1^²", "unexpected character '²' (at column 6)"),
+    ("٣", "unexpected character '٣' (at column 1)"),
+    ("1/٣", "expected denominator digits after '/' (at column 2)"),
 ])
 def test_parse_error_messages_and_columns(text, message):
     with pytest.raises(ParseError) as err:

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from bigbracket.rationals import GaussianRational
+from bigbracket.rationals import GaussianRational, ONE
 
 from oracles import SlowGaussianRational
 
@@ -60,3 +61,40 @@ def test_default_parts_are_one_shared_zero():
     assert GaussianRational().re is GaussianRational().im is a.im
     for value in (a + b, a - b, a * b, a / b, -a):
         assert value.im is a.im
+
+
+def _canonical(z):
+    """z is the triple (p + q*i)/d in lowest terms, with zero as (0, 0, 1)."""
+    return type(z.p) is type(z.q) is type(z.d) is int and z.d > 0 and gcd(z.p, z.q, z.d) == 1
+
+
+@given(_scalars, _scalars)
+def test_every_result_is_in_lowest_terms(x, y):
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    results = [a + b, a - b, a * b, -a]
+    if b:
+        results.append(a / b)
+    assert all(_canonical(z) for z in results)
+    zero = a - a
+    assert (zero.p, zero.q, zero.d) == (0, 0, 1)
+
+
+@given(_plain)
+def test_a_real_scalar_equals_and_hashes_like_its_value(x):
+    z = GaussianRational(x)
+    assert z == x and x == z and hash(z) == hash(x)
+    assert z == Fraction(x) and hash(z) == hash(Fraction(x))
+
+
+@given(_scalars)
+def test_int_over_a_scalar_is_one_over_it(x):
+    z = GaussianRational(*x)
+    assume(z)
+    assert 1 / z == ONE / z and _canonical(1 / z)
+    assert -3 / z == GaussianRational(-3) / z
+
+
+def test_unit_and_other_imaginary_parts_print_as_the_oracle_prints_them():
+    for re in (0, 1, Fraction(-1, 2)):
+        for im in (1, -1, 2, Fraction(-3, 2)):
+            _agree(str, (Fraction(re), Fraction(im)))

@@ -1,9 +1,12 @@
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from bigbracket.algebroid import antisymmetrize, check_bialgebroid, check_lie_algebroid
 from bigbracket.chart import cotangent_chart
+from bigbracket.cli import main
 from bigbracket.parsing import parse_poly
 from bigbracket.specfile import (DocumentError, PRESET_NAMES, load_preset,
                                  materialize, parse_document)
@@ -90,6 +93,7 @@ def test_malformed_header():
     ("kind: algebroid\nbase: x1\nrank: 1\nA[1][-1] = 1\n", "malformed index"),
     ("kind: algebroid\nbase: x1\nrank: 1\nA[1]1] = 1\n", "malformed index"),
     ("kind: algebroid\nbase: x1\nrank: two\n", "line 3: rank must be an integer"),
+    ("kind: algebroid\nbase: x1\nrank: ٢\n", "line 3: rank must be an integer"),
     ("kind: algebroid\nbase: x1\ndim: 1.5\n", "line 3: dim must be an integer"),
     # a key given twice is refused, naming both lines, however it is spelled
     ("kind: algebroid\nbase: x1\nrank: 1\nA[1][1] = 1\nA[1][1] = 2\n",
@@ -119,6 +123,21 @@ A[1][1] = xi^
     with pytest.raises(DocumentError) as err:
         materialize(doc)
     assert "column" in str(err.value)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("A[²][1] = 1", "line 4: malformed index in 'A[²][1]'"),
+    ("A[1][1] = ²", "line 4: A[1, 1]: unexpected character '²' (at column 1)"),
+    ("A[٢][2] = ٣", "line 4: malformed index in 'A[٢][2]'"),
+])
+def test_numerals_are_ascii_digits(tmp_path, entry, message):
+    doc = tmp_path / "d.spec"
+    doc.write_text(f"kind: algebroid\nbase: x1 x2\nrank: 2\n{entry}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify-algebroid", "--spec", str(doc)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: {message}\n"
 
 
 def test_tangent_presets_pass_the_gate():
