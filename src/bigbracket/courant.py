@@ -355,6 +355,11 @@ def verify_axioms(structure: CourantStructure) -> Report:
 
 SECTION, FUNCTION, CONSTANT = 0, 1, 2
 
+# the output degree of l_k on each input degree pattern; on any other l_k is zero by degree
+_OUTPUT_DEGREE = {(FUNCTION,): SECTION, (CONSTANT,): FUNCTION, (SECTION, SECTION): SECTION,
+                  (SECTION, FUNCTION): FUNCTION, (FUNCTION, SECTION): FUNCTION,
+                  (SECTION, SECTION, SECTION): FUNCTION}
+
 
 class _OffDegree(Exception):
     """Its argument is an l2 output that is no section, which no map takes."""
@@ -364,8 +369,11 @@ class ShlaTables:
     """l1, l2, l3 of the resolution (constants -> functions -> sections) on
     numbered generators (degree, value): the basis sections, two scaled by a
     coordinate, the coordinates as functions and the constant 1.  `maps`
-    keeps l_i(front) by the sorted index tuple `front`, `terms` the polynomial
-    of l_j(l_i(front), back) by (front, back), each made once; None is zero."""
+    keeps l_i(front) by the sorted index tuple `front`, `terms` the j = 2
+    terms l2(l_i(front), c) by (front, (c,)), which a nested T and K + 2J
+    read again, each made once; None is zero.  Any other (front, back) is
+    read by the one tuple front + back.  `apply` makes exactly the patterns
+    of `_OUTPUT_DEGREE`: a map is zero by degree on any other."""
 
     __slots__ = ("structure", "generators", "degrees", "maps", "terms")
 
@@ -388,40 +396,52 @@ class ShlaTables:
         return self.maps[front]
 
     def term(self, front, back):
-        if (front, back) not in self.terms:
-            inner = self.map(front)    # lands in the first slot of l_j
-            if inner and (inner[0], *(self.degrees[k] for k in back)) == (SECTION,) * 3:
-                # -T(x, c, d) = -1/6 (<[x, c], d> + <[c, d], x> - <[x, d], c>), off the tables
-                c, d = (self.generators[k][1].embedded for k in back)
-                pieces = ((self.term(front, back[:1]), d, 1), (self.term(front, back[1:]), c, -1),
-                          (self.map(back)[1].embedded, inner[1].embedded, 1))
-                poly = _signed_sum(self.structure.chart, [
-                    (p and canonical_bracket(p, q), sign) for p, q, sign in pieces]).scale(-SIXTH)
-            else:
-                out = inner and self.apply(inner, *[self.generators[k] for k in back])
-                poly = out and (out[1].embedded if out[0] == SECTION else out[1])
-            self.terms[front, back] = None if poly is None or poly.is_zero() else poly
-        return self.terms[front, back]
+        """The polynomial of l_j(l_i(front), back), j = len(back); None is zero."""
+        key = (front, back)
+        if key in self.terms:
+            return self.terms[key]
+        inner = self.map(front)    # lands in the first slot of l_j
+        outer = inner and (inner[0], *map(self.degrees.__getitem__, back))
+        if outer == (SECTION,) * 3:
+            # -T(x, c, d) = -1/6 (<[x, c], d> + <[c, d], x> - <[x, d], c>), off the tables
+            c, d = (self.generators[k][1].embedded for k in back)
+            pieces = ((self.term(front, back[:1]), d, 1), (self.term(front, back[1:]), c, -1),
+                      (self.map(back)[1].embedded, inner[1].embedded, 1))
+            poly = _signed_sum(self.structure.chart, [
+                (p and canonical_bracket(p, q), sign) for p, q, sign in pieces]).scale(-SIXTH)
+        elif outer in _OUTPUT_DEGREE:
+            out = self.apply(inner, *[self.generators[k] for k in back])
+            poly = out[1].embedded if out[0] == SECTION else out[1]
+        else:
+            return None
+        poly = None if poly.is_zero() else poly
+        if len(back) == 1:
+            self.terms[key] = poly
+        return poly
 
     def apply(self, *args):
-        """l_k on k elements, k = 1, 2, 3; None where its output degree is above one."""
+        """l_k on k elements, k = 1, 2, 3, as (output degree, value); None on
+        a pattern outside `_OUTPUT_DEGREE`."""
         degrees, v = zip(*args)
-        if degrees == (FUNCTION,):
-            return SECTION, d_operator(self.structure, v[0])
+        out = _OUTPUT_DEGREE.get(degrees)
+        if out is None:
+            return None
         if degrees == (CONSTANT,):
-            return FUNCTION, v[0]    # inclusion of constants
+            return out, v[0]    # inclusion of constants
+        if degrees == (FUNCTION,):
+            return out, d_operator(self.structure, v[0])
         if degrees == (SECTION, SECTION):
             try:
-                return SECTION, skew_bracket(*v)
+                return out, skew_bracket(*v)
             except SpecError:    # a product or the bracket itself is no section
                 s, (a, b) = self.structure, (e.embedded for e in v)
                 raise _OffDegree((s.product(a, b) - s.product(b, a)).scale(HALF)) from None
-        if degrees in ((SECTION, FUNCTION), (FUNCTION, SECTION)):
+        if len(degrees) == 2:
             # f ^ e = -(-1)^{1*0} e ^ f in the graded exterior algebra
             (e, f), half = (v, HALF) if degrees[0] == SECTION else (v[::-1], -HALF)
-            return FUNCTION, pairing(e, d_operator(self.structure, f)).scale(half)
+            return out, pairing(e, d_operator(self.structure, f)).scale(half)
         # an identity reads l2 of a triple's pairs (its i = 2 terms) before T of it
-        return (FUNCTION, -t_tensor(*v)) if degrees == (SECTION,) * 3 else None
+        return out, -t_tensor(*v)
 
 
 def _signed_sum(chart, pieces) -> SuperPolynomial:
@@ -461,6 +481,21 @@ def _signed_unshuffles(n, degrees):
     return tuple(out)
 
 
+@cache
+def _live_terms(n, degrees):
+    """(front positions, back positions, sign) of the terms of
+    `_signed_unshuffles` whose l_i is not zero by degree, in order; sign 0
+    marks a probe, whose l_j is."""
+    out = []
+    for i, _j, perm, sign in _signed_unshuffles(n, degrees):
+        front, back = perm[:i], perm[i:]
+        inner = _OUTPUT_DEGREE.get(tuple(degrees[k] for k in front))
+        if inner is not None:
+            outer = (inner, *(degrees[k] for k in back))
+            out.append((front, back, sign if outer in _OUTPUT_DEGREE else 0))
+    return tuple(out)
+
+
 def shla_identity(tables: ShlaTables, n: int, combo) -> SuperPolynomial:
     """The n-th generalized Jacobi identity on the generators `combo` (sorted
     indices), or the first l2 output it needs that is no section.
@@ -469,14 +504,25 @@ def shla_identity(tables: ShlaTables, n: int, combo) -> SuperPolynomial:
     sgn * koszul * l_j(l_i(front), back).  The outputs are sections (by their
     embeddings, of total degree 1) and base functions (of total degree 0), so
     their one sum is zero exactly when every degree is.
+
+    Only `_live_terms` is summed.  A map is zero off `_OUTPUT_DEGREE`, which
+    also gives the degree of l_i(front), so the degrees of `combo` decide
+    which terms are zero by degree.  A term with such an l_i makes nothing.
+    A probe, whose l_j is such a zero, makes only l_i(front), where the full
+    sum made it, so an l2 output that is no section fails the same term.
     """
-    signed = _signed_unshuffles(n, tuple(tables.degrees[k] for k in combo))
+    at = combo.__getitem__
+    pieces = []
     try:
-        return _signed_sum(tables.structure.chart, (
-            (tables.term(tuple(combo[k] for k in perm[:i]), tuple(combo[k] for k in perm[i:])),
-             sign) for i, _j, perm, sign in signed))
+        for front, back, sign in _live_terms(n, tuple(map(tables.degrees.__getitem__, combo))):
+            front = tuple(map(at, front))
+            if sign:
+                pieces.append((tables.term(front, tuple(map(at, back))), sign))
+            else:
+                tables.map(front)    # a probe: l_i(front) may raise
     except _OffDegree as off:
         return off.args[0]
+    return _signed_sum(tables.structure.chart, pieces)
 
 
 # the lemma each arity also reads off its sweep, and the shape of its tuples

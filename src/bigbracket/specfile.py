@@ -17,7 +17,7 @@ from pathlib import Path
 from .algebroid import AlgebroidSpec, ProtoBialgebroidSpec, antisymmetrize, dual_chart_for
 from .chart import cotangent_chart
 from .courant import TwistedStructure, standard_proto, twist_exact
-from .parsing import ParseError, parse_poly
+from .parsing import _DIGITS, ParseError, parse_poly
 
 PRESET_NAMES = (
     "su2-bialgebra", "tangent-R1", "tangent-R2", "tangent-R3",
@@ -66,6 +66,11 @@ def _check_reads(kind, entries, scalars):
                             f"not {', '.join(unread)}")
 
 
+def _numeral(text) -> bool:
+    """Whether `text` is one or more of the ASCII digits 0-9 and nothing else."""
+    return bool(text) and all(ch in _DIGITS for ch in text)
+
+
 def parse_document(text: str) -> SpecDocument:
     kind = None
     base = ()
@@ -94,10 +99,10 @@ def parse_document(text: str) -> SpecDocument:
             elif key == "base":
                 base = tuple(value.split())
             elif key in _INT_KEYS:
-                try:
-                    rank = int(value.encode("ascii"))    # int() alone reads digits like "٢"
-                except ValueError:
-                    raise DocumentError(f"line {lineno}: {key} must be an integer") from None
+                # int() alone also reads "٢", "1_0" and "+1"
+                if not _numeral(value.removeprefix("-")):
+                    raise DocumentError(f"line {lineno}: {key} must be an integer")
+                rank = int(value)
                 if rank < 0:
                     raise DocumentError(f"line {lineno}: {key} must not be negative")
             elif key == "name":
@@ -120,7 +125,7 @@ def parse_document(text: str) -> SpecDocument:
             while rest:
                 close = rest.find("]")
                 number = rest[1:close].strip() if close > 0 and rest[0] == "[" else ""
-                if not (number.isascii() and number.isdigit()):
+                if not _numeral(number):
                     raise DocumentError(f"line {lineno}: malformed index in {lhs!r}")
                 idx.append(int(number))
                 rest = rest[close + 1:]

@@ -64,3 +64,15 @@ def test_traced_necklace_pass_meets_the_correctness_gate():
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
     assert 0 < result["metrics"]["rationals.nonreal_share"]["value"] < 1
+
+
+def test_traced_shla_pass_meets_the_correctness_gate():
+    # The gate compares traced with untraced stdout and repeats the counts.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "shla-sweep",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["metrics"]["courant.shla_identity.calls"]["value"] > 0

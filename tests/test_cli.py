@@ -114,6 +114,14 @@ def test_dirac_check_raises_a_sample_coordinate_to_a_huge_power_at_once():
     assert code == 0 and "check maximal: pass (rank 1 of expected 1)\n" in out
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the rank is read at sample points")
+def test_dirac_check_fails_a_span_that_drops_rank_off_the_sample_points():
+    """(x1 - 5) xis1 spans nothing at x1 = 5, so it is no subbundle."""
+    code, out, _ = run(["dirac-check", "--preset", "standard-R1",
+                        "--section", "x1*xis1 - 5*xis1"])
+    assert code == 1 and "check maximal: fail" in out
+
+
 def test_twist_command_reports_closedness(tmp_path):
     probe = tmp_path / "probe.spec"
     probe.write_text("""

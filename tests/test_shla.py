@@ -1,22 +1,24 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
 
-from bigbracket import courant
-from bigbracket.courant import (_shla_sign, _signed_unshuffles, basis_sections, d_operator,
-                                pairing, shla_check, skew_bracket, structure_from_proto,
-                                t_tensor)
+from bigbracket import brackets, courant
+from bigbracket.algebroid import SpecError
+from bigbracket.courant import (_OUTPUT_DEGREE, FUNCTION, ShlaTables, _live_terms, _OffDegree,
+                                _shla_sign, _signed_sum, _signed_unshuffles, basis_sections,
+                                d_operator, pairing, shla_check, shla_identity as gate_identity,
+                                skew_bracket, structure_from_proto, t_tensor)
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational
 from bigbracket.specfile import PRESET_NAMES, load_preset, materialize, parse_document
 
 from conftest import standard_structure
-from oracles import (ShlaMaps, graded_constant, graded_function, graded_section, jacobiator,
-                     koszul_sign, perm_sign, shla_identity, sweep_shla)
+from oracles import (GradedElement, ShlaMaps, graded_constant, graded_function, graded_section,
+                     jacobiator, koszul_sign, perm_sign, shla_identity, sweep_shla)
 from test_algebroid import su2_bialgebra
 from test_cli_surface import DOCUMENTS
 
@@ -168,14 +170,37 @@ def test_shla_check_builds_its_maps_and_each_sign_table_once(monkeypatch):
             super().__init__(structure)
 
     monkeypatch.setattr(courant, "ShlaTables", CountedTables)
-    _signed_unshuffles.cache_clear()
+    _live_terms.cache_clear()
     structure = standard_structure(2)
     assert shla_check(structure, 4).passed
     assert built == [structure] and not hasattr(structure, "shla")
-    info = _signed_unshuffles.cache_info()
+    info = _live_terms.cache_info()
     assert info.currsize == info.misses < info.hits
     assert shla_check(structure, 2).passed
     assert built == [structure, structure]
+
+
+def test_tables_keep_only_the_terms_read_again(monkeypatch):
+    """`terms` keeps l2(l_i(front), c), which a nested T and K + 2J read
+    again, and each is made once; no other nested term is kept."""
+    tables, made = [], Counter()
+    original = courant.ShlaTables.term
+
+    class CountedTables(courant.ShlaTables):
+        def __init__(self, structure):
+            super().__init__(structure)
+            tables.append(self)
+
+        def term(self, front, back):
+            made[front, back] += (front, back) not in self.terms
+            return original(self, front, back)
+
+    monkeypatch.setattr(courant, "ShlaTables", CountedTables)
+    assert shla_check(standard_structure(2), 4).passed
+    kept = set(tables[0].terms)
+    assert kept and all(len(back) == 1 for _front, back in kept)
+    assert {key for key in made if len(key[1]) == 1} == kept
+    assert max(made[key] for key in kept) == 1
 
 
 # (structure, sections and constant E, functions F): the identity anchor on
@@ -290,3 +315,125 @@ def test_generated_documents_fail_some_lines():
                     for c in shla_check(structure, 4).checks if not c.passed}
     assert len({source for source, _n, _name in failing}) >= 5
     assert {n for _source, n, _name in failing} >= {2, 3, 4}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 24: two scaled sections are a sample")
+def test_seed_28_fails_the_fourth_identity():
+    """Over `x1 x2`, with `A[1][1] = x2*x2` and `Abar[1][1] = x1*x2`, the
+    fourth identity and its two lemmas fail once every `x_i e_a` is swept
+    (identity-n4 with residual -1/2*x1*x2^3)."""
+    report = shla_check(structure_from_proto(_proto("generated-28")), 4)
+    assert not any(report[name].passed for name in (
+        "identity-n4", "quadrilinear-pairing-identity", "l3l2-equals-l2l3-on-sections"))
+
+
+def graded_output(degrees):
+    """The grading of the maps, stated on its own: a section has degree 0, a
+    function 1 and the constant 2; l_k has degree k - 2 for k <= 3, and its
+    value is a section or a function, so it is zero wherever its output
+    degree would be neither."""
+    out = sum(degrees) + len(degrees) - 2
+    return out if len(degrees) <= 3 and out in (0, 1) else None
+
+
+def test_output_degree_table_is_the_grading():
+    for k in range(1, 5):
+        for degrees in product((0, 1, 2), repeat=k):
+            assert _OUTPUT_DEGREE.get(degrees) == graded_output(degrees), degrees
+
+
+def test_live_terms_are_the_unshuffles_off_the_structural_zeros():
+    """A term whose l_i is zero by degree is dropped, one whose l_j is zero
+    by degree is a probe (sign 0); the others keep their place and sign."""
+    for n in range(1, 5):
+        for degrees in product((0, 1, 2), repeat=n):
+            want = []
+            for i, _j, perm, sign in _signed_unshuffles(n, degrees):
+                front, back = perm[:i], perm[i:]
+                inner = graded_output(tuple(degrees[k] for k in front))
+                if inner is not None:
+                    live = graded_output((inner, *(degrees[k] for k in back))) is not None
+                    want.append((front, back, sign if live else 0))
+            assert _live_terms(n, degrees) == tuple(want), degrees
+
+
+def test_terms_left_out_are_zero_and_make_no_bracket(monkeypatch):
+    """Every term of every sorted tuple that `_live_terms` drops is None and
+    makes no canonical bracket, and so is a probe once its l_i is made."""
+    calls = []
+    original = brackets.canonical_bracket
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(brackets, "canonical_bracket", spy)
+    monkeypatch.setattr(courant, "canonical_bracket", spy)
+    for structure in (standard_structure(2), structure_from_proto(su2_bialgebra())):
+        tables = ShlaTables(structure)
+        for n in range(1, 5):
+            for combo in combinations_with_replacement(range(len(tables.degrees)), n):
+                degrees = tuple(tables.degrees[k] for k in combo)
+                live = {(front, back): sign for front, back, sign in _live_terms(n, degrees)}
+                for i, _j, perm, _sign in _signed_unshuffles(n, degrees):
+                    if live.get((perm[:i], perm[i:])):
+                        continue
+                    front, back = (tuple(combo[k] for k in part) for part in (perm[:i], perm[i:]))
+                    if (perm[:i], perm[i:]) in live:
+                        tables.map(front)
+                    calls.clear()
+                    assert tables.term(front, back) is None and not calls
+
+
+def test_shla_check_maps_no_structural_zero(monkeypatch):
+    """`apply` is called only on the patterns of `_OUTPUT_DEGREE`: a dropped
+    front, and the outer map of a probe, are never handed to it."""
+    seen = Counter()
+    original = ShlaTables.apply
+
+    def counted(self, *args):
+        seen[tuple(degree for degree, _value in args)] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(ShlaTables, "apply", counted)
+    for structure in (standard_structure(2), structure_from_proto(su2_bialgebra())):
+        assert shla_check(structure, 4).passed
+    assert set(seen) == set(_OUTPUT_DEGREE)
+
+
+# theta of total degree 2 next to the standard one: l2 of two basis sections
+# is a function (-x1), no section
+OFF_DEGREE_PROBES = ("kind: exact-courant\nbase: x1 x2 x3\nrank: 3\nphi = x1*xi2*xi3\n",
+                     "kind: exact-courant\nbase: x1 x2\nrank: 2\nphi = x1*xi1*xi2\n")
+
+
+def every_term(tables, n, combo):
+    """The n-th identity over every term of `_signed_unshuffles`, structural
+    zeros included, in order; an l2 output that is no section raises."""
+    return _signed_sum(tables.structure.chart, [
+        (tables.term(*(tuple(combo[k] for k in part) for part in (perm[:i], perm[i:]))), sign)
+        for i, _j, perm, sign in _signed_unshuffles(n, tuple(tables.degrees[k] for k in combo))])
+
+
+def test_each_identity_is_the_full_sum_of_the_oracle():
+    """Tuple by tuple, on every swept tuple of generated documents 0-199 and
+    of the off-degree probes, the gate's identity is the oracle's sum over
+    every term.  Where the oracle meets an l2 output that is no section, the
+    gate's value is the first one in the order of that sum."""
+    for text in [generated_proto(seed) for seed in range(200)] + list(OFF_DEGREE_PROBES):
+        proto = materialize(parse_document(text)).proto
+        gate, full = ShlaTables(structure_from_proto(proto)), ShlaTables(structure_from_proto(proto))
+        maps = ShlaMaps(structure_from_proto(proto))
+        elements = [GradedElement(*g) for g in ShlaTables(maps.structure).generators]
+        degrees = gate.degrees
+        for n in range(1, 5):
+            for combo in combinations_with_replacement(range(len(degrees)), n):
+                if any(a == b and degrees[a] != FUNCTION for a, b in zip(combo, combo[1:])):
+                    continue
+                try:
+                    want = shla_identity(maps, n, [elements[k] for k in combo])
+                except SpecError:
+                    with pytest.raises(_OffDegree) as off:
+                        every_term(full, n, combo)
+                    want = off.value.args[0]
+                assert gate_identity(gate, n, combo) == want, (text, combo)

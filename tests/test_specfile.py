@@ -140,6 +140,20 @@ def test_numerals_are_ascii_digits(tmp_path, entry, message):
     assert err.getvalue() == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key", ["rank", "dim"])
+@pytest.mark.parametrize("value", ["1_0", "+1", "0x1", " 1 0", "1.0", "1e1"])
+def test_rank_and_dim_are_ascii_digits(tmp_path, key, value):
+    """Python's own numeric spellings are no rank: `int("1_0")` is 10, and a
+    rank-10 algebroid over one coordinate passes."""
+    doc = tmp_path / "d.spec"
+    doc.write_text(f"kind: algebroid\nbase: x1\n{key}: {value}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify-algebroid", "--spec", str(doc)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: line 3: {key} must be an integer\n"
+
+
 def test_tangent_presets_pass_the_gate():
     for name in ("tangent-R1", "tangent-R2", "tangent-R3"):
         mat = materialize(load_preset(name))
