@@ -9,10 +9,17 @@ and returns these shapes, stores no zero and leaves its arguments alone: each
 reduces its own rows with the one elimination, `_rref`.  Its pivot row for a
 column is the first row at or below the current one holding it (no magnitude
 search: arithmetic is exact), so the reduced form and the pivots are those of
-the dense elimination; it scales and clears over the entries of the pivot row
-only, since the matrices here are mostly zeros.
+the dense elimination.  Since the matrices here are mostly zeros, it keeps a
+column index (column -> positions of the rows holding it), updated on every
+swap, fill-in and cancellation: a column's pivot search and clearing visit
+only the rows holding it, and each row is reduced over the pivot row's
+entries only.  `solve` first looks for an equation 0 = b_i, an empty row i
+with b_i nonzero; the unit row vector y = e_i then has y M = 0 and y b != 0,
+so the system is inconsistent and nothing is eliminated.
 """
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .poly import SuperPolynomial
 from .rationals import ONE
@@ -27,29 +34,46 @@ def _rref(rows, ncols):
     come from any field whose elements support truthiness, `1 / x`, `*`, `-`
     and negation: Gaussian rationals or PolyFrac.
     """
+    holders = defaultdict(set)    # column -> positions of the rows holding it
+    for k, row in enumerate(rows):
+        for j in row:
+            holders[j].add(k)
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((k for k in range(r, len(rows)) if c in rows[k]), None)
-        if pivot is None:
+        held = holders.get(c)
+        if not held:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pivot = min(held)
+        if pivot < r:             # an earlier pivot row holds c too
+            pivot = min((k for k in held if k >= r), default=None)
+            if pivot is None:
+                continue
+        if pivot != r:
+            # a column held by exactly one of the two rows moves to the other
+            swapped = {r, pivot}
+            for j in rows[r].keys() ^ rows[pivot].keys():
+                holders[j] ^= swapped
+            rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][c]
         prow = rows[r] = {j: x * inv for j, x in rows[r].items()}
-        for k, row in enumerate(rows):
-            f = row.get(c)
-            if f is None or k == r:
-                continue
+        holders[c] = {r}          # clearing column c leaves it in the pivot row only
+        held.discard(r)
+        for k in held:
+            row = rows[k]
+            f = row[c]
             for j, b in prow.items():
                 a = row.get(j)
                 if a is None:
                     row[j] = -(f * b)
+                    holders[j].add(k)
                     continue
                 a = a - f * b
                 if a:
                     row[j] = a
                 else:
                     del row[j]
+                    holders[j].discard(k)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -83,6 +107,8 @@ def solve(rows, ncols, rhs):
 
     `rhs` is the vector b, indexed by row.
     """
+    if any(not rows[i] for i in rhs):                  # 0 = b_i with b_i nonzero
+        return None
     aug = [dict(row) for row in rows]
     for i, b in rhs.items():
         aug[i][ncols] = b
@@ -94,8 +120,6 @@ def solve(rows, ncols, rhs):
 
 def in_span(rows, ncols, target) -> bool:
     """Whether the target is in the column span of the rows."""
-    if not ncols:
-        return not target
     return solve(rows, ncols, target) is not None
 
 

@@ -332,6 +332,13 @@ def structure_identities(structure: NecklaceStructure, c_prime=Fraction(1, 2), N
     the affine relation pi_c - pi_c' = (c - c') pi, and, for |c| < 1, that
     neither pi_c nor the rotation field is exact in the truncated zero mode.
     The |c| > 1 members get the first two identities only.
+
+    Each non-exact verdict is witnessed by a zero row of the differential:
+    pi_c is I d_I^d_theta, target e_1, and row 1 of d1 is empty (its entry
+    m - 1 vanishes at m = 1); the rotation field is d_theta, target e_size,
+    and row size of d0 is empty (its entry -m vanishes at m = 0).  So
+    y = e_i has y M = 0 and y b = 1, and `solve` returns None on that row
+    before eliminating.
     """
     c = structure.c
     if abs(c) == 1:

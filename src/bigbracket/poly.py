@@ -205,39 +205,22 @@ class SuperPolynomial:
         if isinstance(other, (int, GaussianRational)):
             return self.scale(other)
         self._check_chart(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = mono_mul(m1, m2)
-                if prod is None:
-                    continue
-                mono, sign = prod
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = out.get(mono)
-                out[mono] = c if s is None else s + c
-        return SuperPolynomial(self.chart, out)
+        return SuperPolynomial(self.chart, _product(self.terms, other.terms))
 
     def scale(self, value) -> "SuperPolynomial":
+        if not self.terms:
+            return self
         value = GaussianRational.coerce(value)
         if value.is_zero():
             return SuperPolynomial(self.chart)
         return SuperPolynomial(self.chart, {m: c * value for m, c in self.terms.items()})
 
     def __pow__(self, k: int):
-        """Square-and-multiply: about 2 log2(k) products, not k."""
         if k < 0:
             raise ValueError("negative power")
-        out = SuperPolynomial.constant(self.chart, 1)
-        square = self
-        while k:
-            if k & 1:
-                out = out * square
-            k >>= 1
-            if k:
-                square = square * square
-        return out
+        if not k:
+            return SuperPolynomial.constant(self.chart, 1)
+        return SuperPolynomial(self.chart, _power(self.terms, k))
 
     # -- calculus ----------------------------------------------------------
 
@@ -333,7 +316,9 @@ class SuperPolynomial:
 
         Substituted odd images must be parity-homogeneous of the same parity
         as the variable they replace; factors multiply in the source order,
-        so all Koszul signs come out of the target normal ordering.
+        so all Koszul signs come out of the target normal ordering.  Each
+        image term is built on plain {mono: coeff} dicts, one polynomial at
+        the end.
         """
         images = {}
         for v in self.variables_used():
@@ -344,22 +329,26 @@ class SuperPolynomial:
                 if not img.is_zero() and img.parity() != v.parity:
                     raise ChartError(
                         f"substitution image of {v.name!r} has wrong parity")
-                images[v.index] = img
+                if img.chart is not target_chart:
+                    raise ChartError("polynomials live on different charts")
+                images[v.index] = img.terms
             else:
                 if v.name not in target_chart:
                     raise ChartError(
                         f"no image for variable {v.name!r} and no same-named "
                         f"variable on the target chart")
-                images[v.index] = SuperPolynomial.variable(target_chart, v.name)
-        out = SuperPolynomial.zero(target_chart)
+                images[v.index] = SuperPolynomial.variable(target_chart, v.name).terms
+        out = {}
         for (evens, odds), coeff in self.terms.items():
-            term = SuperPolynomial.constant(target_chart, coeff)
+            term = {UNIT_MONO: coeff}
             for idx, k in evens:
-                term = term * images[idx] ** k
+                term = _product(term, _power(images[idx], k))
             for idx in odds:
-                term = term * images[idx]
-            out = out + term
-        return out
+                term = _product(term, images[idx])
+            for mono, c in term.items():
+                s = out.get(mono)
+                out[mono] = c if s is None else s + c
+        return SuperPolynomial(target_chart, out)
 
     # -- comparison --------------------------------------------------------
 
@@ -385,6 +374,39 @@ class SuperPolynomial:
 
     def __repr__(self):
         return f"<poly {self}>"
+
+
+def _product(t1, t2):
+    """Normal-ordered product of two {mono: coeff} dicts.
+
+    A coefficient that cancels stays as a zero; the polynomial built from
+    the result drops it.
+    """
+    out = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            prod = mono_mul(m1, m2)
+            if prod is None:
+                continue
+            mono, sign = prod
+            c = c1 * c2
+            if sign < 0:
+                c = -c
+            s = out.get(mono)
+            out[mono] = c if s is None else s + c
+    return out
+
+
+def _power(terms, k):
+    """terms^k for k >= 1 by square-and-multiply: about 2 log2(k) products, not k."""
+    out = None
+    while True:
+        if k & 1:
+            out = terms if out is None else _product(out, terms)
+        k >>= 1
+        if not k:
+            return out
+        terms = _product(terms, terms)
 
 
 def poly_sum(chart, items):

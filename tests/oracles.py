@@ -1,9 +1,10 @@
 """Slow, independent re-implementations used as oracles.
 
 Multiplication sorts explicit symbol sequences with a bubble sort counting
-odd transpositions; the brackets are defined by the generator table plus the
-graded Leibniz recursion, never touching the partial-derivative formulas of
-the package.  The section oracles rebuild every product from the bracket
+odd transpositions, and `slow_substitute` expands each substituted term into
+words of runs sorted the same way; the brackets are defined by the generator
+table plus the graded Leibniz recursion, never touching the
+partial-derivative formulas of the package.  The section oracles rebuild every product from the bracket
 kernel with no memo: nothing is kept between calls.  A section is built
 from its components by `section_from_components`, and `slow_components`
 decides a polynomial by taking its partials and rebuilding it, where the
@@ -124,6 +125,107 @@ def slow_multiply(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
                 term = term * SuperPolynomial.variable(chart, chart.variables[idx].name)
             out = out + term
     return out
+
+
+def _scalar_power(c, k):
+    out = ONE
+    while k:
+        if k & 1:
+            out = out * c
+        c = c * c
+        k >>= 1
+    return out
+
+
+def _normal_word(chart, word):
+    """(sign, monomial) of a word of (index, count) runs, or None when it vanishes.
+
+    Bubble-sorts the runs; swapping runs of m and n letters of two odd
+    variables costs (-1)^(m n).  Equal runs then sit side by side and merge,
+    and an odd variable written twice kills the word.
+    """
+    runs = list(word)
+    sign = 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(runs) - 1):
+            (a, m), (b, n) = runs[i], runs[i + 1]
+            if a > b:
+                if (chart.variables[a].parity == ODD and chart.variables[b].parity == ODD
+                        and m * n % 2):
+                    sign = -sign
+                runs[i], runs[i + 1] = runs[i + 1], runs[i]
+                changed = True
+    merged = []
+    for idx, count in runs:
+        if merged and merged[-1][0] == idx:
+            merged[-1] = (idx, merged[-1][1] + count)
+        else:
+            merged.append((idx, count))
+    if any(chart.variables[idx].parity == ODD and count > 1 for idx, count in merged):
+        return None
+    evens = tuple(run for run in merged if chart.variables[run[0]].parity != ODD)
+    odds = tuple(idx for idx, _ in merged if chart.variables[idx].parity == ODD)
+    return sign, (evens, odds)
+
+
+def slow_substitute(p: SuperPolynomial, target, mapping) -> SuperPolynomial:
+    """p with its variables replaced, every product expanded into symbol words.
+
+    An image is a list of (coefficient, word) on the target chart, a word a
+    tuple of (index, count) runs; a variable with no image is the
+    same-named target variable, whatever its parity.  Each source term is
+    the product of its factors' images in the source order, expanded choice
+    by choice; a k-th power of a one-term image of at most one run is that
+    run with its count times k, so a huge exponent is one run.  Each word is
+    put in normal order by `_normal_word`.  Only the constructor of
+    `SuperPolynomial` is used, to hold the result.
+    """
+    source = p.chart
+    images = {}
+    for evens, odds in p.terms:
+        for idx in [i for i, _ in evens] + list(odds):
+            if idx in images:
+                continue
+            v = source.variables[idx]
+            if v.name not in mapping:
+                if v.name not in target:
+                    raise ChartError(f"no image for {v.name!r}")
+                images[idx] = [(ONE, ((target.var(v.name).index, 1),))]
+                continue
+            img = mapping[v.name]
+            if isinstance(img, SuperPolynomial):
+                if img.chart is not target:
+                    raise ChartError("image on another chart")
+                terms = [(c, evens_ + tuple((j, 1) for j in odds_))
+                         for (evens_, odds_), c in img.terms.items()]
+            else:
+                img = GaussianRational.coerce(img)
+                terms = [(img, ())] if img else []
+            parities = {sum(n for j, n in w if target.variables[j].parity == ODD) % 2
+                        for _, w in terms}
+            if parities - {v.parity}:
+                raise ChartError(f"image of {v.name!r} has the wrong parity")
+            images[idx] = terms
+    out = {}
+    for (evens, odds), coeff in p.terms.items():
+        words = [(coeff, ())]
+        for idx, k in list(evens) + [(idx, 1) for idx in odds]:
+            image = images[idx]
+            if len(image) == 1 and len(image[0][1]) <= 1:
+                c, w = image[0]
+                power = tuple((j, n * k) for j, n in w)
+                words = [(a * _scalar_power(c, k), u + power) for a, u in words]
+                continue
+            for _ in range(k):
+                words = [(a * c, u + w) for a, u in words for c, w in image]
+        for a, word in words:
+            normal = _normal_word(target, word)
+            if normal is not None:
+                sign, mono = normal
+                out[mono] = out.get(mono, ZERO) + (a if sign > 0 else -a)
+    return SuperPolynomial(target, {m: c for m, c in out.items() if c})
 
 
 def _generator_table(chart: DarbouxChart):

@@ -1,10 +1,14 @@
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from bigbracket import linalg
 from bigbracket.chart import cotangent_chart
-from bigbracket.linalg import (PolyFrac, _rref, independent,
+from bigbracket.cli import main
+from bigbracket.linalg import (PolyFrac, _rref, in_span, independent,
                                intersect_with_coordinate_subspace, nullspace, rank, solve,
                                solve_over_fractions)
 from bigbracket.necklace import _quotient_generators, mode_matrices
@@ -12,7 +16,7 @@ from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
 from bigbracket.rationals import GaussianRational, ZERO
 
-from oracles import (column_rows, dense_rref, dense_vector, slow_independent,
+from oracles import (column_rows, dense_in_span, dense_rref, dense_vector, slow_independent,
                      slow_intersect_with_coordinate_subspace, slow_quotient_generators,
                      sparse_rows, sparse_vector)
 
@@ -268,14 +272,42 @@ def _eliminate_both(rng, matrix, width):
     return _rref(sparse, ncols), sparse, dense_rref(dense, ncols), dense
 
 
+def _nonzero(entry):
+    x = entry()
+    while not x:
+        x = entry()
+    return x
+
+
+def _forced(rng, entry, zero):
+    """Rows under which clearing column 0 (any ncols >= 1) swaps, fills in and cancels.
+
+    Row 0 lacks column 0, so row 1 is column 0's pivot row (a swap); row 1
+    holds columns 0 and 1 and row 2 holds column 0 but not column 1, so
+    clearing row 2 fills column 1 in; row 3 is a multiple of row 1 on
+    columns 0 and 1, which both cancel in it.  Random rows follow, and an
+    empty row lands somewhere.
+    """
+    n = rng.randint(2, 6)
+    rest = lambda: [entry() for _ in range(n - 2)]
+    one = [_nonzero(entry), _nonzero(entry)] + rest()
+    f = _nonzero(entry)
+    matrix = [[zero, entry()] + rest(), one, [_nonzero(entry), zero] + rest(),
+              [f * one[0], f * one[1]] + rest()]
+    matrix += [[entry() for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    matrix.insert(rng.randint(0, len(matrix)), [zero] * n)
+    return matrix, n
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_sparse_rref_matches_dense_rref(seed):
     rng = random.Random(5000 + seed)
-    matrix, width = _zero_heavy(rng, lambda: _scalar(rng, zero_share=0.6), ZERO)
-    pivots, sparse, dense_pivots, dense = _eliminate_both(rng, matrix, width)
-    assert pivots == dense_pivots
-    assert [[row.get(j, ZERO) for j in range(width)] for row in sparse] == dense
-    assert all(all(sparse_row.values()) for sparse_row in sparse)    # no zero is stored
+    entry = lambda: _scalar(rng, zero_share=0.6)
+    for matrix, width in (_zero_heavy(rng, entry, ZERO), _forced(rng, entry, ZERO)):
+        pivots, sparse, dense_pivots, dense = _eliminate_both(rng, matrix, width)
+        assert pivots == dense_pivots
+        assert [[row.get(j, ZERO) for j in range(width)] for row in sparse] == dense
+        assert all(all(sparse_row.values()) for sparse_row in sparse)    # no zero is stored
 
 
 _FRACTION_TEXTS = ("1", "-2", "x1", "x2", "x1 + 1", "x1*x2 - 2", "3*x2", "x1 - x2")
@@ -291,13 +323,13 @@ def test_sparse_rref_matches_dense_rref_over_fractions(chart, seed):
             return zero
         return PolyFrac(parse_poly(rng.choice(_FRACTION_TEXTS), chart),
                         parse_poly(rng.choice(_FRACTION_TEXTS[:4]), chart))
-    matrix, width = _zero_heavy(rng, entry, zero)
-    pivots, sparse, dense_pivots, dense = _eliminate_both(rng, matrix, width)
-    assert pivots == dense_pivots
-    # PolyFrac keeps num/den unreduced, so entries are compared as values
-    assert all(not (row.get(j, zero) - d[j])
-               for row, d in zip(sparse, dense) for j in range(width))
-    assert all(all(sparse_row.values()) for sparse_row in sparse)
+    for matrix, width in (_zero_heavy(rng, entry, zero), _forced(rng, entry, zero)):
+        pivots, sparse, dense_pivots, dense = _eliminate_both(rng, matrix, width)
+        assert pivots == dense_pivots
+        # PolyFrac keeps num/den unreduced, so entries are compared as values
+        assert all(not (row.get(j, zero) - d[j])
+                   for row, d in zip(sparse, dense) for j in range(width))
+        assert all(all(sparse_row.values()) for sparse_row in sparse)
 
 
 def test_gaussian_elimination_coerces_no_scalar(monkeypatch):
@@ -317,3 +349,100 @@ def test_gaussian_elimination_coerces_no_scalar(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert pivots == dense_pivots and [dense_vector(row, 9) for row in rows] == dense
+
+
+# ---------------------------------------------------------------------------
+# empty rows: an equation 0 = b_i decides a system before any elimination
+# ---------------------------------------------------------------------------
+
+
+def _with_empty_rows(rng, entry, zero):
+    """A dense system with one to three empty rows and rhs zero on all of them or
+    nonzero on at least one: (matrix, width, rhs, whether some empty row has a
+    nonzero rhs)."""
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    matrix = [[entry() for _ in range(n)] for _ in range(m)]
+    for _ in range(rng.randint(1, 3)):
+        matrix.insert(rng.randint(0, len(matrix)), [zero] * n)
+    empty = [i for i, row in enumerate(matrix) if not any(row)]
+    rhs = [entry() if any(row) else zero for row in matrix]
+    if rng.random() < 0.5:
+        for i in rng.sample(empty, rng.randint(1, len(empty))):
+            rhs[i] = _nonzero(entry)
+    return matrix, n, rhs, any(rhs[i] for i in empty)
+
+
+def _expected_solution(matrix, n, rhs):
+    """The solution `solve` promises, read off `dense_rref` of the augmented rows."""
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    pivots = dense_rref(aug, n)
+    return {c: row[n] for row, c in zip(aug, pivots) if row[n]}
+
+
+def _check_system(matrix, n, rhs, zero, solver):
+    columns = [list(col) for col in zip(*matrix)]
+    consistent = dense_in_span(columns, rhs)
+    x = solver(sparse_rows(matrix), n, sparse_vector(rhs))
+    assert (x is not None) == consistent
+    if x is None:
+        return False
+    want = _expected_solution(matrix, n, rhs)
+    assert set(x) == set(want) and all(not (x[c] - want[c]) for c in x)
+    for row, b in zip(matrix, rhs):           # M x = b, checked by multiplication
+        acc = zero
+        for j, a in enumerate(row):
+            if a and j in x:
+                acc = acc + a * x[j]
+        assert not (acc - b)
+    return True
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_on_empty_rows_matches_dense_oracles(chart, seed):
+    rng = random.Random(7000 + seed)
+    matrix, n, rhs, decided = _with_empty_rows(rng, lambda: _scalar(rng, zero_share=0.5), ZERO)
+    consistent = _check_system(matrix, n, rhs, ZERO, solve)
+    assert not (decided and consistent)
+    assert in_span(sparse_rows(matrix), n, sparse_vector(rhs)) == consistent
+    lift = lambda x: _lift(chart, x)
+    lifted = [[lift(x) for x in row] for row in matrix]
+    zero = lift(ZERO)
+    assert _check_system(lifted, n, [lift(b) for b in rhs], zero,
+                         solve_over_fractions) == consistent
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solve_over_fractions_on_empty_rows_matches_dense_oracles(chart, seed):
+    rng = random.Random(8000 + seed)
+    zero = PolyFrac(SuperPolynomial.zero(chart))
+
+    def entry():
+        if rng.random() < 0.5:
+            return zero
+        return PolyFrac(parse_poly(rng.choice(_FRACTION_TEXTS), chart),
+                        parse_poly(rng.choice(_FRACTION_TEXTS[:4]), chart))
+    matrix, n, rhs, decided = _with_empty_rows(rng, entry, zero)
+    consistent = _check_system(matrix, n, rhs, zero, solve_over_fractions)
+    assert not (decided and consistent)
+
+
+def test_in_span_without_columns_reads_the_target():
+    assert in_span([{}, {}], 0, {})
+    assert not in_span([{}, {}], 0, {1: GaussianRational(3)})
+
+
+def test_invariants_decides_its_exactness_checks_without_eliminating(monkeypatch):
+    """Both mode-0 verdicts are an empty row with a nonzero target entry."""
+    calls = []
+    engine_rref = linalg._rref
+
+    def spy(rows, ncols):
+        calls.append(ncols)
+        return engine_rref(rows, ncols)
+    monkeypatch.setattr(linalg, "_rref", spy)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["invariants", "--c=3/7"]) == 0
+    assert calls == []
+    assert "pi_c-not-exact: pass" in out.getvalue()
+    assert "modular-not-exact: pass" in out.getvalue()

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bigbracket.chart import ChartError, cotangent_chart, darboux_chart, ODD
-from bigbracket.poly import SuperPolynomial, mono_sort_key
+from bigbracket.brackets import legendre
+from bigbracket.chart import ChartError, cotangent_chart, darboux_chart, EVEN, ODD
+from bigbracket.parsing import parse_poly
+from bigbracket.poly import SuperPolynomial, mono_degree, mono_sort_key
 from bigbracket.rationals import GaussianRational
 
-from conftest import random_poly
-from oracles import expanded_word_sort_key, slow_multiply
+from conftest import random_homogeneous, random_poly
+from oracles import expanded_word_sort_key, plain_chart, slow_multiply, slow_substitute
 
 CC = cotangent_chart(["x1", "x2"], ["xi1", "xi2"])
 CH = CC.chart
@@ -225,3 +227,123 @@ def monomials(draw):
 def test_sort_key_orders_like_the_expanded_word(monos):
     """Comparing runs (index, -exponent) gives the order of the written-out word."""
     assert sorted(monos, key=mono_sort_key) == sorted(monos, key=expanded_word_sort_key)
+
+
+def test_scaling_zero_returns_it():
+    """A polynomial never changes, so a zero one scaled by anything is itself."""
+    zero = SuperPolynomial.zero(CH)
+    for value in (0, 1, -3, GaussianRational(Fraction(2, 7), 5), GaussianRational(0)):
+        assert zero.scale(value) is zero and zero.scale(value).is_zero()
+        assert zero * value is zero
+    assert v("x1").scale(0).is_zero() and v("x1").scale(3) == v("x1") + v("x1") + v("x1")
+
+
+# ---------------------------------------------------------------------------
+# substitution against expanded symbol words
+# ---------------------------------------------------------------------------
+
+# the charts above, and one with OC's names at the other parity (s odd, sigma even)
+FLIPPED = darboux_chart([("s", ODD, "sigma"), ("t", EVEN, "tau")], ODD)
+MIXED = plain_chart([("x1", EVEN, 0, 0), ("s", EVEN, 0, 0), ("xi1", ODD, 0, 1),
+                     ("tau", ODD, 1, 0), ("sigma", EVEN, 1, 0)])
+TARGETS = {CH: (CH, MIXED), OC: (OC, FLIPPED, MIXED)}
+
+
+def _image(target, var, rng):
+    """A random image of `var` on the target: a renaming, a scalar, zero, a
+    polynomial of the right parity, or (rarely) one of the wrong parity."""
+    same = [w for w in target.variables if w.parity == var.parity]
+    kind = rng.random()
+    if kind < 0.35 and same:
+        return SuperPolynomial.variable(target, rng.choice(same).name)
+    if kind < 0.42:
+        return 0 if rng.random() < 0.5 else SuperPolynomial.zero(target)
+    if kind < 0.48 and var.parity == EVEN:
+        return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-1, 1))
+    if kind < 0.5:
+        return random_homogeneous(target, rng, parity=1 - var.parity, max_terms=2)
+    return random_homogeneous(target, rng, parity=var.parity, max_terms=2)
+
+
+@st.composite
+def substitutions(draw):
+    """(p, target, mapping): each source variable is mapped or, where the
+    target has its name, left to the same-named target variable."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    source = rng.choice((CH, OC))
+    target = rng.choice(TARGETS[source])
+    p = random_poly(source, rng, max_terms=4, max_exp=3)
+    mapping = {}
+    for var in source.variables:
+        if var.name not in target or rng.random() < 0.5:
+            mapping[var.name] = _image(target, var, rng)
+    return p, target, mapping
+
+
+@given(substitutions())
+def test_substitute_matches_expanded_words(case):
+    p, target, mapping = case
+    try:
+        expected = slow_substitute(p, target, mapping)
+    except ChartError:
+        with pytest.raises(ChartError):
+            p.substitute(target, mapping)
+        return
+    got = p.substitute(target, mapping)
+    assert got == expected and all(got.terms.values())
+
+
+def test_renamings_that_merge_variables():
+    """Non-injective renamings: evens merge into a power, two odds into zero."""
+    s, t, sig, tau = (SuperPolynomial.variable(OC, n) for n in ("s", "t", "sigma", "tau"))
+    p = (s * t * sig - t * t * tau).scale(2) + sig * tau + s
+    for mapping in ({"t": s}, {"sigma": tau}, {"tau": sig, "t": s}, {"s": t, "t": s},
+                    {"sigma": tau, "tau": sig}):
+        expected = slow_substitute(p, OC, mapping)
+        assert p.substitute(OC, mapping) == expected
+    assert (sig * tau).substitute(OC, {"sigma": tau}).is_zero()
+    assert (s * t).substitute(OC, {"t": s}) == s * s
+    assert (sig * tau).substitute(OC, {"sigma": tau, "tau": sig}) == -(sig * tau)
+
+
+def test_same_named_target_of_the_other_parity():
+    """With no image, a variable goes to its namesake even at the other parity."""
+    s, t, sig, tau = (SuperPolynomial.variable(OC, n) for n in ("s", "t", "sigma", "tau"))
+    for p in (s, s * s, s * sig * tau, s * t * tau + t):
+        got = p.substitute(FLIPPED, {})
+        assert got == slow_substitute(p, FLIPPED, {})
+    assert (s * s).substitute(FLIPPED, {}).is_zero()        # s is odd on FLIPPED
+    assert str((s * tau).substitute(FLIPPED, {})) == "s*tau"
+
+
+def test_substitution_rejects_bad_images():
+    x1 = v("x1")
+    with pytest.raises(ChartError):
+        (x1 * v("xi1")).substitute(CH, {"xi1": v("x2")})        # wrong parity
+    with pytest.raises(ChartError):
+        x1.substitute(CH, {"x1": v("x2") + v("xi1")})            # mixed parity
+    with pytest.raises(ChartError):
+        x1.substitute(CH, {"x1": SuperPolynomial.variable(MIXED, "x1")})   # another chart
+    with pytest.raises(ChartError):
+        v("xs1").substitute(MIXED, {})                          # no namesake
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_legendre_matches_expanded_words(seed):
+    rng = random.Random(seed)
+    dual = cotangent_chart(["x1", "x2"], ["th1", "th2"]).chart
+    names = {"x1": "x1", "x2": "x2", "xs1": "xs1", "xs2": "xs2",
+             "th1": "xis1", "th2": "xis2", "ths1": "xi1", "ths2": "xi2"}
+    mapping = {a: SuperPolynomial.variable(CH, b) for a, b in names.items()}
+    p = random_poly(dual, rng, max_terms=5)
+    assert legendre(p, dual, CH) == slow_substitute(p, CH, mapping)
+
+
+@pytest.mark.parametrize("image", ["x2", "-xs1", "x2^2", "i*x1"])
+def test_huge_exponent_substitutes_as_one_run(image):
+    k = 999_999_999
+    p = (v("x1") ** k) * v("xi1") + v("x2") * v("xi2")
+    mapping = {"x1": parse_poly(image, CH), "xi1": v("xi2"), "xi2": v("xi1")}
+    got = p.substitute(CH, mapping)
+    assert got == slow_substitute(p, CH, mapping)
+    assert max(map(mono_degree, got.terms)) >= k + 1
