@@ -152,11 +152,19 @@ def cmd_twist(args) -> Report:
     return Report(checks, _echo(args, "twist"))
 
 
+def _ascii_numeral(text) -> bool:
+    """Whether `text` can be read by int() or Fraction() through ASCII digits only:
+    both also read other scripts' digits and underscores between digits."""
+    return text.isascii() and "_" not in text
+
+
 def _rational(text, what) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"{what} must be a rational number, got {text!r}") from None
+    if _ascii_numeral(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DocumentError(f"{what} must be a rational number, got {text!r}")
 
 
 def _necklace_parameter(args):
@@ -209,6 +217,8 @@ def cmd_invariants(args) -> Report:
 def _integer(low, high=None):
     """argparse type: an integer no smaller than `low` and, if given, no larger than `high`."""
     def integer(text):
+        if not _ascii_numeral(text):
+            raise ValueError(text)        # argparse: invalid integer value
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")

@@ -13,9 +13,11 @@ the dense elimination.  Since the matrices here are mostly zeros, it keeps a
 column index (column -> positions of the rows holding it), updated on every
 swap, fill-in and cancellation: a column's pivot search and clearing visit
 only the rows holding it, and each row is reduced over the pivot row's
-entries only.  `solve` first looks for an equation 0 = b_i, an empty row i
-with b_i nonzero; the unit row vector y = e_i then has y M = 0 and y b != 0,
-so the system is inconsistent and nothing is eliminated.
+entries only.  `quotient_basis` picks the vectors that extend a column
+span, greedily, from the pivots of one elimination.  `solve` first looks for
+an equation 0 = b_i, an empty row i with b_i nonzero; the unit row vector
+y = e_i then has y M = 0 and y b != 0, so the system is inconsistent and
+nothing is eliminated.
 """
 from __future__ import annotations
 
@@ -123,44 +125,20 @@ def in_span(rows, ncols, target) -> bool:
     return solve(rows, ncols, target) is not None
 
 
-def independent(vectors, dim):
-    """Indices of the vectors a greedy basis keeps, in order.
+def quotient_basis(rows, ncols, vectors):
+    """The vectors a greedy basis keeps modulo the column span of the rows, in order.
 
-    Vector j is kept when it is not in the span of vectors 0..j-1, which is
-    exactly when j is a pivot column of the dim x len(vectors) matrix whose
-    columns are the vectors; one elimination decides every j.
+    Vector j is kept when it is outside the span of the columns and of the
+    vectors before it, which is exactly when column ncols + j of the matrix
+    [rows | vectors] is a pivot: one elimination decides every j.  A row
+    permutation of the input keeps the same vectors, since it changes no
+    column's span membership.
     """
-    rows = [{} for _ in range(dim)]
+    aug = [dict(row) for row in rows]
     for j, v in enumerate(vectors):
         for i, x in v.items():
-            rows[i][j] = x
-    return _rref(rows, len(vectors))
-
-
-def intersect_with_coordinate_subspace(rows, ncols, keep):
-    """Basis of the column span's vectors whose components outside `keep` vanish.
-
-    rows: the matrix M, whose ncols columns span the image; keep: set of row
-    indices.  Returns vectors indexed by row, pruned by `independent`.
-    """
-    if not ncols:
-        return []
-    kern = nullspace([row for r, row in enumerate(rows) if r not in keep], ncols)
-    out = []
-    for coeffs in kern:
-        vec = {}
-        for r, row in enumerate(rows):
-            if r not in keep:
-                continue
-            acc = None
-            for j, x in row.items():
-                c = coeffs.get(j)
-                if c is not None:
-                    acc = c * x if acc is None else acc + c * x
-            if acc:
-                vec[r] = acc
-        out.append(vec)
-    return [out[j] for j in independent(out, len(rows))]
+            aug[i][ncols + j] = x
+    return [vectors[c - ncols] for c in _rref(aug, ncols + len(vectors)) if c >= ncols]
 
 
 # ---------------------------------------------------------------------------

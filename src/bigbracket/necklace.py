@@ -4,7 +4,7 @@ The one-parameter family pi_c = 1/2 (s^2 + t^2 - (1-c)/2) ds^dt lives on the
 unit disk chart; for |c| < 1 it vanishes on a circle and its cohomology is
 computed mode by mode in action-angle variables, where the differential
 becomes finite-dimensional in each Fourier mode after truncating in the
-radial variable.  Each mode is eliminated once, at one truncation; why its
+radial variable.  Each mode is decided once, at one truncation; why its
 answer does not depend on the truncation is argued in `mode_cohomology`.
 The global answer is assembled from the computed annulus cohomology and
 recorded two-disk constants through the long exact sequence.
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .brackets import canonical_bracket
 from .chart import darboux_chart, ODD
-from .linalg import in_span, independent, intersect_with_coordinate_subspace, nullspace
+from .linalg import in_span, nullspace, quotient_basis
 from .poly import SuperPolynomial
 from .rationals import GaussianRational, ONE
 
@@ -143,64 +143,45 @@ def _format_generator(vec, degree, size):
     return " + ".join(parts) if parts else "0"
 
 
-def _quotient_generators(cocycles, boundaries, dim):
-    """Representatives of cocycles modulo boundaries, greedily in basis order.
-
-    A cocycle is kept when it is outside the span of the boundaries and the
-    cocycles before it: a pivot column of boundaries followed by cocycles.
-    """
-    skip = len(boundaries)
-    return [cocycles[j - skip] for j in independent(boundaries + cocycles, dim) if j >= skip]
-
-
-def _swap_blocks(v, size):
-    # list one-field coordinates angular block first, so representative
-    # extraction prefers low-degree rotation terms; an involution
-    return {(k + size) % (2 * size): x for k, x in v.items()}
-
-
 def mode_cohomology(c, n: int, N: int) -> CohomologyReport:
     """Exact mode-n cohomology at truncation N, read on the degrees <= N - 1.
 
-    One elimination decides the mode: its answer is the same at every N >= 4.
-    For n != 0, h0(a, b)_m = a_{m+1} / (i n) and h1(w) = (a_0 = -w_0,
-    b_m = w_{m+1} / (i n)) give h0 d0 = 1, d0 h0 + h1 d1 = 1 and d1 h1 = 1 on
-    the trusted degrees m <= M = N - 1, with primitives of degree <= M, so the
-    mode is (0, 0, 0).  Each identity reads only the degrees m - 1..m + 1,
-    where the entries are the same formulas in m at every N.  For n = 0, d0
-    and d1 are diagonal, zero only at m = 0 and m = 1: (1, 2, 1), generated by
-    1; I*d_I, d_theta; I*d_I^d_theta.  tests/test_necklace.py checks both.
+    Each degree k takes two eliminations, six for the mode.  A nullspace
+    gives its cocycles: the kernel of d_k on the trusted coordinate subspace
+    K (radial degrees m <= M = N - 1).  Then `quotient_basis` keeps the
+    cocycles that are pivot columns of [d_{k-1} | cocycles].  d_{-1} has no
+    columns and d_2 no rows, so degree 0 keeps every cocycle and every
+    trusted two-field is a cocycle.  Primitives may use the whole truncated
+    space, and the image B of d_{k-1} needs no intersection with K: the
+    cocycles lie in K, so if z = b + (earlier cocycles) with b in B, then b
+    lies in K, and z is in span(B + earlier cocycles) exactly when it is in
+    span((B meet K) + earlier cocycles).
+
+    The answer is the same at every N >= 4.  For n != 0, h0(a, b)_m =
+    a_{m+1} / (i n) and h1(w) = (a_0 = -w_0, b_m = w_{m+1} / (i n)) give
+    h0 d0 = 1, d0 h0 + h1 d1 = 1 and d1 h1 = 1 on the trusted degrees, with
+    primitives of degree <= M, so the mode is (0, 0, 0).  Each identity reads
+    only the degrees m - 1..m + 1, where the entries are the same formulas in
+    m at every N.  For n = 0, d0 and d1 are diagonal, zero only at m = 0 and
+    m = 1: (1, 2, 1), generated by 1; I*d_I, d_theta; I*d_I^d_theta.
+    tests/test_necklace.py checks both.
     """
     if N < 4:
         raise ValueError("truncation must be at least 4")
     comp = mode_matrices(c, n, N)
     size = N + 1
-    M = N - 1                     # trusted degree range
-    # degree-0: kernel of d0 on inputs of degree <= M
-    kern0 = nullspace([{m: x for m, x in row.items() if m <= M} for row in comp.d0], M + 1)
-    gens0 = tuple(_format_generator(v, 0, size) for v in kern0)
-
-    # degree-1: cocycles supported in the trusted degrees, modulo the part of
-    # the image landing there (primitives may use the full truncated space)
-    keep1 = set(range(M + 1)) | {size + m for m in range(M + 1)}
-    cols1_idx = sorted(keep1)
-    position = {cidx: k for k, cidx in enumerate(cols1_idx)}
-    sub_d1 = [{position[j]: x for j, x in row.items() if j in position} for row in comp.d1]
-    cocycles1 = [{cols1_idx[k]: x for k, x in v.items()}
-                 for v in nullspace(sub_d1, len(cols1_idx))]
-    image1 = intersect_with_coordinate_subspace(comp.d0, size, keep1)
-    reps1 = _quotient_generators([_swap_blocks(v, size) for v in cocycles1],
-                                 [_swap_blocks(v, size) for v in image1], 2 * size)
-    gens1 = tuple(_format_generator(_swap_blocks(v, size), 1, size) for v in reps1)
-
-    # degree-2: everything of degree <= M is a cocycle
-    cocycles2 = [{m: ONE} for m in range(M + 1)]
-    image2 = intersect_with_coordinate_subspace(comp.d1, 2 * size, set(range(M + 1)))
-    reps2 = _quotient_generators(cocycles2, image2, size)
-    gens2 = tuple(_format_generator(v, 2, size) for v in reps2)
-
+    d = ([{} for _ in range(size)], comp.d0, comp.d1, [])     # d_{-1}, d_0, d_1, d_2
+    width = (0, size, 2 * size, size)                          # the columns of each
+    gens = []
+    for k in range(3):
+        keep = {j for j in range(width[k + 1]) if j % size < N}
+        trusted = [{j: x for j, x in row.items() if j in keep} for row in d[k + 1]]
+        # a column outside K is empty here, so its kernel vector is its unit vector
+        cocycles = [z for z in nullspace(trusted, width[k + 1]) if z.keys() <= keep]
+        reps = quotient_basis(d[k], width[k], cocycles)
+        gens.append(tuple(_format_generator(z, k, size) for z in reps))
     return CohomologyReport(
-        dims=(len(gens0), len(gens1), len(gens2)), generators=(gens0, gens1, gens2),
+        dims=tuple(map(len, gens)), generators=tuple(gens),
         provenance={"status": "computed", "mode": n, "truncation": N, "c": str(Fraction(c))})
 
 

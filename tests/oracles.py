@@ -52,6 +52,9 @@ The other routes here reach the same objects another way than the engine:
   the sum of three nested skew brackets, where the gate reads nested terms;
 - `swap_proto`, the swapped pair (A*, A) rebuilt table by table, where the
   engine takes the Legendre image of mu + gamma*;
+- `slow_mode_cohomology`, a mode's cohomology with each image first
+  intersected with the trusted coordinates, where the engine quotients by
+  the whole image;
 - the su(2) origin of the sphere family: `su2_bivector`, its quotient
   `bruhat_w_chart`, and `rescaled_pi_c`, which maps the members into one
   another.
@@ -71,7 +74,7 @@ from bigbracket.courant import (CONSTANT, FUNCTION, SECTION, CourantSection,
                                 CourantStructure, _signed_unshuffles, basis_sections, circ,
                                 coordinate_functions, d_operator, generator_family, pairing,
                                 skew_bracket)
-from bigbracket.necklace import build_structures
+from bigbracket.necklace import _format_generator, build_structures, mode_matrices
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial, poly_sum
 from bigbracket.rationals import GaussianRational, ONE, ZERO
@@ -704,6 +707,39 @@ def slow_quotient_generators(cocycles, boundaries):
             reps.append(z)
             span.append(list(z))
     return reps
+
+
+def slow_mode_cohomology(c, n, N):
+    """(dims, generators) of a mode by dense kernels of d0 and d1 on the trusted
+    degrees m <= N - 1, each image intersected with the trusted coordinates
+    and pruned (`slow_intersect_with_coordinate_subspace`), then the greedy
+    quotient of the cocycles by that intersection (`slow_quotient_generators`),
+    where the engine quotients by the whole image."""
+    comp = mode_matrices(c, n, N)
+    size = N + 1
+    trusted = list(range(N))
+    matrices = (None, dense_rows(comp.d0, size), dense_rows(comp.d1, 2 * size), None)
+    spaces = ((size, trusted), (2 * size, trusted + [size + m for m in trusted]),
+              (size, trusted))
+    gens = []
+    for k, (dim, keep) in enumerate(spaces):
+        if matrices[k + 1] is None:         # no d_2: every trusted two-field is a cocycle
+            cocycles = [[ONE if j == m else ZERO for j in range(dim)] for m in keep]
+        else:
+            cocycles = []
+            for v in dense_nullspace([[row[j] for j in keep] for row in matrices[k + 1]],
+                                     len(keep)):
+                z = [ZERO] * dim
+                for j, x in zip(keep, v):
+                    z[j] = x
+                cocycles.append(z)
+        boundaries = []
+        if matrices[k] is not None:
+            cols = [list(col) for col in zip(*matrices[k])]
+            boundaries = slow_intersect_with_coordinate_subspace(cols, set(keep))
+        reps = slow_quotient_generators(cocycles, boundaries)
+        gens.append(tuple(_format_generator(sparse_vector(z), k, size) for z in reps))
+    return tuple(map(len, gens)), tuple(gens)
 
 
 # ---------------------------------------------------------------------------

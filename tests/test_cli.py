@@ -357,6 +357,13 @@ def test_golden_text_reports():
     ["cohomology", "--c", "0", "--modes", "two"],
     ["cohomology", "--c", "0", "--modes", "2", "--truncate", "4.5"],
     ["cohomology", "--c", "0", "--modes", "2", "--truncate", "3"],  # below the mode model's bound
+    # numerals take ASCII digits only, as Python's int() and Fraction() do not
+    ["cohomology", "--c", "0", "--modes", "1_0", "--truncate", "\u0665"],
+    ["cohomology", "--c", "0", "--modes", "\u0665"],
+    ["cohomology", "--c", "0", "--truncate", "1_0"],
+    ["invariants", "--c", "1_0/3_0"],
+    ["invariants", "--c", "1/3", "--cprime", "\u0661/\u0664"],
+    ["invariants", "--c", "0", "--cprime", "-0.2_5"],
 ])
 def test_bad_input_is_a_usage_error(argv):
     code, out, err = run(argv)
@@ -386,6 +393,14 @@ def test_necklace_document_with_zero_denominator(tmp_path):
     doc.write_text("kind: necklace\nc = 1/0\n")
     code, out, err = run(["invariants", "--spec", str(doc)])
     assert code == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("c", ["1_0/3_0", "\u0661/\u0663", "\uff11/3"])
+def test_necklace_document_parameter_takes_ascii_digits_only(tmp_path, c):
+    doc = tmp_path / "neck.spec"
+    doc.write_text(f"kind: necklace\nc = {c}\n", encoding="utf-8")
+    code, out, err = run(["invariants", "--spec", str(doc)])
+    assert code == 2 and out == "" and "error: c must be a rational number" in err
 
 
 def test_invariants_reports_volume_of_symplectic_member():

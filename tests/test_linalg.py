@@ -8,13 +8,12 @@ import pytest
 from bigbracket import linalg
 from bigbracket.chart import cotangent_chart
 from bigbracket.cli import main
-from bigbracket.linalg import (PolyFrac, _rref, in_span, independent,
-                               intersect_with_coordinate_subspace, nullspace, rank, solve,
-                               solve_over_fractions)
-from bigbracket.necklace import _quotient_generators, mode_matrices
+from bigbracket.linalg import (PolyFrac, _rref, in_span, nullspace, quotient_basis, rank,
+                               solve, solve_over_fractions)
+from bigbracket.necklace import mode_matrices
 from bigbracket.parsing import parse_poly
 from bigbracket.poly import SuperPolynomial
-from bigbracket.rationals import GaussianRational, ZERO
+from bigbracket.rationals import GaussianRational, ONE, ZERO
 
 from oracles import (column_rows, dense_in_span, dense_rref, dense_vector, slow_independent,
                      slow_intersect_with_coordinate_subspace, slow_quotient_generators,
@@ -130,51 +129,112 @@ def _family(rng, length, count):
     return vectors, planted
 
 
+def _kept(vectors, kept):
+    """Indices of the kept vectors, found by identity: `quotient_basis` returns its inputs."""
+    return [j for j, v in enumerate(vectors) if any(v is k for k in kept)]
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_independent_matches_greedy_span_loop(seed):
+    """Modulo no columns, `quotient_basis` is the greedy independent subfamily."""
     rng = random.Random(1000 + seed)
     length = rng.randint(1, 7)
     vectors, planted = _family(rng, length, rng.randint(1, 9))
-    kept = independent(sparse_rows(vectors), length)
+    sparse = sparse_rows(vectors)
+    kept = _kept(sparse, quotient_basis([{} for _ in range(length)], 0, sparse))
     assert kept == slow_independent(vectors)
     assert not planted & set(kept)
-    assert len(kept) == rank(sparse_rows(vectors), length)
+    assert len(kept) == rank(sparse, length)
 
 
 def test_independent_on_empty_and_degenerate_input():
     i = GaussianRational(0, 1)
     one = GaussianRational(1)
-    assert independent([], 0) == slow_independent([]) == []
-    assert independent(sparse_rows([[], []]), 0) == slow_independent([[], []]) == []
-    assert independent(sparse_rows([[ZERO, ZERO]]), 2) == []
+    no_columns = lambda dim: [{} for _ in range(dim)]
+    assert quotient_basis([], 0, []) == slow_independent([]) == []
+    assert quotient_basis([], 0, [{}, {}]) == slow_independent([[], []]) == []
+    assert quotient_basis(no_columns(2), 0, sparse_rows([[ZERO, ZERO]])) == []
     # the second is i times the first
-    assert independent(sparse_rows([[one, i], [i, -one], [one, ZERO]]), 2) == [0, 2]
-    assert independent(sparse_rows([[ZERO], [i], [one]]), 1) == [1]
+    vectors = sparse_rows([[one, i], [i, -one], [one, ZERO]])
+    assert _kept(vectors, quotient_basis(no_columns(2), 0, vectors)) == [0, 2]
+    vectors = sparse_rows([[ZERO], [i], [one]])
+    assert _kept(vectors, quotient_basis(no_columns(1), 0, vectors)) == [1]
+    # a vector in the column span is never kept, one outside it always is
+    assert quotient_basis([{0: one}, {}], 1, [{0: i}, {1: i}]) == [{1: i}]
+
+
+def _cocycles_on(rng, keep, length, pool):
+    """Vectors vanishing outside `keep`, some planted in the span of `pool` and of
+    the vectors before them (never kept), zero vectors and duplicates among them."""
+    out = []
+    for _ in range(rng.randint(0, 6)):
+        span = pool + out
+        kind = rng.random()
+        if span and kind < 0.3:
+            out.append(_combination(rng, span, length))
+        elif out and kind < 0.4:
+            out.append(list(rng.choice(out)))
+        elif kind < 0.5:
+            out.append([ZERO] * length)
+        else:
+            out.append([_scalar(rng) if r in keep else ZERO for r in range(length)])
+    return out
+
+
+def _permuted(rng, rows, vectors):
+    """The same rows and vectors with their coordinates in a random order."""
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return ([rows[r] for r in order],
+            [{k: v[r] for k, r in enumerate(order) if r in v} for v in vectors])
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_intersect_with_coordinate_subspace_matches_greedy_prune(seed):
+    """No intersection is needed: for vectors vanishing outside a coordinate
+    subspace K, the quotient modulo the whole column span B keeps what the
+    greedy quotient modulo B meet K keeps (its greedy prune by
+    `slow_intersect_with_coordinate_subspace`), and so does a row permutation
+    of the same input."""
     rng = random.Random(2000 + seed)
-    nrows = rng.randint(1, 7)
-    cols, _ = _family(rng, nrows, rng.randint(1, 7))
-    keep = {r for r in range(nrows) if rng.random() < 0.6}
-    ours = intersect_with_coordinate_subspace(column_rows(cols, nrows), len(cols), keep)
-    assert ([dense_vector(v, nrows) for v in ours]
-            == slow_intersect_with_coordinate_subspace(cols, keep))
+    for _ in range(10):
+        nrows = rng.randint(1, 7)
+        cols, _ = _family(rng, nrows, rng.randint(0, 7))
+        keep = {r for r in range(nrows) if rng.random() < 0.6}
+        meet = slow_intersect_with_coordinate_subspace(cols, keep)
+        cocycles = _cocycles_on(rng, keep, nrows, meet)
+        rows, sparse = column_rows(cols, nrows), sparse_rows(cocycles)
+        reps = quotient_basis(rows, len(cols), sparse)
+        assert [dense_vector(z, nrows) for z in reps] == slow_quotient_generators(cocycles, meet)
+        rows, moved = _permuted(rng, rows, sparse)
+        assert _kept(moved, quotient_basis(rows, len(cols), moved)) == _kept(sparse, reps)
 
 
 @pytest.mark.parametrize("c, n, N", [(0, 0, 4), (Fraction(1, 3), 0, 7), (Fraction(-1, 2), 2, 6),
                                      (Fraction(3, 4), 5, 5)])
 def test_intersect_on_mode_matrices_matches_greedy_prune(c, n, N):
+    """The same on the mode matrices' trusted degrees, and with the one-field
+    blocks swapped (d_theta block first): the representatives do not change."""
     comp = mode_matrices(c, n, N)
-    size, M = N + 1, N - 1
+    size = N + 1
+    keep1 = {k for k in range(2 * size) if k % size < N}
     cols0 = [[comp.d0[r].get(m, ZERO) for r in range(2 * size)] for m in range(size)]
-    keep1 = set(range(M + 1)) | {size + m for m in range(M + 1)}
     cols1 = [[comp.d1[r].get(k, ZERO) for r in range(size)] for k in range(2 * size)]
-    for rows, cols, keep in ((comp.d0, cols0, keep1), (comp.d1, cols1, set(range(M + 1)))):
-        ours = intersect_with_coordinate_subspace(rows, len(cols), keep)
-        assert ([dense_vector(v, len(rows)) for v in ours]
-                == slow_intersect_with_coordinate_subspace(cols, keep))
+    trusted1 = [{j: x for j, x in row.items() if j in keep1} for row in comp.d1]
+    cocycles1 = [z for z in nullspace(trusted1, 2 * size) if z.keys() <= keep1]
+    cocycles2 = [{m: ONE} for m in range(N)]
+    for rows, cols, keep, cocycles in ((comp.d0, cols0, keep1, cocycles1),
+                                       (comp.d1, cols1, set(range(N)), cocycles2)):
+        dim = len(rows)
+        reps = quotient_basis(rows, len(cols), cocycles)
+        dense = [dense_vector(z, dim) for z in cocycles]
+        expected = slow_quotient_generators(
+            dense, slow_intersect_with_coordinate_subspace(cols, keep))
+        assert [dense_vector(z, dim) for z in reps] == expected
+        swap = lambda v: {(k + size) % dim: x for k, x in v.items()}
+        swapped = [swap(z) for z in cocycles]
+        kept = quotient_basis([rows[(r + size) % dim] for r in range(dim)], len(cols), swapped)
+        assert _kept(swapped, kept) == _kept(cocycles, reps)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -182,16 +242,9 @@ def test_quotient_generators_match_greedy_loop(seed):
     rng = random.Random(3000 + seed)
     length = rng.randint(1, 7)
     boundaries, _ = _family(rng, length, rng.randint(0, 5))
-    cocycles = []
-    for _ in range(rng.randint(0, 6)):
-        pool = boundaries + cocycles
-        if pool and rng.random() < 0.3:     # a boundary plus earlier cocycles: never kept
-            cocycles.append(_combination(rng, pool, length))
-        else:
-            cocycles.append([_scalar(rng) for _ in range(length)])
+    cocycles = _cocycles_on(rng, set(range(length)), length, boundaries)
     sparse_cocycles = sparse_rows(cocycles)
-    reps = _quotient_generators(boundaries=sparse_rows(boundaries), cocycles=sparse_cocycles,
-                                dim=length)
+    reps = quotient_basis(column_rows(boundaries, length), len(boundaries), sparse_cocycles)
     expected = slow_quotient_generators(cocycles, boundaries)
     assert [dense_vector(r, length) for r in reps] == expected
     assert all(any(r is z for z in sparse_cocycles) for r in reps)
